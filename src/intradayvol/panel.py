@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import io
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -164,28 +166,67 @@ class MinutePanel:
 
     @staticmethod
     def from_bars(bars: Iterable[MinuteBar]) -> "MinutePanel":
+        """Panel holding each bar in its cell; a repeated cell raises
+        DuplicateCell."""
         bars = list(bars)
-        companies = tuple(sorted({b.ticker for b in bars}))
-        days = tuple(sorted({b.date for b in bars}))
-        c_pos = {c: i for i, c in enumerate(companies)}
-        d_pos = {d: j for j, d in enumerate(days)}
-        shape = (len(companies), len(days), SESSION_MINUTES)
-        vol = np.full(shape, np.nan)
-        o = np.full(shape, np.nan)
-        h = np.full(shape, np.nan)
-        lo = np.full(shape, np.nan)
-        cl = np.full(shape, np.nan)
-        for b in bars:
-            i, j, t = c_pos[b.ticker], d_pos[b.date], b.minute
-            if np.isfinite(vol[i, j, t]):
-                raise DuplicateCell(
-                    f"duplicate cell ({b.ticker}, {b.date.isoformat()}, minute {t})")
-            vol[i, j, t] = b.volume
-            o[i, j, t] = b.open
-            h[i, j, t] = b.high
-            lo[i, j, t] = b.low
-            cl[i, j, t] = b.close
-        return MinutePanel(companies, days, vol, o, h, lo, cl)
+        n = len(bars)
+        tickers: dict[str, int] = {}
+        days: dict[dt.date, int] = {}
+        t_code = np.fromiter((tickers.setdefault(b.ticker, len(tickers)) for b in bars),
+                             np.int64, n)
+        d_code = np.fromiter((days.setdefault(b.date, len(days)) for b in bars), np.int64, n)
+        minute = np.fromiter((b.minute for b in bars), np.int64, n)
+        values = [np.fromiter((getattr(b, name) for b in bars), float, n)
+                  for name in _VALUE_FIELDS]
+
+        def duplicate(k: int) -> str:
+            b = bars[k]
+            return f"duplicate cell ({b.ticker}, {b.date.isoformat()}, minute {b.minute})"
+
+        return _scatter_panel(list(tickers), list(days), t_code, d_code, minute,
+                              values, duplicate)
+
+
+_VALUE_FIELDS = ("volume", "open", "high", "low", "close")
+
+
+def _first_duplicate(cell: np.ndarray) -> int | None:
+    """Position of the first entry of `cell` equal to an earlier one."""
+    _, first = np.unique(cell, return_index=True)
+    if first.size == cell.size:
+        return None
+    later = np.ones(cell.size, dtype=bool)
+    later[first] = False
+    return int(np.argmax(later))
+
+
+def _scatter_panel(tickers: Sequence[str], days: Sequence[dt.date],
+                   t_code: np.ndarray, d_code: np.ndarray, minute: np.ndarray,
+                   values: Sequence[np.ndarray], duplicate) -> MinutePanel:
+    """Panel from per-row codes: row k is cell (tickers[t_code[k]],
+    days[d_code[k]], minute[k]) with the five values[.][k]. The axes hold
+    only the codes that occur. A repeated cell raises DuplicateCell with
+    the text duplicate(k) of its first repeat."""
+    axes = []
+    ranks = []
+    for labels, code in ((tickers, t_code), (days, d_code)):
+        used = sorted(np.unique(code).tolist(), key=labels.__getitem__)
+        rank = np.zeros(len(labels), dtype=np.int64)
+        rank[used] = np.arange(len(used))
+        axes.append(tuple(labels[k] for k in used))
+        ranks.append(rank[code])
+    companies, panel_days = axes
+    shape = (len(companies), len(panel_days), SESSION_MINUTES)
+    cell = (ranks[0] * shape[1] + ranks[1]) * SESSION_MINUTES + minute
+    k = _first_duplicate(cell)
+    if k is not None:
+        raise DuplicateCell(duplicate(k))
+    arrays = []
+    for column in values:
+        arr = np.full(shape, np.nan)
+        arr.reshape(-1)[cell] = column
+        arrays.append(arr)
+    return MinutePanel(companies, panel_days, *arrays)
 
 
 def _parse_minute(value: str, time_format: str) -> int:
@@ -218,6 +259,250 @@ def _csv_paths(path) -> list[Path]:
     return [p]
 
 
+#: csv records parsed per block. Each block's string columns and per-row
+#: arrays are garbage before the next is read, so this bounds the loader's
+#: transient memory; per-block numpy overhead is negligible at this size.
+_BLOCK_ROWS = 1024
+
+# Minute codes of rows that do not give a session minute.
+_BAD_TIME = -2       # the time field is missing or does not parse
+_OFF_SESSION = -1    # parses, but lies outside 09:30-16:00
+
+
+class _Memo(dict):
+    """str -> code, computing each distinct string's code once."""
+
+    def __init__(self, parse):
+        super().__init__()
+        self._parse = parse
+
+    def __missing__(self, key):
+        code = self[key] = self._parse(key)
+        return code
+
+
+def _floats(column: Sequence[str]) -> np.ndarray:
+    """float() of each string, NaN where float() raises. NaN fails every
+    MinuteBar value rule, so a bad float makes its row malformed."""
+    try:
+        return np.fromiter(map(float, column), float, len(column))
+    except ValueError:
+        out = np.full(len(column), np.nan)
+        for k, s in enumerate(column):
+            try:
+                out[k] = float(s)
+            except ValueError:
+                pass
+        return out
+
+
+def _valid_values(vol, o, h, lo, c) -> np.ndarray:
+    """MinuteBar.__post_init__'s value rules, row-wise."""
+    ok = np.isfinite(vol) & (vol >= 0) & (np.floor(vol) == vol)
+    for p in (o, h, lo, c):
+        ok &= np.isfinite(p) & (p > 0)
+    return ok & (lo <= np.minimum(o, c)) & (h >= np.maximum(o, c)) & (lo <= h)
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """Column positions of one file."""
+
+    time: int
+    date: int
+    ticker: int | None
+    values: tuple[int, ...]   # volume, open, high, low, close
+    file_ticker: str
+
+    @property
+    def width(self) -> int:
+        """Fields a row needs for every column to be present."""
+        return 1 + max(self.time, self.date, *self.values,
+                       -1 if self.ticker is None else self.ticker)
+
+    @staticmethod
+    def from_header(p: Path, header: list[str], schema: Mapping[str, str]) -> "_Layout":
+        header = [h.strip() for h in header]
+        col = {}
+        for fld in ("date", "time", *_VALUE_FIELDS):
+            name = schema[fld]
+            if name not in header:
+                # the default time column has a common alternate spelling
+                if fld == "time" and "time" in header:
+                    col[fld] = header.index("time")
+                    continue
+                raise MissingColumn(f"{p}: column {name!r} (for {fld}) not in header")
+            col[fld] = header.index(name)
+        ticker_col = header.index(schema["ticker"]) if schema["ticker"] in header else None
+        return _Layout(col["time"], col["date"], ticker_col,
+                       tuple(col[f] for f in _VALUE_FIELDS), p.stem)
+
+    def row_error(self, row: list[str], time_format: str) -> str:
+        """Why the scalar MinuteBar path rejects a row (strict mode's text)."""
+        try:
+            minute = _parse_minute(row[self.time], time_format)
+        except (ValueError, IndexError):
+            return "unparseable time field"
+        try:
+            ticker = row[self.ticker].strip() if self.ticker is not None else self.file_ticker
+            MinuteBar(ticker, dt.date.fromisoformat(row[self.date].strip()), minute,
+                      *(float(row[k]) for k in self.values))
+        except (ValueError, IndexError) as exc:
+            return str(exc)
+        raise AssertionError(f"row {row!r} passes MinuteBar but failed the column rules")
+
+
+class _ColumnLoader:
+    """Kept rows of a load as compact code and float64 columns.
+
+    Tickers and days are interned to integer codes in first-seen order and
+    each distinct time, date and ticker string is parsed once. Skip
+    reasons, line numbers (record index + 2) and error precedence follow
+    the row-at-a-time MinuteBar rules: time first, then session range, then
+    every other field.
+    """
+
+    def __init__(self, time_format: str, strict: bool):
+        self.time_format = time_format
+        self.strict = strict
+        self.report = LoadReport()
+        self.tickers: dict[str, int] = {}
+        self.days: dict[dt.date, int] = {}
+        self.minute_codes = _Memo(self._minute_code)
+        self.day_codes = _Memo(self._day_code)
+        self.ticker_codes = _Memo(lambda s: self.tickers.setdefault(s.strip(), len(self.tickers)))
+        self.columns: list[list[np.ndarray]] = [[] for _ in range(8)]  # ticker, day, minute, 5 values
+        # per kept block: (source, first record index, kept positions or
+        # None for all rows, number kept)
+        self.blocks: list[tuple[str, int, np.ndarray | None, int]] = []
+
+    def _minute_code(self, s: str) -> int:
+        try:
+            minute = _parse_minute(s, self.time_format)
+        except ValueError:
+            return _BAD_TIME
+        return minute if 0 <= minute <= 390 else _OFF_SESSION
+
+    def _day_code(self, s: str) -> int:
+        try:
+            day = dt.date.fromisoformat(s.strip())
+        except ValueError:
+            return -1
+        return self.days.setdefault(day, len(self.days))
+
+    def load_file(self, p: Path, schema: Mapping[str, str]) -> None:
+        self.report.files.append(str(p))
+        with open(p, newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                self._raise(DataError(f"{p}: empty file (header row required)"))
+            try:
+                layout = _Layout.from_header(p, header, schema)
+            except MissingColumn as exc:
+                self._raise(exc)
+            start = 0
+            while rows := list(islice(reader, _BLOCK_ROWS)):
+                self._load_block(str(p), start, rows, layout)
+                start += len(rows)
+
+    def _load_block(self, source: str, start: int, rows: list[list[str]],
+                    layout: _Layout) -> None:
+        n = len(rows)
+        width = layout.width
+        lens = list(map(len, rows))
+        short = None
+        padded = rows
+        if min(lens) < width:
+            # pad so that zip keeps every row; a short row is never kept
+            short = np.fromiter(map(width.__gt__, lens), bool, n)
+            padded = [r + [""] * (width - k) if k < width else r for r, k in zip(rows, lens)]
+        cols = list(zip(*padded))
+        minute = np.fromiter(map(self.minute_codes.__getitem__, cols[layout.time]), np.int16, n)
+        day = np.fromiter(map(self.day_codes.__getitem__, cols[layout.date]), np.int32, n)
+        if layout.ticker is None:
+            code = self.tickers.setdefault(layout.file_ticker, len(self.tickers))
+            ticker = np.full(n, code, dtype=np.int32)
+        else:
+            ticker = np.fromiter(map(self.ticker_codes.__getitem__, cols[layout.ticker]),
+                                 np.int32, n)
+        values = [_floats(cols[k]) for k in layout.values]
+        ok = (minute >= 0) & (day >= 0) & _valid_values(*values)
+        if short is not None:
+            ok &= ~short
+        block = [ticker, day, minute, *values]
+        if ok.all():
+            self.report.n_rows += n
+            self._keep(source, start, block, None)
+            return
+
+        bad = np.flatnonzero(~ok)
+        blank = {k for k in bad[minute[bad] == _BAD_TIME].tolist()
+                 if not any(c.strip() for c in rows[k])}
+        self.report.n_rows += n - len(blank)
+        for k in bad.tolist():
+            if k in blank:
+                continue
+            line = start + k + 2
+            if minute[k] == _OFF_SESSION:
+                reason = "out-of-session"
+            elif self.strict:
+                self._keep(source, start, block, np.flatnonzero(ok[:k]))
+                self._raise(MalformedRow(
+                    f"{source}:{line}: {layout.row_error(rows[k], self.time_format)}"))
+            else:
+                reason = "malformed"
+            self.report.skipped.append(SkippedRow(source, line, reason))
+        self._keep(source, start, block, np.flatnonzero(ok))
+
+    def _keep(self, source: str, start: int, block: list[np.ndarray],
+              positions: np.ndarray | None) -> None:
+        """Append a block's kept rows: all of them, or those at `positions`."""
+        if positions is not None:
+            block = [a[positions] for a in block]
+        count = len(block[0])
+        self.report.n_loaded += count
+        for acc, arr in zip(self.columns, block):
+            acc.append(arr)
+        self.blocks.append((source, start, positions, count))
+
+    def _duplicate(self, k: int, ticker: np.ndarray, day: np.ndarray,
+                   minute: np.ndarray) -> str:
+        """DuplicateCell text for kept row k, with its source line."""
+        pos = k
+        for source, start, positions, count in self.blocks:
+            if pos < count:
+                line = start + (pos if positions is None else int(positions[pos])) + 2
+                break
+            pos -= count
+        name = list(self.tickers)[ticker[k]]
+        date = list(self.days)[day[k]]
+        return f"{source}:{line}: duplicate cell ({name}, {date}, {minute[k]})"
+
+    def _raise(self, exc: DataError) -> NoReturn:
+        """Raise exc, unless the rows kept so far already repeat a cell:
+        a row-at-a-time load would have stopped at that repeat first."""
+        if self.report.n_loaded:
+            ticker, day, minute = (np.concatenate(acc) for acc in self.columns[:3])
+            cell = (ticker.astype(np.int64) * len(self.days) + day) * SESSION_MINUTES + minute
+            k = _first_duplicate(cell)
+            if k is not None:
+                raise DuplicateCell(self._duplicate(k, ticker, day, minute)) from None
+        raise exc from None
+
+    def panel(self) -> MinutePanel:
+        if not self.report.n_loaded:
+            raise DataError("no usable rows in input")
+        columns = []
+        for acc in self.columns:
+            columns.append(np.concatenate(acc))
+            acc.clear()
+        ticker, day, minute, *values = columns
+        return _scatter_panel(list(self.tickers), list(self.days), ticker, day, minute, values,
+                              lambda k: self._duplicate(k, ticker, day, minute))
+
+
 def load_minute_bars(
     path,
     schema: Mapping[str, str] | None = None,
@@ -238,97 +523,43 @@ def load_minute_bars(
         paths = [q for p in path for q in _csv_paths(p)]
     else:
         paths = _csv_paths(path)
-
-    report = LoadReport()
-    bars: dict[tuple[str, dt.date, int], MinuteBar] = {}
-
+    loader = _ColumnLoader(time_format, strict)
     for p in paths:
-        report.files.append(str(p))
-        with open(p, newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise DataError(f"{p}: empty file (header row required)") from None
-            header = [h.strip() for h in header]
-            col = {}
-            for fld in ("date", "time", "volume", "open", "high", "low", "close"):
-                name = schema[fld]
-                if name not in header:
-                    # the default time column has a common alternate spelling
-                    if fld == "time" and "time" in header:
-                        col[fld] = header.index("time")
-                        continue
-                    raise MissingColumn(f"{p}: column {name!r} (for {fld}) not in header")
-                col[fld] = header.index(name)
-            ticker_col = header.index(schema["ticker"]) if schema["ticker"] in header else None
-            file_ticker = p.stem
+        loader.load_file(p, schema)
+    return loader.panel(), loader.report
 
-            for line_no, row in enumerate(reader, start=2):
-                if not row or all(not c.strip() for c in row):
-                    continue
-                report.n_rows += 1
-                try:
-                    minute = _parse_minute(row[col["time"]], time_format)
-                except (ValueError, IndexError):
-                    if strict:
-                        raise MalformedRow(f"{p}:{line_no}: unparseable time field")
-                    report.skipped.append(SkippedRow(str(p), line_no, "malformed"))
-                    continue
-                if not 0 <= minute <= 390:
-                    report.skipped.append(SkippedRow(str(p), line_no, "out-of-session"))
-                    continue
-                try:
-                    ticker = row[ticker_col].strip() if ticker_col is not None else file_ticker
-                    bar = MinuteBar(
-                        ticker=ticker,
-                        date=dt.date.fromisoformat(row[col["date"]].strip()),
-                        minute=minute,
-                        volume=float(row[col["volume"]]),
-                        open=float(row[col["open"]]),
-                        high=float(row[col["high"]]),
-                        low=float(row[col["low"]]),
-                        close=float(row[col["close"]]),
-                    )
-                except (ValueError, IndexError) as exc:
-                    if strict:
-                        raise MalformedRow(f"{p}:{line_no}: {exc}") from None
-                    report.skipped.append(SkippedRow(str(p), line_no, "malformed"))
-                    continue
-                key = (bar.ticker, bar.date, bar.minute)
-                if key in bars:
-                    raise DuplicateCell(
-                        f"{p}:{line_no}: duplicate cell ({bar.ticker}, {bar.date}, {bar.minute})")
-                bars[key] = bar
-                report.n_loaded += 1
 
-    if not bars:
-        raise DataError("no usable rows in input")
-    return MinutePanel.from_bars(bars.values()), report
+def _csv_prefix(fields: Sequence[str]) -> str:
+    """The csv module's encoding of `fields`, each followed by a comma."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([*fields, ""])
+    return buf.getvalue()[:-2]  # drop the \r\n line terminator
 
 
 def write_panel_csv(panel: MinutePanel, path) -> None:
-    """Serialize to the canonical combined CSV (sorted, 17-digit floats)."""
+    """Serialize to the canonical combined CSV (sorted, 17-digit floats).
+
+    Rows go out one (company, day) block at a time. The csv module quotes
+    the block's ticker and date; `%.17g` gives the same text as
+    format(x, ".17g").
+    """
     pres = panel.present()
+    counts = pres.sum(axis=2).tolist()
+    minute = np.flatnonzero(pres) % SESSION_MINUTES
+    # boolean indexing runs in C order: company, then day, then minute
+    values = [getattr(panel, name)[pres] for name in _VALUE_FIELDS]
+    end = 0
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CANONICAL_COLUMNS)
-        for i, ticker in enumerate(panel.companies):
-            for j, day in enumerate(panel.days):
-                row_mask = pres[i, j]
-                if not row_mask.any():
+        csv.writer(fh).writerow(CANONICAL_COLUMNS)
+        for ticker, day_counts in zip(panel.companies, counts):
+            for day, count in zip(panel.days, day_counts):
+                if not count:
                     continue
-                for t in np.nonzero(row_mask)[0]:
-                    writer.writerow([
-                        ticker,
-                        day.isoformat(),
-                        int(t),
-                        format(panel.volume[i, j, t], ".17g"),
-                        format(panel.open[i, j, t], ".17g"),
-                        format(panel.high[i, j, t], ".17g"),
-                        format(panel.low[i, j, t], ".17g"),
-                        format(panel.close[i, j, t], ".17g"),
-                    ])
+                start, end = end, end + count
+                prefix = _csv_prefix((ticker, day.isoformat())).replace("%", "%%")
+                row = prefix + "%d,%.17g,%.17g,%.17g,%.17g,%.17g\r\n"
+                fh.write("".join(map(row.__mod__, zip(
+                    minute[start:end].tolist(), *(v[start:end].tolist() for v in values)))))
 
 
 @dataclass(frozen=True)

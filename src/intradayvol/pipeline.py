@@ -33,7 +33,7 @@ from .cumulants import (
     mean_kurtosis_tail,
     variance_ratio,
 )
-from .errors import DataError, MissingUpstream, UnknownFigure
+from .errors import DataError, MissingUpstream, NumericalError, UnknownFigure
 from .fits import (
     FitResult,
     fit_closing_powerlaw,
@@ -171,9 +171,12 @@ class PipelineConfig:
 
 
 def _fit_or_error(fn, *args, **kwargs):
+    """(result, None), or (None, message) for a per-slice data or numerical
+    failure, which is recorded and not fatal. Any other exception is a bug
+    and propagates."""
     try:
         return fn(*args, **kwargs), None
-    except Exception as exc:  # recorded, not fatal; the bundle keeps going
+    except (DataError, NumericalError) as exc:
         return None, f"{type(exc).__name__}: {exc}"
 
 

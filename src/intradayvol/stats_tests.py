@@ -155,7 +155,11 @@ def welch_test_from_moments(n_1: int, mean_1: float, var_1: float,
     if se2 <= 0:
         raise BothZeroVariance("both samples have zero variance")
     t = (mean_1 - mean_2) / math.sqrt(se2)
-    dof = se2 ** 2 / ((var_1 / n_1) ** 2 / (n_1 - 1) + (var_2 / n_2) ** 2 / (n_2 - 1))
+    # Welch-Satterthwaite in terms of the variance shares w_i, which lie in
+    # [0, 1]: squaring se2 itself underflows to 0/0 for tiny variances.
+    w_1 = var_1 / n_1 / se2
+    w_2 = var_2 / n_2 / se2
+    dof = 1.0 / (w_1 ** 2 / (n_1 - 1) + w_2 ** 2 / (n_2 - 1))
     if tails == 2:
         crit = student_t_quantile(0.5 + confidence / 2.0, dof)
         reject = abs(t) > crit

@@ -1,7 +1,10 @@
 """Loader, panel construction, and semester calendar tests."""
 from __future__ import annotations
 
+import csv
 import datetime as dt
+import io
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +19,9 @@ from intradayvol.errors import (
     OverlappingRanges,
     UncoveredDate,
 )
+from intradayvol import panel as panel_mod
 from intradayvol.panel import (
+    CANONICAL_COLUMNS,
     SESSION_MINUTES,
     MinuteBar,
     MinutePanel,
@@ -29,6 +34,7 @@ from intradayvol.panel import (
     semester_day_indices,
     validate_panel,
     write_panel_csv,
+    _parse_minute,
 )
 
 from conftest import build_panel, contiguous_semesters, weekdays
@@ -341,3 +347,233 @@ class TestRoundTripProperty:
         for name in ("volume", "open", "high", "low", "close"):
             np.testing.assert_array_equal(getattr(loaded, name),
                                           getattr(panel, name), err_msg=name)
+
+
+class TestWriterBytes:
+    @given(panel_strategy())
+    @settings(max_examples=25, deadline=None)
+    def test_matches_row_at_a_time_csv_writer(self, tmp_path_factory, panel):
+        path = tmp_path_factory.mktemp("wb") / "panel.csv"
+        write_panel_csv(panel, path)
+        assert path.read_bytes() == _reference_csv_bytes(panel)
+
+    def test_ticker_needing_quotes(self, tmp_path):
+        volume = np.full((2, 1, SESSION_MINUTES), np.nan)
+        volume[:, 0, [0, 7, 390]] = [[1.0, 25.0, 3e20], [0.0, 4.0, 5.0]]
+        prices = [np.where(np.isfinite(volume), p, np.nan) for p in (2.5, 3.0, 0.1, 2.75)]
+        panel = MinutePanel(('A,"B', "Z%d"), (dt.date(2004, 1, 5),), volume, *prices)
+        path = tmp_path / "panel.csv"
+        write_panel_csv(panel, path)
+        data = path.read_bytes()
+        assert data == _reference_csv_bytes(panel)
+        assert b'"A,""B",2004-01-05,7,25,' in data
+        loaded, _ = load_minute_bars(path)
+        assert loaded.companies == panel.companies
+        for name in ("volume", "open", "high", "low", "close"):
+            np.testing.assert_array_equal(getattr(loaded, name), getattr(panel, name))
+
+
+def _reference_csv_bytes(panel) -> bytes:
+    """The canonical CSV written one csv.writer row per present cell."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(CANONICAL_COLUMNS)
+    pres = panel.present()
+    for i, ticker in enumerate(panel.companies):
+        for j, day in enumerate(panel.days):
+            for t in np.flatnonzero(pres[i, j]):
+                writer.writerow([ticker, day.isoformat(), int(t)] + [
+                    format(getattr(panel, name)[i, j, t], ".17g")
+                    for name in ("volume", "open", "high", "low", "close")])
+    return buf.getvalue().encode()
+
+
+# --- columnar loader against one MinuteBar per row -----------------------
+
+def _reference_load(paths, strict=False):
+    """Row-at-a-time loading with one MinuteBar per row: the rules the
+    columnar loader must reproduce. Returns (bars by cell, rows read,
+    skipped (source, line, reason) triples)."""
+    bars, skipped, n_rows = {}, [], 0
+    for p in paths:
+        with open(p, newline="") as fh:
+            reader = csv.reader(fh)
+            header = [h.strip() for h in next(reader)]
+            col = {name: header.index(name)
+                   for name in ("date", "minute", "volume", "open", "high", "low", "close")}
+            ticker_col = header.index("ticker") if "ticker" in header else None
+            for line, row in enumerate(reader, start=2):
+                if not row or all(not c.strip() for c in row):
+                    continue
+                n_rows += 1
+                try:
+                    minute = _parse_minute(row[col["minute"]], "auto")
+                except (ValueError, IndexError):
+                    if strict:
+                        raise MalformedRow(f"{p}:{line}: unparseable time field")
+                    skipped.append((str(p), line, "malformed"))
+                    continue
+                if not 0 <= minute <= 390:
+                    skipped.append((str(p), line, "out-of-session"))
+                    continue
+                try:
+                    ticker = row[ticker_col].strip() if ticker_col is not None else p.stem
+                    bar = MinuteBar(ticker, dt.date.fromisoformat(row[col["date"]].strip()),
+                                    minute, *(float(row[col[name]]) for name in
+                                              ("volume", "open", "high", "low", "close")))
+                except (ValueError, IndexError) as exc:
+                    if strict:
+                        raise MalformedRow(f"{p}:{line}: {exc}")
+                    skipped.append((str(p), line, "malformed"))
+                    continue
+                key = (bar.ticker, bar.date, bar.minute)
+                if key in bars:
+                    raise DuplicateCell(f"{p}:{line}: duplicate cell "
+                                        f"({bar.ticker}, {bar.date}, {bar.minute})")
+                bars[key] = bar
+    if not bars:
+        raise DataError("no usable rows in input")
+    return bars, n_rows, skipped
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return "ok", fn(*args, **kwargs)
+    except DataError as exc:
+        return type(exc), str(exc)
+
+
+_COLUMNS = ("ticker", "date", "minute", "volume", "open", "high", "low", "close")
+_MUTATIONS = ("blank", "spaces", "short", "short_off_session", "bad_float", "bad_date",
+              "bad_volume", "ohlc", "off_session", "bad_time")
+
+
+@st.composite
+def _row(draw, minute, columns):
+    """(kind, line text) for one data row in a file with these columns."""
+    kind = draw(st.sampled_from(("clean",) * 6 + _MUTATIONS))
+    if kind == "blank":
+        return kind, ""
+    if kind == "spaces":
+        return kind, ",".join(" " * draw(st.integers(0, 2)) for _ in columns)
+    lo = draw(st.integers(1, 50))
+    o, c = draw(st.integers(lo, lo + 5)), draw(st.integers(lo, lo + 5))
+    fields = {
+        "ticker": draw(st.sampled_from(["AA", "BB", " CC "])),
+        "date": draw(st.sampled_from(["2004-01-05", "2004-01-06", " 2004-01-08"])),
+        "minute": draw(st.sampled_from([
+            str(minute), f"{(570 + minute) // 60:02d}:{(570 + minute) % 60:02d}",
+            f"{(570 + minute) // 60:02d}:{(570 + minute) % 60:02d}:00"])),
+        "volume": str(draw(st.integers(0, 10 ** 6))),
+        "open": f"{o}.25", "high": f"{max(o, c) + 1}.5", "low": f"{lo}", "close": f"{c}.25",
+    }
+    off_session = st.sampled_from(["09:29", "16:01", "391", "-1", "08:00:00"])
+    if kind in ("off_session", "short_off_session"):
+        fields["minute"] = draw(off_session)
+    elif kind == "bad_time":
+        fields["minute"] = draw(st.sampled_from(["junk", "25:00", "9:30:30", ""]))
+    elif kind == "bad_float":
+        name = draw(st.sampled_from(["volume", "open", "high", "low", "close"]))
+        fields[name] = draw(st.sampled_from(["x", "", "1.2.3"]))
+    elif kind == "bad_date":
+        fields["date"] = draw(st.sampled_from(["2004-13-01", "junk", ""]))
+    elif kind == "bad_volume":
+        fields["volume"] = draw(st.sampled_from(["-5", "2.5", "nan", "inf"]))
+    elif kind == "ohlc":
+        name, value = draw(st.sampled_from([("high", "0.5"), ("low", "999"),
+                                            ("open", "0"), ("close", "-1"), ("high", "inf")]))
+        fields[name] = value
+    cells = [fields[name] for name in columns]
+    if kind == "short":
+        cells = cells[:draw(st.integers(0, len(columns) - 1))]
+    elif kind == "short_off_session":
+        cells = cells[:columns.index("minute") + 1]
+    return kind, ",".join(cells)
+
+
+@st.composite
+def _csv_files(draw):
+    """1-3 files, each with its own column order, with or without a
+    ticker column; every in-session time is distinct across the files,
+    so a repeated cell appears only when `repeat` copies a clean row."""
+    files = []
+    minute = 0
+    for k in range(draw(st.integers(1, 3))):
+        names = _COLUMNS if draw(st.booleans()) else _COLUMNS[1:]
+        columns = draw(st.permutations(names))
+        rows = []
+        for _ in range(draw(st.integers(0, 25))):
+            rows.append(draw(_row(minute, columns)))
+            minute += 1
+        files.append((f"F{k}", columns, rows))
+    return files, draw(st.integers(0, 9)) == 0
+
+
+class TestColumnarLoaderEquivalence:
+    @given(_csv_files(), st.sampled_from([1, 2, 3, 7, 1024]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_row_at_a_time_rules(self, tmp_path_factory, drawn, block_rows):
+        files, repeat = drawn
+        root = tmp_path_factory.mktemp("eq")
+        paths = []
+        for stem, columns, rows in files:
+            lines = [",".join(columns)] + [text for _, text in rows]
+            if repeat:
+                clean = [text for kind, text in rows if kind == "clean"]
+                if clean:
+                    lines.append(clean[0])
+            path = root / f"{stem}.csv"
+            path.write_text("\n".join(lines) + "\n")
+            paths.append(path)
+
+        with mock.patch.object(panel_mod, "_BLOCK_ROWS", block_rows):
+            for strict in (False, True):
+                got = _outcome(load_minute_bars, [str(p) for p in paths], strict=strict)
+                want = _outcome(_reference_load, paths, strict=strict)
+                if want[0] != "ok":
+                    assert got == want
+                    continue
+                assert got[0] == "ok", got
+                _assert_loaded(*got[1], *want[1])
+
+    def test_strict_reports_first_bad_row_message(self, tmp_path):
+        text = HEADER + ("A,2004-01-05,09:30,1,10,10,10,10\n"
+                         "A,2004-01-05,09:31,1,10,9,10,10\n"
+                         "A,2004-01-05,junk,1,10,10,10,10\n")
+        path = _write(tmp_path / "a.csv", text)
+        with pytest.raises(MalformedRow) as err:
+            load_minute_bars(path, strict=True)
+        assert str(err.value) == f"{path}:3: OHLC ordering violated: (10.0, 9.0, 10.0, 10.0)"
+
+    def test_row_missing_only_its_last_ticker_field(self, tmp_path):
+        text = ("date,minute,volume,open,high,low,close,ticker\n"
+                "2004-01-05,09:30,1,10,10,10,10,A\n"
+                "2004-01-05,09:31,1,10,10,10,10\n")
+        path = _write(tmp_path / "a.csv", text)
+        _, report = load_minute_bars(path)
+        assert [(s.line, s.reason) for s in report.skipped] == [(3, "malformed")]
+        with pytest.raises(MalformedRow, match="a.csv:3: list index out of range"):
+            load_minute_bars(path, strict=True)
+
+    def test_earlier_duplicate_wins_over_later_file_errors(self, tmp_path):
+        first = _write(tmp_path / "a.csv", HEADER + "A,2004-01-05,09:30,1,10,10,10,10\n"
+                                                    "A,2004-01-05,09:30,2,10,10,10,10\n")
+        malformed = _write(tmp_path / "b.csv", HEADER + "B,2004-01-05,junk,1,10,10,10,10\n")
+        headless = _write(tmp_path / "c.csv", "ticker,date,minute\n")
+        for later, strict in ((malformed, True), (headless, False)):
+            with pytest.raises(DuplicateCell, match="a.csv:3: duplicate cell"):
+                load_minute_bars([first, later], strict=strict)
+
+
+def _assert_loaded(panel, report, bars, n_rows, skipped):
+    assert report.n_rows == n_rows
+    assert report.n_loaded == len(bars)
+    assert [(s.source, s.line, s.reason) for s in report.skipped] == skipped
+    assert panel.companies == tuple(sorted({t for t, _, _ in bars}))
+    assert panel.days == tuple(sorted({d for _, d, _ in bars}))
+    assert int(panel.present().sum()) == len(bars)
+    for (ticker, day, minute), bar in bars.items():
+        cell = (panel.companies.index(ticker), panel.days.index(day), minute)
+        assert [getattr(panel, name)[cell] for name in
+                ("volume", "open", "high", "low", "close")] == \
+            [bar.volume, bar.open, bar.high, bar.low, bar.close]

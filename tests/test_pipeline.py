@@ -229,6 +229,16 @@ class TestRunPipeline:
         assert isinstance(bundle.semester_fits[1]["kurtosis_morning"], dict)
         assert "error" in bundle.semester_fits[1]["kurtosis_morning"]
 
+    def test_unexpected_stage_error_propagates(self, base_config, monkeypatch):
+        # only DataError and NumericalError are per-slice failures; a bug
+        # in a stage must surface rather than land in run_log
+        def broken(*args, **kwargs):
+            raise TypeError("stage bug")
+
+        monkeypatch.setattr("intradayvol.pipeline.cumulants_over_days", broken)
+        with pytest.raises(TypeError, match="stage bug"):
+            run_pipeline(base_config, write=False)
+
 
 class TestDeterminism:
     def test_repeat_runs_byte_identical(self, base_config):

@@ -100,6 +100,13 @@ class TestWelch:
         want = (v1 + v2) ** 2 / (v1 ** 2 / 3 + v2 ** 2 / 4)
         assert result.dof == pytest.approx(want, rel=1e-12)
 
+    def test_tiny_variance_dof_does_not_underflow(self):
+        # se2 ** 2 underflows to 0 here, so the textbook ratio is 0/0
+        result = welch_test([0.0, 0.0], [0.0, 7.8e-102])
+        assert result.dof == 1.0
+        assert result.statistic == pytest.approx(-1.0, rel=1e-12)
+        assert not result.reject_null
+
     def test_sign_flips_when_samples_swap(self):
         a, b = [1.0, 2.0, 3.0], [4.0, 6.0, 8.0]
         assert welch_test(a, b).statistic == pytest.approx(
