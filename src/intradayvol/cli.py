@@ -5,46 +5,38 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime as dt
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .cumulants import (
-    aggregate_day_profiles,
-    aggregate_ticker_profiles,
     cumulants_over_companies,
     cumulants_over_days,
-    mean_kurtosis_tail,
+    profile_csv_bytes,
     profile_metadata,
-    profile_to_csv,
-    variance_ratio,
 )
 from .errors import DataError, NumericalError
-from .fits import (
-    fit_closing_powerlaw,
-    fit_kurtosis_relaxation,
-    fit_opening_powerlaw,
-    fit_quartic,
-    shape_functionals,
+from .fits import shape_functionals
+# load_minute_bars and validate_panel are not called here; perfbench/spans.py
+# wraps these names in this module to time the CLI's layers
+from .panel import load_minute_bars, validate_panel, write_panel_csv  # noqa: F401
+from .pipeline import (
+    TICKER_MEAN_FITS,
+    PipelineConfig,
+    Stages,
+    dump_json,
+    kurtosis_curve_csv,
+    kurtosis_tail_csv,
+    load_figure_csv,
+    load_panel,
+    metrics_csv,
+    prepare_panel,
+    run_pipeline,
+    variance_ratio_csv,
 )
-from .metrics import (
-    activity,
-    concavity_activity_regression,
-    daily_ohlc,
-    garman_klass_volatility,
-    semester_endpoint_prices,
-    semester_return,
-)
-from .panel import (
-    assign_semesters,
-    default_semester_boundaries,
-    load_minute_bars,
-    semester_day_indices,
-    validate_panel,
-    write_panel_csv,
-)
-from .pipeline import PipelineConfig, load_figure_csv, run_pipeline
 from .stats_tests import mww_test, welch_test
 from .synth import GeneratorSpec, IntensitySpec, NoiseSpec, generate_panel
 
@@ -56,44 +48,45 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _dump(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True)
+def _print_json(doc) -> None:
+    sys.stdout.write(dump_json(doc).decode())
+
+
+#: command-line flag (argparse dest) -> the PipelineConfig field it overrides
+_FLAG_FIELDS = (("input", "input_paths"), ("out", "out_dir"),
+                ("time_format", "time_format"), ("jobs", "jobs"),
+                ("min_day_coverage", "min_day_coverage"))
 
 
 def _config_from_args(args) -> PipelineConfig:
+    """The --config file (or the defaults) with the given flags applied;
+    the result passes PipelineConfig's validation."""
     if getattr(args, "config", None):
         config = PipelineConfig.from_file(args.config)
     else:
         config = PipelineConfig()
-    if getattr(args, "input", None):
-        config.input_paths = list(args.input)
-    if getattr(args, "out", None):
-        config.out_dir = args.out
-    if getattr(args, "time_format", None):
-        config.time_format = args.time_format
-    if getattr(args, "jobs", None):
-        config.jobs = args.jobs
-    return config
+    overrides = {name: getattr(args, flag) for flag, name in _FLAG_FIELDS
+                 if getattr(args, flag, None) not in (None, [])}
+    return dataclasses.replace(config, **overrides)
 
 
-def _prepare(args):
-    """Load the panel and build the validated semester index."""
+@contextmanager
+def _stages(args):
+    """The pipeline's stages on the prepared input. The slices they skip
+    are listed on stderr, as run_log.json lists them for `report`."""
     config = _config_from_args(args)
-    if not config.input_paths:
-        raise DataError("no input: pass input paths or set input_paths in --config")
-    panel, report = load_minute_bars(config.input_paths, config.schema or None,
-                                     time_format=config.time_format)
-    if config.semester_boundaries is not None:
-        bounds = [(dt.date.fromisoformat(a), dt.date.fromisoformat(b))
-                  for a, b in config.semester_boundaries]
-    else:
-        bounds = default_semester_boundaries(panel.days[0], panel.days[-1])
-    index = assign_semesters(panel, bounds)
-    validation = validate_panel(panel, index, config.min_day_coverage)
-    index = index.with_exclusions(validation.exclusions())
-    if config.ticker_exclusions:
-        index = index.with_exclusions(config.ticker_exclusions)
-    return config, panel, index, report, validation
+    with Stages(config, prepare_panel(config)) as stages:
+        try:
+            yield stages
+        finally:
+            for event in stages.run_log:
+                print(f"skipped: {event}", file=sys.stderr)
+
+
+def _require(value, what: str):
+    if value is None:
+        raise DataError(f"no {what}: every slice it needs was skipped")
+    return value
 
 
 def _out_dir(args, default="out") -> Path:
@@ -102,28 +95,20 @@ def _out_dir(args, default="out") -> Path:
     return out
 
 
-def _active_semesters(panel, index):
-    return [s for s in index.labels if len(semester_day_indices(panel, index, s))]
-
-
 def _cmd_ingest(args) -> int:
-    config, panel, index, report, _ = _prepare(args)
+    panel, report = load_panel(_config_from_args(args))
     out = _out_dir(args)
     write_panel_csv(panel, out / "panel.csv")
-    (out / "load_report.json").write_text(_dump(report.to_json()) + "\n")
+    (out / "load_report.json").write_bytes(dump_json(report.to_json()))
     print(f"loaded {report.n_loaded} rows "
           f"({len(report.skipped)} skipped) -> {out / 'panel.csv'}")
     return 0
 
 
 def _cmd_validate(args) -> int:
-    if args.min_day_coverage is not None:
-        config = _config_from_args(args)
-        config.min_day_coverage = args.min_day_coverage
-        args.config = None  # already folded in
-    _, panel, index, _, validation = _prepare(args)
+    validation = prepare_panel(_config_from_args(args)).validation
     out = _out_dir(args)
-    (out / "validation.json").write_text(_dump(validation.to_json()) + "\n")
+    (out / "validation.json").write_bytes(dump_json(validation.to_json()))
     excluded = sum(1 for r in validation.records if not r.included)
     print(f"{len(validation.records)} (ticker, semester) pairs, "
           f"{excluded} excluded -> {out / 'validation.json'}")
@@ -131,105 +116,72 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    config, panel, index, _, _ = _prepare(args)
-    lk = config.literal_kurtosis
-    if args.day:
-        day = dt.date.fromisoformat(args.day)
-        s = args.semester if args.semester else index.semester_of(day)
-        prof = cumulants_over_companies(panel, index, day, s, literal_kurtosis=lk)
-        name = f"profile_s{s:02d}_day_{day.isoformat()}.csv"
-    elif args.ticker:
-        if not args.semester:
-            raise DataError("--ticker needs --semester")
-        prof = cumulants_over_days(panel, index, args.ticker, args.semester,
-                                   literal_kurtosis=lk)
-        name = f"profile_s{args.semester:02d}_{args.ticker}.csv"
-    else:
-        if not args.semester:
-            raise DataError("aggregate profiles need --semester")
-        s = args.semester
-        if args.kind == "day-mean":
-            days = [panel.days[j] for j in semester_day_indices(panel, index, s)]
-            prof = aggregate_day_profiles(
-                [cumulants_over_companies(panel, index, d, s, literal_kurtosis=lk)
-                 for d in days], s)
+    with _stages(args) as st:
+        panel, index = st.prep.panel, st.prep.index
+        lk = st.config.literal_kurtosis
+        if args.day:
+            day = dt.date.fromisoformat(args.day)
+            s = args.semester if args.semester else index.semester_of(day)
+            prof = cumulants_over_companies(panel, index, day, s, literal_kurtosis=lk)
+            name = f"profile_s{s:02d}_day_{day.isoformat()}.csv"
+        elif args.ticker:
+            if not args.semester:
+                raise DataError("--ticker needs --semester")
+            prof = cumulants_over_days(panel, index, args.ticker, args.semester,
+                                       literal_kurtosis=lk)
+            name = f"profile_s{args.semester:02d}_{args.ticker}.csv"
         else:
-            prof = aggregate_ticker_profiles(
-                [cumulants_over_days(panel, index, t, s, literal_kurtosis=lk)
-                 for t in panel.companies if not index.is_excluded(t, s)], s)
-        name = f"profile_s{s:02d}_{args.kind.replace('-', '_')}.csv"
+            if not args.semester:
+                raise DataError("aggregate profiles need --semester")
+            s = args.semester
+            kind = args.kind.replace("-", "_")
+            if kind == "day_mean":
+                prof = st.day_mean(s)
+            else:
+                prof = st.ticker_mean(s, st.day_axis_profiles([s]))
+            prof = _require(prof, f"semester {s} {args.kind} profile")
+            name = f"profile_s{s:02d}_{kind}.csv"
     out = _out_dir(args)
-    profile_to_csv(prof, out / name)
-    (out / (name[:-4] + ".json")).write_text(_dump(profile_metadata(prof)) + "\n")
+    (out / name).write_bytes(profile_csv_bytes(prof))
+    (out / (name[:-4] + ".json")).write_bytes(dump_json(profile_metadata(prof)))
     print(out / name)
     return 0
 
 
-def _ticker_mean_profile(config, panel, index, s):
-    profs = [cumulants_over_days(panel, index, t, s,
-                                 literal_kurtosis=config.literal_kurtosis)
-             for t in panel.companies if not index.is_excluded(t, s)]
-    return aggregate_ticker_profiles(profs, s)
+def _semester_fit(args, name: str):
+    """One TICKER_MEAN_FITS entry on the semester's ticker-mean profile; a
+    failed fit raises."""
+    with _stages(args) as st:
+        s = args.semester
+        tm = _require(st.ticker_mean(s, st.day_axis_profiles([s])),
+                      f"semester {s} ticker-mean profile")
+        return TICKER_MEAN_FITS[name](st.config, tm)
 
 
 def _cmd_fit(args) -> int:
-    config, panel, index, _, _ = _prepare(args)
-    agg = _ticker_mean_profile(config, panel, index, args.semester)
-    if args.model == "opening":
-        result = fit_opening_powerlaw(agg.mean, config.opening_window,
-                                      config.opening_time_offset).to_json()
-    elif args.model == "closing":
-        result = fit_closing_powerlaw(agg.mean, config.closing_window).to_json()
-    elif args.model == "quartic":
-        result = fit_quartic(agg.mean).to_json()
+    if args.model == "kurtosis":
+        morning, afternoon = _semester_fit(args, "kurtosis_relaxation")
+        _print_json({"morning": morning.to_json(), "afternoon": afternoon.to_json()})
     else:
-        morning, afternoon = fit_kurtosis_relaxation(
-            agg.kurtosis, config.kurtosis_morning_window,
-            config.kurtosis_afternoon_window)
-        result = {"morning": morning.to_json(), "afternoon": afternoon.to_json()}
-    print(_dump(result))
+        _print_json(_semester_fit(args, args.model).to_json())
     return 0
 
 
 def _cmd_shapes(args) -> int:
-    config, panel, index, _, _ = _prepare(args)
-    agg = _ticker_mean_profile(config, panel, index, args.semester)
-    fit = fit_quartic(agg.mean)
-    doc = {"quartic": fit.to_json(), "shapes": shape_functionals(fit).to_json()}
-    print(_dump(doc))
+    fit = _semester_fit(args, "quartic")
+    _print_json({"quartic": fit.to_json(), "shapes": shape_functionals(fit).to_json()})
     return 0
 
 
 def _cmd_metrics(args) -> int:
-    config, panel, index, _, _ = _prepare(args)
+    with _stages(args) as st:
+        profiles = st.day_axis_profiles(st.prep.semesters)
+        if args.ticker:
+            profiles = {k: p for k, p in profiles.items() if k[1] == args.ticker}
+        rows = st.metrics_rows(profiles)
     out = _out_dir(args)
-    rows = ["ticker,semester,activity,volatility,price_variation,concavity,symmetry"]
-    pairs = []
-    for s in _active_semesters(panel, index):
-        for ticker in panel.companies:
-            if index.is_excluded(ticker, s):
-                continue
-            if args.ticker and ticker != args.ticker:
-                continue
-            prof = cumulants_over_days(panel, index, ticker, s,
-                                       literal_kurtosis=config.literal_kurtosis)
-            try:
-                sf = shape_functionals(fit_quartic(prof.mean))
-                conc, sym = sf.concavity, sf.symmetry
-            except Exception:
-                conc = sym = float("nan")
-            try:
-                vol = garman_klass_volatility(daily_ohlc(panel, index, ticker, s))
-                act = activity(panel, index, ticker, s)
-                ret = semester_return(*semester_endpoint_prices(panel, index, ticker, s),
-                                      convention=config.return_convention)
-            except DataError:
-                continue
-            rows.append(f"{ticker},{s},{act:.17g},{vol:.17g},{ret:.17g},"
-                        f"{conc:.17g},{sym:.17g}")
-            pairs.append((ticker, s))
-    (out / "metrics.csv").write_text("\n".join(rows) + "\n")
-    print(f"{len(pairs)} rows -> {out / 'metrics.csv'}")
+    (out / "metrics.csv").write_bytes(metrics_csv(rows).encode())
+    print(f"{len(rows)} rows -> {out / 'metrics.csv'}")
     return 0
 
 
@@ -253,37 +205,23 @@ def _cmd_tests(args) -> int:
         doc["welch"] = welch_test(a, b, args.confidence, tails=args.tails).to_json()
     if args.test in ("mww", "both"):
         doc["mww"] = mww_test(a, b, args.confidence, tails=args.tails).to_json()
-    print(_dump(doc))
+    _print_json(doc)
     return 0
 
 
 def _cmd_xsection(args) -> int:
-    config, panel, index, _, _ = _prepare(args)
+    with _stages(args) as st:
+        semesters = st.prep.semesters
+        _, day_mean, var_ratio = st.aggregates(semesters, st.day_axis_profiles(semesters))
+        kurt_tail, kurt_curve = st.kurtosis_tail(day_mean)
     out = _out_dir(args)
-    day_means = {}
-    ticker_means = {}
-    for s in _active_semesters(panel, index):
-        days = [panel.days[j] for j in semester_day_indices(panel, index, s)]
-        day_means[s] = aggregate_day_profiles(
-            [cumulants_over_companies(panel, index, d, s,
-                                      literal_kurtosis=config.literal_kurtosis)
-             for d in days], s)
-        ticker_means[s] = _ticker_mean_profile(config, panel, index, s)
-        profile_to_csv(day_means[s], out / f"s{s:02d}_day_mean.csv")
-    ratio_rows = ["semester,t,variance_ratio"]
-    for s, dm in sorted(day_means.items()):
-        ratio = variance_ratio(ticker_means[s], dm)
-        ratio_rows += [f"{s},{t},{ratio[t]:.17g}" for t in range(len(ratio))]
-    (out / "variance_ratio.csv").write_text("\n".join(ratio_rows) + "\n")
-    tail, curve = mean_kurtosis_tail(day_means, config.kurtosis_tail_t_min,
-                                     set(config.kurtosis_tail_excluded_semesters))
-    tail_rows = ["semester,tail_mean_kurtosis"]
-    tail_rows += [f"{s},{v:.17g}" for s, v in sorted(tail.items())]
-    (out / "kurtosis_tail.csv").write_text("\n".join(tail_rows) + "\n")
-    curve_rows = ["t,mean_kurtosis"]
-    curve_rows += [f"{t},{curve[t]:.17g}" for t in range(len(curve))]
-    (out / "kurtosis_curve.csv").write_text("\n".join(curve_rows) + "\n")
-    print(f"{len(day_means)} semesters -> {out}")
+    for s, prof in sorted(day_mean.items()):
+        (out / f"s{s:02d}_day_mean.csv").write_bytes(profile_csv_bytes(prof))
+    (out / "variance_ratio.csv").write_bytes(variance_ratio_csv(var_ratio).encode())
+    (out / "kurtosis_tail.csv").write_bytes(kurtosis_tail_csv(kurt_tail).encode())
+    if kurt_curve is not None:
+        (out / "kurtosis_curve.csv").write_bytes(kurtosis_curve_csv(kurt_curve).encode())
+    print(f"{len(day_mean)} semesters -> {out}")
     return 0
 
 
@@ -317,7 +255,7 @@ def _cmd_synth(args) -> int:
     panel, truth = generate_panel(spec)
     out = _out_dir(args)
     write_panel_csv(panel, out / "panel.csv")
-    (out / "ground_truth.json").write_text(_dump(truth.to_json()) + "\n")
+    (out / "ground_truth.json").write_bytes(dump_json(truth.to_json()))
     print(f"{panel.n_companies} companies x {panel.n_days} days -> {out / 'panel.csv'}")
     return 0
 

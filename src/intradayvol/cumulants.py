@@ -16,7 +16,6 @@ carry NaN rather than a number.
 """
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import math
 from dataclasses import dataclass
@@ -262,22 +261,15 @@ def mean_kurtosis_tail(day_mean_profiles: Mapping[int, AggregatedProfile], t_min
     return per_semester, curve
 
 
-def profile_to_csv(profile, path) -> None:
-    """Write t, mean, median, variance, skewness, kurtosis, n rows."""
-    counts = profile.counts()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PROFILE_COLUMNS)
-        for t in range(SESSION_MINUTES):
-            writer.writerow([
-                t,
-                format(profile.mean[t], ".17g"),
-                format(profile.median[t], ".17g"),
-                format(profile.variance[t], ".17g"),
-                format(profile.skewness[t], ".17g"),
-                format(profile.kurtosis[t], ".17g"),
-                int(counts[t]),
-            ])
+def profile_csv_bytes(profile) -> bytes:
+    """The profile as CSV: a PROFILE_COLUMNS header, then one row per
+    minute with 17-digit floats, CRLF line endings. `%.17g` gives the same
+    text as format(x, ".17g")."""
+    columns = (profile.mean, profile.median, profile.variance, profile.skewness,
+               profile.kurtosis, profile.counts())
+    rows = zip(range(SESSION_MINUTES), *(c.tolist() for c in columns))
+    body = "".join(map("%d,%.17g,%.17g,%.17g,%.17g,%.17g,%d\r\n".__mod__, rows))
+    return (",".join(PROFILE_COLUMNS) + "\r\n" + body).encode()
 
 
 def profile_metadata(profile) -> dict:

@@ -6,12 +6,14 @@ and config produce byte-identical directories regardless of the worker
 count (workers only schedule pure per-slice computations; assembly
 always reduces in sorted key order). manifest.json is written last and
 lists a content hash for every other file plus the config hash.
+
+Each stage has one implementation, a method of `Stages`; `run_pipeline`
+composes all of them and the single-stage CLI commands select from them.
 """
 from __future__ import annotations
 
 import datetime as dt
 import hashlib
-import io
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -25,12 +27,13 @@ from . import metrics as metrics_mod
 from .cumulants import (
     AggregatedProfile,
     CONVENTIONS,
-    PROFILE_COLUMNS,
+    CumulantProfile,
     aggregate_day_profiles,
     aggregate_ticker_profiles,
     cumulants_over_companies,
     cumulants_over_days,
     mean_kurtosis_tail,
+    profile_csv_bytes,
     variance_ratio,
 )
 from .errors import DataError, MissingUpstream, NumericalError, UnknownFigure
@@ -45,8 +48,10 @@ from .fits import (
 )
 from .panel import (
     SESSION_MINUTES,
+    LoadReport,
     MinutePanel,
     SemesterIndex,
+    ValidationReport,
     assign_semesters,
     default_semester_boundaries,
     load_minute_bars,
@@ -55,7 +60,9 @@ from .panel import (
 )
 from .stats_tests import mww_test, welch_test
 
-FIGURE_IDS = tuple(f"fig{k}" for k in range(1, 17))
+#: the PipelineConfig fields that hold a (first, last) minute window
+WINDOW_FIELDS = ("opening_window", "closing_window", "kurtosis_morning_window",
+                 "kurtosis_afternoon_window")
 
 
 def _fmt(x) -> str:
@@ -78,8 +85,16 @@ def _jsonify(obj):
     return obj
 
 
-def _dump_json(obj) -> bytes:
+def dump_json(obj) -> bytes:
+    """The bundle's JSON encoding: sorted keys, indent 2, NaN as null."""
     return (json.dumps(_jsonify(obj), indent=2, sort_keys=True) + "\n").encode()
+
+
+def _csv_text(header: list[str], rows) -> str:
+    """The bundle's CSV encoding: comma-joined cells, CRLF line endings."""
+    lines = [",".join(header)]
+    lines += [",".join(map(str, row)) for row in rows]
+    return "\r\n".join(lines) + "\r\n"
 
 
 @dataclass
@@ -106,8 +121,7 @@ class PipelineConfig:
     out_dir: str = "report"
 
     def __post_init__(self):
-        for name in ("opening_window", "closing_window", "kurtosis_morning_window",
-                     "kurtosis_afternoon_window"):
+        for name in WINDOW_FIELDS:
             lo, hi = getattr(self, name)
             if not (0 <= lo < hi <= 390):
                 raise DataError(f"{name} {(lo, hi)} outside the session or reversed")
@@ -123,8 +137,7 @@ class PipelineConfig:
         if unknown:
             raise DataError(f"unknown config keys: {sorted(unknown)}")
         doc = dict(doc)
-        for name in ("opening_window", "closing_window", "kurtosis_morning_window",
-                     "kurtosis_afternoon_window"):
+        for name in WINDOW_FIELDS:
             if name in doc:
                 doc[name] = tuple(doc[name])
         if "ticker_exclusions" in doc:
@@ -147,8 +160,7 @@ class PipelineConfig:
 
     def to_json(self) -> dict:
         doc = asdict(self)
-        for name in ("opening_window", "closing_window", "kurtosis_morning_window",
-                     "kurtosis_afternoon_window"):
+        for name in WINDOW_FIELDS:
             doc[name] = list(doc[name])
         doc["ticker_exclusions"] = {str(k): sorted(v)
                                     for k, v in self.ticker_exclusions.items()}
@@ -180,6 +192,238 @@ def _fit_or_error(fn, *args, **kwargs):
         return None, f"{type(exc).__name__}: {exc}"
 
 
+@dataclass(frozen=True)
+class PreparedPanel:
+    """The loaded panel and its semester index, as every stage reads them."""
+
+    panel: MinutePanel
+    index: SemesterIndex  # with coverage and config exclusions applied
+    semesters: list[int]  # labels that hold at least one panel day
+    load_report: LoadReport
+    validation: ValidationReport
+
+
+def load_panel(config: PipelineConfig) -> tuple[MinutePanel, LoadReport]:
+    """Load config.input_paths with the config's schema and time format."""
+    if not config.input_paths:
+        raise DataError("no input: pass input paths or set input_paths in the config")
+    return load_minute_bars(
+        config.input_paths, config.schema or None, time_format=config.time_format)
+
+
+def prepare_panel(config: PipelineConfig) -> PreparedPanel:
+    """Load the panel, label its semesters, validate coverage and apply the
+    coverage and config exclusions."""
+    panel, load_report = load_panel(config)
+    if config.semester_boundaries is not None:
+        boundaries = [(dt.date.fromisoformat(a), dt.date.fromisoformat(b))
+                      for a, b in config.semester_boundaries]
+    else:
+        boundaries = default_semester_boundaries(panel.days[0], panel.days[-1])
+    index = assign_semesters(panel, boundaries)
+    validation = validate_panel(panel, index, config.min_day_coverage)
+    index = index.with_exclusions(validation.exclusions())
+    if config.ticker_exclusions:
+        index = index.with_exclusions(config.ticker_exclusions)
+    semesters = [s for s in index.labels if len(semester_day_indices(panel, index, s))]
+    return PreparedPanel(panel, index, semesters, load_report, validation)
+
+
+#: fits of a semester's ticker-mean profile, name -> fit(config, profile),
+#: in the order their failures are logged
+TICKER_MEAN_FITS = {
+    "opening": lambda c, p: fit_opening_powerlaw(p.mean, c.opening_window, c.opening_time_offset),
+    "closing": lambda c, p: fit_closing_powerlaw(p.mean, c.closing_window),
+    "quartic": lambda c, p: fit_quartic(p.mean),
+    "scatter_variance_morning": lambda c, p: scatter_relation(p.mean, p.variance, "morning", 2),
+    "scatter_variance_afternoon": lambda c, p: scatter_relation(p.mean, p.variance, "afternoon", 2),
+    "scatter_skewness_morning": lambda c, p: scatter_relation(p.mean, p.skewness, "morning", 1),
+    "scatter_skewness_afternoon": lambda c, p: scatter_relation(p.mean, p.skewness, "afternoon", 1),
+    # -> (morning, afternoon) fits
+    "kurtosis_relaxation": lambda c, p: fit_kurtosis_relaxation(
+        p.kurtosis, c.kurtosis_morning_window, c.kurtosis_afternoon_window),
+}
+
+
+class Stages:
+    """The pipeline's stages over one prepared panel. Per-slice work runs on
+    `config.jobs` threads (shut down on leaving the `with` block) and is
+    reduced in sorted key order. A slice failing with DataError or
+    NumericalError is logged to `run_log` and skipped."""
+
+    def __init__(self, config: PipelineConfig, prep: PreparedPanel):
+        self.config = config
+        self.prep = prep
+        self.run_log: list[str] = []
+        self._pool = ThreadPoolExecutor(max_workers=config.jobs)
+
+    def __enter__(self) -> "Stages":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._pool.shutdown()
+
+    def day_axis_profiles(self, semesters) -> dict[tuple[int, str], CumulantProfile]:
+        """Day-axis profile of every included (semester, ticker) pair."""
+        panel, index = self.prep.panel, self.prep.index
+        lk = self.config.literal_kurtosis
+        keys = [(s, t) for s in semesters for t in panel.companies
+                if not index.is_excluded(t, s)]
+
+        def task(key):
+            s, ticker = key
+            return _fit_or_error(cumulants_over_days, panel, index, ticker, s,
+                                 literal_kurtosis=lk)
+
+        profiles = {}
+        for (s, ticker), (result, err) in zip(keys, self._pool.map(task, keys)):
+            if err:
+                self.run_log.append(f"{ticker} s={s} cumulants: {err}")
+            else:
+                profiles[(s, ticker)] = result
+        return profiles
+
+    def ticker_mean(self, s: int, profiles) -> AggregatedProfile | None:
+        """Semester s's day-axis profiles averaged over companies."""
+        day_profs = [profiles[(s, t)] for t in self.prep.panel.companies
+                     if (s, t) in profiles]
+        agg, err = _fit_or_error(aggregate_ticker_profiles, day_profs, s)
+        if err:
+            self.run_log.append(f"s={s} ticker_mean: {err}")
+        return agg
+
+    def day_mean(self, s: int) -> AggregatedProfile | None:
+        """Semester s's per-day cross-sections averaged over days."""
+        panel, index = self.prep.panel, self.prep.index
+        lk = self.config.literal_kurtosis
+        days = [panel.days[j] for j in semester_day_indices(panel, index, s)]
+
+        def task(day):
+            return _fit_or_error(cumulants_over_companies, panel, index, day, s,
+                                 literal_kurtosis=lk)
+
+        cross = []
+        for day, (result, err) in zip(days, self._pool.map(task, days)):
+            if err:
+                self.run_log.append(f"s={s} day={day.isoformat()} cross-section: {err}")
+            else:
+                cross.append(result)
+        agg, err = _fit_or_error(aggregate_day_profiles, cross, s)
+        if err:
+            self.run_log.append(f"s={s} day_mean: {err}")
+        return agg
+
+    def aggregates(self, semesters, profiles):
+        """(ticker_mean, day_mean, variance ratio), each keyed by semester."""
+        both = {s: (self.ticker_mean(s, profiles), self.day_mean(s)) for s in semesters}
+        ticker_mean = {s: tm for s, (tm, _) in both.items() if tm is not None}
+        day_mean = {s: dm for s, (_, dm) in both.items() if dm is not None}
+        var_ratio = {s: variance_ratio(tm, day_mean[s])
+                     for s, tm in ticker_mean.items() if s in day_mean}
+        return ticker_mean, day_mean, var_ratio
+
+    def metrics_rows(self, profiles) -> list[metrics_mod.SemesterMetrics]:
+        """Scalar metrics and shape functionals per profiled pair. A value
+        that fails is NaN; a pair whose every value failed is dropped."""
+        panel, index, config = self.prep.panel, self.prep.index, self.config
+
+        def task(key):
+            s, ticker = key
+            row: dict[str, float] = {}
+            quartic, err = _fit_or_error(fit_quartic, profiles[key].mean)
+            if err:
+                row["concavity"] = row["symmetry"] = float("nan")
+                row["error_quartic"] = err
+            else:
+                sf = shape_functionals(quartic)
+                row["concavity"], row["symmetry"] = sf.concavity, sf.symmetry
+            for name, fn in (
+                    ("activity", lambda: metrics_mod.activity(panel, index, ticker, s)),
+                    ("volatility", lambda: metrics_mod.garman_klass_volatility(
+                        metrics_mod.daily_ohlc(panel, index, ticker, s))),
+                    ("price_variation", lambda: metrics_mod.semester_return(
+                        *metrics_mod.semester_endpoint_prices(panel, index, ticker, s),
+                        convention=config.return_convention))):
+                value, err = _fit_or_error(fn)
+                row[name] = float("nan") if err else value
+                if err:
+                    row[f"error_{name}"] = err
+            return row
+
+        keys = list(profiles)
+        rows = []
+        for (s, ticker), row in zip(keys, self._pool.map(task, keys)):
+            for k, v in sorted(row.items()):
+                if k.startswith("error_"):
+                    self.run_log.append(f"{ticker} s={s} {k[6:]}: {v}")
+            if all(math.isnan(row[k]) for k in
+                   ("activity", "volatility", "price_variation", "concavity", "symmetry")):
+                continue
+            rows.append(metrics_mod.SemesterMetrics(
+                ticker, s, row["activity"], row["volatility"], row["price_variation"],
+                row["concavity"], row["symmetry"]))
+        return rows
+
+    def semester_fits(self, semesters, ticker_mean, day_mean) -> dict[int, dict[str, Any]]:
+        """Per semester: the TICKER_MEAN_FITS and shapes of the ticker-mean
+        profile, and the quartic, shapes and kurtosis scatter of the day-mean
+        profile. A failed fit is stored as {"error": message}."""
+        out: dict[int, dict[str, Any]] = {}
+        for s in semesters:
+            entry: dict[str, Any] = {}
+            tm, dm = ticker_mean.get(s), day_mean.get(s)
+            if tm is not None:
+                for name, fit in TICKER_MEAN_FITS.items():
+                    value, err = _fit_or_error(fit, self.config, tm)
+                    if err:
+                        self.run_log.append(f"s={s} {name}: {err}")
+                        value = {"error": err}
+                    if name == "kurtosis_relaxation":
+                        entry["kurtosis_morning"], entry["kurtosis_afternoon"] = (
+                            (value, value) if err else value)
+                    else:
+                        entry[name] = value
+                if isinstance(entry["quartic"], FitResult):
+                    entry["shapes"] = shape_functionals(entry["quartic"])
+            if dm is not None:
+                value, err = _fit_or_error(fit_quartic, dm.mean)
+                entry["quartic_cross"] = value if value is not None else {"error": err}
+                if isinstance(value, FitResult):
+                    entry["shapes_cross"] = shape_functionals(value)
+                value, err = _fit_or_error(scatter_relation, dm.mean, dm.kurtosis, "morning", 2)
+                entry["scatter_kurtosis_morning"] = value if value is not None else {"error": err}
+            out[s] = entry
+        return out
+
+    def kurtosis_tail(self, day_mean) -> tuple[dict[int, float], np.ndarray | None]:
+        """Per-semester tail mean of cross-sectional kurtosis and the curve
+        averaged over the non-excluded semesters ({} and None on failure)."""
+        if not day_mean:
+            return {}, None
+        value, err = _fit_or_error(
+            mean_kurtosis_tail, day_mean, self.config.kurtosis_tail_t_min,
+            set(self.config.kurtosis_tail_excluded_semesters))
+        if err:
+            self.run_log.append(f"kurtosis tail: {err}")
+            return {}, None
+        return value
+
+    def regressions(self, metrics_rows) -> dict[str, Any]:
+        """Per-ticker concavity-on-activity regression across semesters."""
+        by_ticker: dict[str, list[metrics_mod.SemesterMetrics]] = {}
+        for m in metrics_rows:
+            if math.isfinite(m.activity) and math.isfinite(m.concavity):
+                by_ticker.setdefault(m.ticker, []).append(m)
+        out: dict[str, Any] = {}
+        for ticker in sorted(by_ticker):
+            value, err = _fit_or_error(
+                metrics_mod.concavity_activity_regression, by_ticker[ticker])
+            out[ticker] = value if value is not None else {"error": err}
+            if err:
+                self.run_log.append(f"{ticker} concavity regression: {err}")
+        return out
+
+
 @dataclass
 class ReportBundle:
     config: PipelineConfig
@@ -194,35 +438,30 @@ class ReportBundle:
     kurt_curve: np.ndarray | None
     tests: dict
     normalizers: dict[str, int]
+    figures: dict[str, bytes]  # emitted figure id -> CSV bytes
     load_report: dict
     validation: dict
     run_log: list[str]
 
     def alpha_series(self) -> dict[int, float]:
-        out = {}
-        for s in self.semesters:
-            fit = self.semester_fits[s].get("opening")
-            if isinstance(fit, FitResult):
-                out[s] = fit.coefficients["alpha"]
-        return out
+        return _semester_fit_series(self, "opening", "alpha")
 
     def files(self) -> dict[str, bytes]:
         """Every bundle file except the manifest, as relpath -> bytes."""
         out: dict[str, bytes] = {}
-        out["config.json"] = _dump_json(self.config.analysis_json())
-        out["load_report.json"] = _dump_json(self.load_report)
-        out["validation.json"] = _dump_json(self.validation)
+        out["config.json"] = dump_json(self.config.analysis_json())
+        out["load_report.json"] = dump_json(self.load_report)
+        out["validation.json"] = dump_json(self.validation)
 
         profile_index = []
         for s in self.semesters:
-            for kind, prof in (("ticker_mean", self.ticker_mean.get(s)),
-                               ("day_mean", self.day_mean.get(s))):
-                if prof is None:
-                    continue
-                rel = f"profiles/s{s:02d}_{kind}.csv"
-                out[rel] = _profile_csv_bytes(prof)
-                profile_index.append({"file": rel, "semester": s, "kind": kind})
-        out["profiles/index.json"] = _dump_json(
+            for kind, profiles in (("ticker_mean", self.ticker_mean),
+                                   ("day_mean", self.day_mean)):
+                if s in profiles:
+                    rel = f"profiles/s{s:02d}_{kind}.csv"
+                    out[rel] = profile_csv_bytes(profiles[s])
+                    profile_index.append({"file": rel, "semester": s, "kind": kind})
+        out["profiles/index.json"] = dump_json(
             {"profiles": profile_index, "conventions": dict(CONVENTIONS)})
 
         fits_doc: dict[str, Any] = {}
@@ -231,55 +470,26 @@ class ReportBundle:
             entry: dict[str, Any] = {}
             for name, value in sorted(self.semester_fits[s].items()):
                 if isinstance(value, FitResult):
-                    entry[name] = value.to_json()
                     flat_rows.append(_flat_fit_row(s, name, value))
-                elif hasattr(value, "to_json"):
-                    entry[name] = value.to_json()
-                else:
-                    entry[name] = value  # {"error": ...}
+                entry[name] = value.to_json() if hasattr(value, "to_json") else value
             fits_doc[str(s)] = entry
-        out["fits.json"] = _dump_json(fits_doc)
-        out["fits.csv"] = _csv_bytes(
+        out["fits.json"] = dump_json(fits_doc)
+        out["fits.csv"] = _csv_text(
             ["semester", "model", "fit", "primary_param", "primary_value",
-             "primary_se", "r", "n_points"], flat_rows)
+             "primary_se", "r", "n_points"], flat_rows).encode()
 
-        out["metrics.csv"] = _csv_bytes(
-            ["ticker", "semester", "activity", "volatility", "price_variation",
-             "concavity", "symmetry"],
-            [[m.ticker, m.semester, _fmt(m.activity), _fmt(m.volatility),
-              _fmt(m.price_variation), _fmt(m.concavity), _fmt(m.symmetry)]
-             for m in self.metrics_rows])
-
-        out["regressions.json"] = _dump_json(
+        out["metrics.csv"] = metrics_csv(self.metrics_rows).encode()
+        out["regressions.json"] = dump_json(
             {t: (v.to_json() if isinstance(v, FitResult) else v)
              for t, v in self.regressions.items()})
-
-        ratio_rows = []
-        for s in self.semesters:
-            ratio = self.var_ratio.get(s)
-            if ratio is None:
-                continue
-            for t in range(SESSION_MINUTES):
-                ratio_rows.append([s, t, _fmt(ratio[t])])
-        out["xsection/variance_ratio.csv"] = _csv_bytes(
-            ["semester", "t", "variance_ratio"], ratio_rows)
-        out["xsection/kurtosis_tail.csv"] = _csv_bytes(
-            ["semester", "tail_mean_kurtosis"],
-            [[s, _fmt(v)] for s, v in sorted(self.kurt_tail.items())])
+        out["xsection/variance_ratio.csv"] = variance_ratio_csv(self.var_ratio).encode()
+        out["xsection/kurtosis_tail.csv"] = kurtosis_tail_csv(self.kurt_tail).encode()
         if self.kurt_curve is not None:
-            out["xsection/kurtosis_curve.csv"] = _csv_bytes(
-                ["t", "mean_kurtosis"],
-                [[t, _fmt(self.kurt_curve[t])] for t in range(SESSION_MINUTES)])
-
-        out["tests.json"] = _dump_json(self.tests)
-
-        for fig in FIGURE_IDS:
-            try:
-                out[f"figures/{fig}.csv"] = emit_figure_series(self, fig).encode()
-            except MissingUpstream as exc:
-                self.run_log.append(f"figure {fig} skipped: {exc}")
-        # last: figure emission may have logged skips
-        out["run_log.json"] = _dump_json({"events": self.run_log})
+            out["xsection/kurtosis_curve.csv"] = kurtosis_curve_csv(self.kurt_curve).encode()
+        out["tests.json"] = dump_json(self.tests)
+        for fig, data in self.figures.items():
+            out[f"figures/{fig}.csv"] = data
+        out["run_log.json"] = dump_json({"events": self.run_log})
         return out
 
     def write(self, out_dir) -> Path:
@@ -296,28 +506,37 @@ class ReportBundle:
             target = out_dir / rel
             target.parent.mkdir(parents=True, exist_ok=True)
             target.write_bytes(data)
-        (out_dir / "manifest.json").write_bytes(_dump_json(manifest))
+        (out_dir / "manifest.json").write_bytes(dump_json(manifest))
         return out_dir
 
 
-def _profile_csv_bytes(profile) -> bytes:
-    counts = profile.counts()
-    buf = io.StringIO()
-    buf.write(",".join(PROFILE_COLUMNS) + "\r\n")
-    for t in range(SESSION_MINUTES):
-        buf.write(",".join([
-            str(t), _fmt(profile.mean[t]), _fmt(profile.median[t]),
-            _fmt(profile.variance[t]), _fmt(profile.skewness[t]),
-            _fmt(profile.kurtosis[t]), str(int(counts[t]))]) + "\r\n")
-    return buf.getvalue().encode()
+def metrics_csv(rows) -> str:
+    """metrics.csv: one row per (ticker, semester) metrics record."""
+    return _csv_text(
+        ["ticker", "semester", "activity", "volatility", "price_variation",
+         "concavity", "symmetry"],
+        [[m.ticker, m.semester, _fmt(m.activity), _fmt(m.volatility),
+          _fmt(m.price_variation), _fmt(m.concavity), _fmt(m.symmetry)]
+         for m in rows])
 
 
-def _csv_bytes(header: list[str], rows) -> bytes:
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\r\n")
-    for row in rows:
-        buf.write(",".join(str(c) for c in row) + "\r\n")
-    return buf.getvalue().encode()
+def variance_ratio_csv(var_ratio: dict[int, np.ndarray]) -> str:
+    """xsection/variance_ratio.csv: the per-minute ratio of each semester."""
+    return _csv_text(["semester", "t", "variance_ratio"],
+                     [[s, t, _fmt(var_ratio[s][t])]
+                      for s in sorted(var_ratio) for t in range(SESSION_MINUTES)])
+
+
+def kurtosis_tail_csv(kurt_tail: dict[int, float]) -> str:
+    """xsection/kurtosis_tail.csv: the tail mean kurtosis of each semester."""
+    return _csv_text(["semester", "tail_mean_kurtosis"],
+                     [[s, _fmt(v)] for s, v in sorted(kurt_tail.items())])
+
+
+def kurtosis_curve_csv(curve: np.ndarray) -> str:
+    """xsection/kurtosis_curve.csv: the semester-averaged kurtosis curve."""
+    return _csv_text(["t", "mean_kurtosis"],
+                     [[t, _fmt(curve[t])] for t in range(SESSION_MINUTES)])
 
 
 _PRIMARY_PARAM = {
@@ -342,206 +561,48 @@ def run_pipeline(config: PipelineConfig, write: bool = True) -> ReportBundle:
     """Execute every stage and (by default) write the bundle to
     config.out_dir. Per-ticker failures are logged and skipped; the run
     fails outright only when nothing succeeds."""
-    if not config.input_paths:
-        raise DataError("config.input_paths is empty")
-    panel, load_report = load_minute_bars(
-        config.input_paths, config.schema or None, time_format=config.time_format)
-
-    if config.semester_boundaries is not None:
-        boundaries = [(dt.date.fromisoformat(a), dt.date.fromisoformat(b))
-                      for a, b in config.semester_boundaries]
-    else:
-        boundaries = default_semester_boundaries(panel.days[0], panel.days[-1])
-    index = assign_semesters(panel, boundaries)
-    if not 1 <= config.regime_boundary_semester <= index.n_semesters:
+    prep = prepare_panel(config)
+    if not 1 <= config.regime_boundary_semester <= prep.index.n_semesters:
         raise DataError(
-            f"regime boundary {config.regime_boundary_semester} outside 1..{index.n_semesters}")
-
-    validation = validate_panel(panel, index, config.min_day_coverage)
-    index = index.with_exclusions(validation.exclusions())
-    if config.ticker_exclusions:
-        index = index.with_exclusions(config.ticker_exclusions)
-
-    semesters = [s for s in index.labels if len(semester_day_indices(panel, index, s))]
-    run_log: list[str] = []
-
-    with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-        bundle = _run_stages(config, panel, index, semesters, pool, run_log)
-    bundle.load_report = load_report.to_json()
-    bundle.validation = validation.to_json()
+            f"regime boundary {config.regime_boundary_semester} outside "
+            f"1..{prep.index.n_semesters}")
+    with Stages(config, prep) as stages:
+        bundle = _run_stages(stages)
     if write:
         bundle.write(config.out_dir)
     return bundle
 
 
-def _run_stages(config, panel: MinutePanel, index: SemesterIndex, semesters,
-                pool: ThreadPoolExecutor, run_log: list[str]) -> ReportBundle:
-    lk = config.literal_kurtosis
-
-    # per-(ticker, semester) day-axis profiles, in parallel
-    pair_keys = [(s, t) for s in semesters for t in panel.companies
-                 if not index.is_excluded(t, s)]
-
-    def day_axis_task(key):
-        s, ticker = key
-        return _fit_or_error(cumulants_over_days, panel, index, ticker, s,
-                             literal_kurtosis=lk)
-
-    profiles = {}
-    for key, (result, err) in zip(pair_keys, pool.map(day_axis_task, pair_keys)):
-        if err:
-            run_log.append(f"{key[1]} s={key[0]} cumulants: {err}")
-        else:
-            profiles[key] = result
-    pair_keys = [k for k in pair_keys if k in profiles]
-
-    # per-day cross-sections, then both aggregate kinds
-    ticker_mean: dict[int, AggregatedProfile] = {}
-    day_mean: dict[int, AggregatedProfile] = {}
-    var_ratio: dict[int, np.ndarray] = {}
-    for s in semesters:
-        day_profs = [profiles[(s, t)] for t in panel.companies
-                     if (s, t) in profiles]
-        agg, err = _fit_or_error(aggregate_ticker_profiles, day_profs, s)
-        if err:
-            run_log.append(f"s={s} ticker_mean: {err}")
-        else:
-            ticker_mean[s] = agg
-
-        days = [panel.days[j] for j in semester_day_indices(panel, index, s)]
-
-        def cross_task(day, s=s):
-            return _fit_or_error(cumulants_over_companies, panel, index, day, s,
-                                 literal_kurtosis=lk)
-
-        cross = []
-        for day, (result, err) in zip(days, pool.map(cross_task, days)):
-            if err:
-                run_log.append(f"s={s} day={day.isoformat()} cross-section: {err}")
-            else:
-                cross.append(result)
-        agg, err = _fit_or_error(aggregate_day_profiles, cross, s)
-        if err:
-            run_log.append(f"s={s} day_mean: {err}")
-        else:
-            day_mean[s] = agg
-        if s in ticker_mean and s in day_mean:
-            var_ratio[s] = variance_ratio(ticker_mean[s], day_mean[s])
-
-    # per-ticker scalar metrics and shape functionals, in parallel
-    def metrics_task(key):
-        s, ticker = key
-        prof = profiles[key]
-        row: dict[str, float] = {}
-        quartic, err = _fit_or_error(fit_quartic, prof.mean)
-        if err:
-            row["concavity"] = row["symmetry"] = float("nan")
-            row["error_quartic"] = err
-        else:
-            sf = shape_functionals(quartic)
-            row["concavity"], row["symmetry"] = sf.concavity, sf.symmetry
-        for name, fn in (
-                ("activity", lambda: metrics_mod.activity(panel, index, ticker, s)),
-                ("volatility", lambda: metrics_mod.garman_klass_volatility(
-                    metrics_mod.daily_ohlc(panel, index, ticker, s))),
-                ("price_variation", lambda: metrics_mod.semester_return(
-                    *metrics_mod.semester_endpoint_prices(panel, index, ticker, s),
-                    convention=config.return_convention))):
-            value, err = _fit_or_error(fn)
-            row[name] = float("nan") if err else value
-            if err:
-                row[f"error_{name}"] = err
-        return row
-
-    metrics_rows = []
-    n_pair_failures = 0
-    for key, row in zip(pair_keys, pool.map(metrics_task, pair_keys)):
-        s, ticker = key
-        for k, v in sorted(row.items()):
-            if k.startswith("error_"):
-                run_log.append(f"{ticker} s={s} {k[6:]}: {v}")
-        if all(math.isnan(row[k]) for k in
-               ("activity", "volatility", "price_variation", "concavity", "symmetry")):
-            n_pair_failures += 1
-            continue
-        metrics_rows.append(metrics_mod.SemesterMetrics(
-            ticker, s, row["activity"], row["volatility"], row["price_variation"],
-            row["concavity"], row["symmetry"]))
-    if pair_keys and not metrics_rows and not ticker_mean:
+def _run_stages(stages: Stages) -> ReportBundle:
+    """Compose every stage into a bundle. The regime tests, the figure
+    series and their normalizer semesters are derived here, once; figure
+    skips are logged after every stage event, in FIGURE_IDS order."""
+    config, prep = stages.config, stages.prep
+    semesters = prep.semesters
+    profiles = stages.day_axis_profiles(semesters)
+    ticker_mean, day_mean, var_ratio = stages.aggregates(semesters, profiles)
+    metrics_rows = stages.metrics_rows(profiles)
+    if profiles and not metrics_rows and not ticker_mean:
         raise DataError("every (ticker, semester) computation failed")
-
-    # semester-level fits on the aggregated profiles
-    semester_fits: dict[int, dict[str, Any]] = {}
-    for s in semesters:
-        entry: dict[str, Any] = {}
-        tm, dm = ticker_mean.get(s), day_mean.get(s)
-        if tm is not None:
-            for name, fn in (
-                    ("opening", lambda: fit_opening_powerlaw(
-                        tm.mean, config.opening_window, config.opening_time_offset)),
-                    ("closing", lambda: fit_closing_powerlaw(tm.mean, config.closing_window)),
-                    ("quartic", lambda: fit_quartic(tm.mean)),
-                    ("scatter_variance_morning", lambda: scatter_relation(
-                        tm.mean, tm.variance, "morning", 2)),
-                    ("scatter_variance_afternoon", lambda: scatter_relation(
-                        tm.mean, tm.variance, "afternoon", 2)),
-                    ("scatter_skewness_morning", lambda: scatter_relation(
-                        tm.mean, tm.skewness, "morning", 1)),
-                    ("scatter_skewness_afternoon", lambda: scatter_relation(
-                        tm.mean, tm.skewness, "afternoon", 1))):
-                value, err = _fit_or_error(fn)
-                entry[name] = value if value is not None else {"error": err}
-                if err:
-                    run_log.append(f"s={s} {name}: {err}")
-            if isinstance(entry.get("quartic"), FitResult):
-                entry["shapes"] = shape_functionals(entry["quartic"])
-            relax, err = _fit_or_error(
-                fit_kurtosis_relaxation, tm.kurtosis,
-                config.kurtosis_morning_window, config.kurtosis_afternoon_window)
-            if err:
-                entry["kurtosis_morning"] = entry["kurtosis_afternoon"] = {"error": err}
-                run_log.append(f"s={s} kurtosis_relaxation: {err}")
-            else:
-                entry["kurtosis_morning"], entry["kurtosis_afternoon"] = relax
-        if dm is not None:
-            value, err = _fit_or_error(fit_quartic, dm.mean)
-            entry["quartic_cross"] = value if value is not None else {"error": err}
-            if isinstance(value, FitResult):
-                entry["shapes_cross"] = shape_functionals(value)
-            value, err = _fit_or_error(scatter_relation, dm.mean, dm.kurtosis, "morning", 2)
-            entry["scatter_kurtosis_morning"] = value if value is not None else {"error": err}
-        semester_fits[s] = entry
-
-    # cross-semester pieces
-    kurt_tail: dict[int, float] = {}
-    kurt_curve = None
-    if day_mean:
-        try:
-            kurt_tail, kurt_curve = mean_kurtosis_tail(
-                day_mean, config.kurtosis_tail_t_min,
-                set(config.kurtosis_tail_excluded_semesters))
-        except DataError as exc:
-            run_log.append(f"kurtosis tail: {type(exc).__name__}: {exc}")
-
-    regressions: dict[str, Any] = {}
-    by_ticker: dict[str, list[metrics_mod.SemesterMetrics]] = {}
-    for m in metrics_rows:
-        if math.isfinite(m.activity) and math.isfinite(m.concavity):
-            by_ticker.setdefault(m.ticker, []).append(m)
-    for ticker in sorted(by_ticker):
-        value, err = _fit_or_error(
-            metrics_mod.concavity_activity_regression, by_ticker[ticker])
-        regressions[ticker] = value if value is not None else {"error": err}
-        if err:
-            run_log.append(f"{ticker} concavity regression: {err}")
+    semester_fits = stages.semester_fits(semesters, ticker_mean, day_mean)
+    kurt_tail, kurt_curve = stages.kurtosis_tail(day_mean)
+    regressions = stages.regressions(metrics_rows)
 
     bundle = ReportBundle(
         config=config, semesters=semesters, ticker_mean=ticker_mean,
         day_mean=day_mean, semester_fits=semester_fits, metrics_rows=metrics_rows,
         regressions=regressions, var_ratio=var_ratio, kurt_tail=kurt_tail,
-        kurt_curve=kurt_curve, tests={}, normalizers={}, load_report={},
-        validation={}, run_log=run_log)
+        kurt_curve=kurt_curve, tests={}, normalizers={}, figures={},
+        load_report=prep.load_report.to_json(),
+        validation=prep.validation.to_json(), run_log=stages.run_log)
     bundle.tests = _regime_tests(bundle, config)
+    bundle.normalizers = {key: s0 for key, series in _NORMALIZED_SERIES.items()
+                          if (s0 := _first_usable(series(bundle))) is not None}
+    for fig, emit in _FIGURES.items():
+        try:
+            bundle.figures[fig] = emit(bundle).encode()
+        except MissingUpstream as exc:
+            bundle.run_log.append(f"figure {fig} skipped: {exc}")
     return bundle
 
 
@@ -568,20 +629,19 @@ def _regime_tests(bundle: ReportBundle, config: PipelineConfig) -> dict:
 
 # --- figure series -------------------------------------------------------
 
-def _need(condition, what: str):
-    if not condition:
+def _need(value, what: str):
+    """value, or MissingUpstream(what) when it is None or empty."""
+    if value is None or (not isinstance(value, np.ndarray) and not value):
         raise MissingUpstream(what)
+    return value
 
 
 def _wide_profile_csv(bundle: ReportBundle, attr: str) -> str:
-    profs = {s: getattr(bundle.ticker_mean[s], attr)
-             for s in bundle.semesters if s in bundle.ticker_mean}
-    _need(profs, "no aggregated day-axis profiles")
-    cols = sorted(profs)
-    lines = [",".join(["t"] + [f"s{s:02d}" for s in cols])]
-    for t in range(SESSION_MINUTES):
-        lines.append(",".join([str(t)] + [_fmt(profs[s][t]) for s in cols]))
-    return "\r\n".join(lines) + "\r\n"
+    profs = _need({s: getattr(p, attr) for s, p in sorted(bundle.ticker_mean.items())},
+                  "no aggregated day-axis profiles")
+    return _csv_text(["t"] + [f"s{s:02d}" for s in profs],
+                     [[t] + [_fmt(v[t]) for v in profs.values()]
+                      for t in range(SESSION_MINUTES)])
 
 
 def _semester_fit_series(bundle: ReportBundle, fit_name: str, coeff: str) -> dict[int, float]:
@@ -593,142 +653,139 @@ def _semester_fit_series(bundle: ReportBundle, fit_name: str, coeff: str) -> dic
     return out
 
 
-def _normalized_series(bundle: ReportBundle, fig: str, series: dict[int, float]) -> tuple[dict[int, float], int]:
-    usable = [s for s in sorted(series) if math.isfinite(series[s]) and series[s] != 0]
-    _need(usable, "no usable normalizer semester")
-    s0 = usable[0]
-    bundle.normalizers[fig] = s0
-    return {s: series[s] / series[s0] for s in sorted(series)}, s0
+def _metric_means(bundle: ReportBundle, attr: str) -> dict[int, float]:
+    """Per-semester mean of a finite per-ticker metric."""
+    per_s: dict[int, list[float]] = {}
+    for m in bundle.metrics_rows:
+        v = getattr(m, attr)
+        if math.isfinite(v):
+            per_s.setdefault(m.semester, []).append(v)
+    return {s: sum(v) / len(v) for s, v in per_s.items()}
 
 
-def _scatter_csv(bundle: ReportBundle, which: str, y_attr: str) -> str:
-    rows = ["semester,t,x_mean," + which]
-    got = False
-    source = bundle.ticker_mean if y_attr != "kurtosis_cross" else bundle.day_mean
-    attr = "kurtosis" if y_attr == "kurtosis_cross" else y_attr
+def _cross_shapes(bundle: ReportBundle, attr: str) -> dict[int, float]:
+    """Per-semester shape functional of the day-mean profile's quartic."""
+    out = {}
     for s in bundle.semesters:
-        prof = source.get(s)
-        if prof is None:
-            continue
-        got = True
-        for t in range(SESSION_MINUTES):
-            rows.append(f"{s},{t},{_fmt(prof.mean[t])},{_fmt(getattr(prof, attr)[t])}")
-    _need(got, "no aggregated profiles")
-    return "\r\n".join(rows) + "\r\n"
+        sf = bundle.semester_fits.get(s, {}).get("shapes_cross")
+        if sf is not None:
+            out[s] = getattr(sf, attr)
+    return out
+
+
+def _first_usable(series: dict[int, float]) -> int | None:
+    return next((s for s in sorted(series)
+                 if math.isfinite(series[s]) and series[s] != 0), None)
+
+
+#: manifest normalizer key -> the series it normalizes; the normalizer is
+#: the series' first semester with a finite nonzero value
+_NORMALIZED_SERIES = {
+    "fig4": lambda b: _metric_means(b, "concavity"),
+    "fig5": lambda b: _metric_means(b, "symmetry"),
+    "fig14_concavity": lambda b: _cross_shapes(b, "concavity"),
+    "fig14_symmetry": lambda b: _cross_shapes(b, "symmetry"),
+}
+
+
+def _normalizer(bundle: ReportBundle, key: str) -> int:
+    return _need(bundle.normalizers.get(key), "no usable normalizer semester")
+
+
+def _regime_alpha_csv(bundle: ReportBundle) -> str:
+    alpha = _need(bundle.alpha_series(), "no opening power-law fits")
+    rb = bundle.config.regime_boundary_semester
+    pre = [alpha[s] for s in sorted(alpha) if s <= rb]
+    post = [alpha[s] for s in sorted(alpha) if s > rb]
+    pre_mean = sum(pre) / len(pre) if pre else float("nan")
+    post_mean = sum(post) / len(post) if post else float("nan")
+    return _csv_text(["semester", "alpha", "branch", "branch_mean"],
+                     [[s, _fmt(alpha[s]), "pre" if s <= rb else "post",
+                       _fmt(pre_mean if s <= rb else post_mean)] for s in sorted(alpha)])
+
+
+def _closing_csv(bundle: ReportBundle) -> str:
+    series = _need(_semester_fit_series(bundle, "closing", "alpha_prime"),
+                   "no closing power-law fits")
+    return _csv_text(["semester", "alpha_prime"],
+                     [[s, _fmt(series[s])] for s in sorted(series)])
+
+
+def _normalized_metric_csv(bundle: ReportBundle, fig: str, attr: str) -> str:
+    series = _need(_metric_means(bundle, attr), f"no per-ticker {attr} values")
+    s0 = _normalizer(bundle, fig)
+    return _csv_text(["semester", f"mean_{attr}", "normalized"],
+                     [[s, _fmt(series[s]), _fmt(series[s] / series[s0])]
+                      for s in sorted(series)])
+
+
+def _activity_concavity_csv(bundle: ReportBundle) -> str:
+    rows = [[m.ticker, m.semester,
+             _fmt(m.activity / metrics_mod.MINUTES_PER_RESCALED_UNIT), _fmt(m.concavity)]
+            for m in bundle.metrics_rows
+            if math.isfinite(m.activity) and math.isfinite(m.concavity)]
+    return _csv_text(["ticker", "semester", "activity_rescaled", "concavity"],
+                     _need(rows, "no (activity, concavity) pairs"))
+
+
+def _scatter_csv(profiles: dict[int, AggregatedProfile], column: str, attr: str) -> str:
+    return _csv_text(["semester", "t", "x_mean", column],
+                     [[s, t, _fmt(p.mean[t]), _fmt(getattr(p, attr)[t])]
+                      for s, p in sorted(_need(profiles, "no aggregated profiles").items())
+                      for t in range(SESSION_MINUTES)])
+
+
+def _kurtosis_relaxation_csv(bundle: ReportBundle) -> str:
+    bm = _semester_fit_series(bundle, "kurtosis_morning", "beta_m")
+    ba = _semester_fit_series(bundle, "kurtosis_afternoon", "beta_a")
+    _need(bm or ba, "no kurtosis relaxation fits")
+    nan = float("nan")
+    return _csv_text(["semester", "beta_m", "beta_a"],
+                     [[s, _fmt(bm.get(s, nan)), _fmt(ba.get(s, nan))]
+                      for s in sorted(set(bm) | set(ba))])
+
+
+def _cross_shapes_csv(bundle: ReportBundle) -> str:
+    conc = _need(_cross_shapes(bundle, "concavity"), "no cross-sectional quartic shapes")
+    sym = _cross_shapes(bundle, "symmetry")
+    c0 = _normalizer(bundle, "fig14_concavity")
+    y0 = _normalizer(bundle, "fig14_symmetry")
+    return _csv_text(
+        ["semester", "concavity", "concavity_normalized", "symmetry", "symmetry_normalized"],
+        [[s, _fmt(conc[s]), _fmt(conc[s] / conc[c0]), _fmt(sym[s]), _fmt(sym[s] / sym[y0])]
+         for s in sorted(conc)])
+
+
+#: figure id -> emitter of its CSV text; an emitter raises MissingUpstream
+#: when the results it plots are absent
+_FIGURES = {
+    "fig1": lambda b: _wide_profile_csv(b, "mean"),
+    "fig2": _regime_alpha_csv,
+    "fig3": _closing_csv,
+    "fig4": lambda b: _normalized_metric_csv(b, "fig4", "concavity"),
+    "fig5": lambda b: _normalized_metric_csv(b, "fig5", "symmetry"),
+    "fig6": _activity_concavity_csv,
+    "fig7": lambda b: _wide_profile_csv(b, "median"),
+    "fig8": lambda b: _scatter_csv(b.ticker_mean, "y_variance", "variance"),
+    "fig9": lambda b: _scatter_csv(b.ticker_mean, "y_skewness", "skewness"),
+    "fig10": lambda b: _wide_profile_csv(b, "kurtosis"),
+    "fig11": _kurtosis_relaxation_csv,
+    "fig12": lambda b: _scatter_csv(b.day_mean, "y_kurtosis_cross", "kurtosis"),
+    "fig13": lambda b: variance_ratio_csv(_need(b.var_ratio, "no variance-ratio series")),
+    "fig14": _cross_shapes_csv,
+    "fig15": lambda b: kurtosis_tail_csv(_need(b.kurt_tail, "no kurtosis tail averages")),
+    "fig16": lambda b: kurtosis_curve_csv(
+        _need(b.kurt_curve, "no semester-averaged kurtosis curve")),
+}
+
+FIGURE_IDS = tuple(_FIGURES)
 
 
 def emit_figure_series(bundle: ReportBundle, figure_id: str) -> str:
     """CSV text for one figure's data series (see FIGURE_IDS)."""
-    if figure_id not in FIGURE_IDS:
+    if figure_id not in _FIGURES:
         raise UnknownFigure(f"{figure_id!r}; known ids: {', '.join(FIGURE_IDS)}")
-
-    if figure_id == "fig1":
-        return _wide_profile_csv(bundle, "mean")
-    if figure_id == "fig7":
-        return _wide_profile_csv(bundle, "median")
-    if figure_id == "fig10":
-        return _wide_profile_csv(bundle, "kurtosis")
-
-    if figure_id == "fig2":
-        alpha = bundle.alpha_series()
-        _need(alpha, "no opening power-law fits")
-        rb = bundle.config.regime_boundary_semester
-        pre = [alpha[s] for s in sorted(alpha) if s <= rb]
-        post = [alpha[s] for s in sorted(alpha) if s > rb]
-        pre_mean = sum(pre) / len(pre) if pre else float("nan")
-        post_mean = sum(post) / len(post) if post else float("nan")
-        lines = ["semester,alpha,branch,branch_mean"]
-        for s in sorted(alpha):
-            branch = "pre" if s <= rb else "post"
-            mean = pre_mean if s <= rb else post_mean
-            lines.append(f"{s},{_fmt(alpha[s])},{branch},{_fmt(mean)}")
-        return "\r\n".join(lines) + "\r\n"
-
-    if figure_id == "fig3":
-        series = _semester_fit_series(bundle, "closing", "alpha_prime")
-        _need(series, "no closing power-law fits")
-        lines = ["semester,alpha_prime"]
-        lines += [f"{s},{_fmt(series[s])}" for s in sorted(series)]
-        return "\r\n".join(lines) + "\r\n"
-
-    if figure_id in ("fig4", "fig5"):
-        attr = "concavity" if figure_id == "fig4" else "symmetry"
-        per_s: dict[int, list[float]] = {}
-        for m in bundle.metrics_rows:
-            v = getattr(m, attr)
-            if math.isfinite(v):
-                per_s.setdefault(m.semester, []).append(v)
-        _need(per_s, f"no per-ticker {attr} values")
-        series = {s: sum(v) / len(v) for s, v in per_s.items()}
-        normalized, _ = _normalized_series(bundle, figure_id, series)
-        lines = [f"semester,mean_{attr},normalized"]
-        lines += [f"{s},{_fmt(series[s])},{_fmt(normalized[s])}" for s in sorted(series)]
-        return "\r\n".join(lines) + "\r\n"
-
-    if figure_id == "fig6":
-        rows = ["ticker,semester,activity_rescaled,concavity"]
-        got = False
-        for m in bundle.metrics_rows:
-            if math.isfinite(m.activity) and math.isfinite(m.concavity):
-                got = True
-                rows.append(f"{m.ticker},{m.semester},"
-                            f"{_fmt(m.activity / metrics_mod.MINUTES_PER_RESCALED_UNIT)},"
-                            f"{_fmt(m.concavity)}")
-        _need(got, "no (activity, concavity) pairs")
-        return "\r\n".join(rows) + "\r\n"
-
-    if figure_id == "fig8":
-        return _scatter_csv(bundle, "y_variance", "variance")
-    if figure_id == "fig9":
-        return _scatter_csv(bundle, "y_skewness", "skewness")
-    if figure_id == "fig12":
-        return _scatter_csv(bundle, "y_kurtosis_cross", "kurtosis_cross")
-
-    if figure_id == "fig11":
-        bm = _semester_fit_series(bundle, "kurtosis_morning", "beta_m")
-        ba = _semester_fit_series(bundle, "kurtosis_afternoon", "beta_a")
-        _need(bm or ba, "no kurtosis relaxation fits")
-        lines = ["semester,beta_m,beta_a"]
-        for s in sorted(set(bm) | set(ba)):
-            lines.append(f"{s},{_fmt(bm.get(s, float('nan')))},{_fmt(ba.get(s, float('nan')))}")
-        return "\r\n".join(lines) + "\r\n"
-
-    if figure_id == "fig13":
-        _need(bundle.var_ratio, "no variance-ratio series")
-        lines = ["semester,t,variance_ratio"]
-        for s in sorted(bundle.var_ratio):
-            ratio = bundle.var_ratio[s]
-            lines += [f"{s},{t},{_fmt(ratio[t])}" for t in range(SESSION_MINUTES)]
-        return "\r\n".join(lines) + "\r\n"
-
-    if figure_id == "fig14":
-        conc = {}
-        sym = {}
-        for s in bundle.semesters:
-            sf = bundle.semester_fits.get(s, {}).get("shapes_cross")
-            if sf is not None and hasattr(sf, "concavity"):
-                conc[s] = sf.concavity
-                sym[s] = sf.symmetry
-        _need(conc, "no cross-sectional quartic shapes")
-        conc_n, _ = _normalized_series(bundle, "fig14_concavity", conc)
-        sym_n, _ = _normalized_series(bundle, "fig14_symmetry", sym)
-        lines = ["semester,concavity,concavity_normalized,symmetry,symmetry_normalized"]
-        for s in sorted(conc):
-            lines.append(f"{s},{_fmt(conc[s])},{_fmt(conc_n[s])},"
-                         f"{_fmt(sym[s])},{_fmt(sym_n[s])}")
-        return "\r\n".join(lines) + "\r\n"
-
-    if figure_id == "fig15":
-        _need(bundle.kurt_tail, "no kurtosis tail averages")
-        lines = ["semester,tail_mean_kurtosis"]
-        lines += [f"{s},{_fmt(v)}" for s, v in sorted(bundle.kurt_tail.items())]
-        return "\r\n".join(lines) + "\r\n"
-
-    # fig16
-    _need(bundle.kurt_curve is not None, "no semester-averaged kurtosis curve")
-    lines = ["t,mean_kurtosis"]
-    lines += [f"{t},{_fmt(bundle.kurt_curve[t])}" for t in range(SESSION_MINUTES)]
-    return "\r\n".join(lines) + "\r\n"
+    return _FIGURES[figure_id](bundle)
 
 
 def load_figure_csv(report_dir, figure_id: str) -> bytes:

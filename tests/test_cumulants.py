@@ -21,8 +21,8 @@ from intradayvol.cumulants import (
     cumulants_over_days,
     mean_kurtosis_tail,
     minute_sample_stats,
+    profile_csv_bytes,
     profile_metadata,
-    profile_to_csv,
     sample_cumulants,
     variance_ratio,
 )
@@ -298,11 +298,9 @@ class TestKurtosisTail:
 
 
 class TestSerialization:
-    def test_profile_csv_layout(self, tmp_path, small_panel, small_index):
+    def test_profile_csv_layout(self, small_panel, small_index):
         prof = cumulants_over_days(small_panel, small_index, "T00", 1)
-        path = tmp_path / "prof.csv"
-        profile_to_csv(prof, path)
-        lines = path.read_text().splitlines()
+        lines = profile_csv_bytes(prof).decode().splitlines()
         assert lines[0].split(",") == PROFILE_COLUMNS
         assert len(lines) == 1 + SESSION_MINUTES
         first = lines[1].split(",")

@@ -10,7 +10,7 @@ import pytest
 
 from intradayvol.cli import main
 from intradayvol.errors import DataError, MissingUpstream, UnknownFigure
-from intradayvol.panel import SESSION_MINUTES, write_panel_csv
+from intradayvol.panel import SESSION_MINUTES, MinutePanel, write_panel_csv
 from intradayvol.pipeline import (
     FIGURE_IDS,
     PipelineConfig,
@@ -258,6 +258,24 @@ class TestDeterminism:
         assert files1 == files2
 
 
+class TestPureEmission:
+    def test_files_is_pure(self, base_config):
+        bundle = run_pipeline(base_config, write=False)
+        run_log, normalizers = list(bundle.run_log), dict(bundle.normalizers)
+        assert any(e.startswith("figure ") for e in run_log)  # a skip is logged
+        first = bundle.files()
+        assert bundle.files() == first
+        assert bundle.run_log == run_log
+        assert bundle.normalizers == normalizers
+
+    def test_unwritten_bundle_has_normalizers(self, report, base_config):
+        _, out = report
+        manifest = json.loads((out / "manifest.json").read_text())
+        bundle = run_pipeline(base_config, write=False)
+        assert bundle.normalizers
+        assert bundle.normalizers == manifest["normalizers"]
+
+
 class TestFigures:
     def test_unknown_figure_id(self, report):
         bundle, out = report
@@ -391,3 +409,125 @@ class TestCli:
         assert main(["figure", "--report", str(tmp_path / "report"),
                      "--id", "fig99"]) == 2
         capsys.readouterr()
+
+
+class TestStageCommands:
+    """The single-stage commands write the bytes of the matching bundle file."""
+
+    @pytest.fixture(scope="class")
+    def config_file(self, tmp_path_factory, base_config):
+        path = tmp_path_factory.mktemp("config") / "config.json"
+        path.write_text(json.dumps(base_config.to_json()))
+        return path
+
+    def test_metrics(self, capsys, tmp_path, report, config_file):
+        _, bundle_dir = report
+        assert main(["metrics", "--config", str(config_file), "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert (tmp_path / "metrics.csv").read_bytes() == \
+            (bundle_dir / "metrics.csv").read_bytes()
+
+    def test_metrics_for_one_ticker(self, capsys, tmp_path, report, config_file):
+        _, bundle_dir = report
+        assert main(["metrics", "--config", str(config_file), "--ticker", "C01",
+                     "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        header, *rows = (bundle_dir / "metrics.csv").read_bytes().splitlines(keepends=True)
+        expected = header + b"".join(r for r in rows if r.startswith(b"C01,"))
+        assert (tmp_path / "metrics.csv").read_bytes() == expected
+
+    @pytest.mark.parametrize("tail_excluded", [[], [1, 2, 3, 4]])
+    def test_xsection(self, capsys, tmp_path, base_config, tail_excluded):
+        # excluding every semester from the kurtosis tail is a logged,
+        # skipped slice in both the bundle and the command
+        config = PipelineConfig.from_json(dict(
+            base_config.to_json(), kurtosis_tail_excluded_semesters=tail_excluded,
+            out_dir=str(tmp_path / "bundle")))
+        bundle = run_pipeline(config)
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps(config.to_json()))
+        out = tmp_path / "xsection"
+        assert main(["xsection", "--config", str(config_file), "--out", str(out)]) == 0
+        assert ("kurtosis tail" in capsys.readouterr().err) == bool(tail_excluded)
+        expected = {f"s{s:02d}_day_mean.csv": f"profiles/s{s:02d}_day_mean.csv"
+                    for s in bundle.semesters}
+        expected.update({name: f"xsection/{name}" for name in (
+            "variance_ratio.csv", "kurtosis_tail.csv", "kurtosis_curve.csv")
+            if (tmp_path / "bundle" / "xsection" / name).exists()})
+        assert sorted(p.name for p in out.iterdir()) == sorted(expected)
+        for name, rel in expected.items():
+            assert (out / name).read_bytes() == (tmp_path / "bundle" / rel).read_bytes(), name
+
+    @pytest.mark.parametrize("kind", ["ticker-mean", "day-mean"])
+    def test_aggregate_profile(self, capsys, tmp_path, report, config_file, kind):
+        _, bundle_dir = report
+        assert main(["profile", "--config", str(config_file), "--semester", "2",
+                     "--kind", kind, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        name = f"s02_{kind.replace('-', '_')}.csv"
+        assert (tmp_path / f"profile_{name}").read_bytes() == \
+            (bundle_dir / "profiles" / name).read_bytes()
+
+    @pytest.mark.parametrize("model", ["opening", "closing", "quartic"])
+    def test_fit(self, capsys, report, config_file, model):
+        _, bundle_dir = report
+        fits = json.loads((bundle_dir / "fits.json").read_text())
+        assert main(["fit", "--config", str(config_file), "--semester", "3",
+                     "--model", model]) == 0
+        assert json.loads(capsys.readouterr().out) == fits["3"][model]
+
+    def test_failed_fit_exits_3_with_the_bundle_error(self, capsys, report, config_file):
+        # the morning kurtosis fit fails on this panel (fits.json records it)
+        _, bundle_dir = report
+        error = json.loads((bundle_dir / "fits.json").read_text())["3"]["kurtosis_morning"]
+        error_type, message = error["error"].split(": ", 1)
+        assert error_type == "MorningNonPositive"
+        assert main(["fit", "--config", str(config_file), "--semester", "3",
+                     "--model", "kurtosis"]) == 3
+        assert capsys.readouterr().err.strip() == f"numerical failure: {message}"
+
+    def test_shapes(self, capsys, report, config_file):
+        _, bundle_dir = report
+        entry = json.loads((bundle_dir / "fits.json").read_text())["1"]
+        assert main(["shapes", "--config", str(config_file), "--semester", "1"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc == {"quartic": entry["quartic"], "shapes": entry["shapes"]}
+
+    def test_semester_without_days_exits_2(self, capsys, config_file):
+        assert main(["shapes", "--config", str(config_file), "--semester", "9"]) == 2
+        assert "semester 9" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_invalid_jobs_flag_exits_2(self, capsys, tmp_path, config_file, jobs):
+        assert main(["report", "--config", str(config_file), "--jobs", jobs,
+                     "--out", str(tmp_path)]) == 2
+        assert "data error: jobs must be >= 1" in capsys.readouterr().err
+
+    def test_validate_applies_config_and_coverage_flag(self, capsys, tmp_path):
+        panel, truth = generate_panel(GeneratorSpec(
+            n_companies=2, n_days=6, n_semesters=3, seed=3,
+            intensity=IntensitySpec(baseline=50.0)))
+        first, last = truth.boundaries[1]
+        thin_days = [j for j, d in enumerate(panel.days) if first <= d <= last]
+        arrays = {name: getattr(panel, name).copy()
+                  for name in ("volume", "open", "high", "low", "close")}
+        for arr in arrays.values():  # (C00, semester 2) loses minutes 0..85
+            arr[0, thin_days, :86] = np.nan
+        csv_path = tmp_path / "panel.csv"
+        write_panel_csv(MinutePanel(panel.companies, panel.days, **arrays), csv_path)
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps({"semester_boundaries": [
+            [a.isoformat(), b.isoformat()] for a, b in truth.boundaries]}))
+        out = tmp_path / "val"
+        assert main(["validate", str(csv_path), "--config", str(config_file),
+                     "--min-day-coverage", "0.9", "--out", str(out)]) == 0
+        capsys.readouterr()
+        doc = json.loads((out / "validation.json").read_text())
+        assert doc["min_day_coverage"] == 0.9
+        pairs = {(p["ticker"], p["semester"]): p for p in doc["pairs"]}
+        assert sorted({s for _, s in pairs}) == [1, 2, 3]
+        thin = pairs[(panel.companies[0], 2)]
+        assert thin["coverage"] == pytest.approx(305 / 391)
+        assert not thin["included"]
+        assert all(p["included"] for key, p in pairs.items()
+                   if key != (panel.companies[0], 2))
