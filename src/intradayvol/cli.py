@@ -75,12 +75,12 @@ def _stages(args):
     """The pipeline's stages on the prepared input. The slices they skip
     are listed on stderr, as run_log.json lists them for `report`."""
     config = _config_from_args(args)
-    with Stages(config, prepare_panel(config)) as stages:
-        try:
-            yield stages
-        finally:
-            for event in stages.run_log:
-                print(f"skipped: {event}", file=sys.stderr)
+    stages = Stages(config, prepare_panel(config))
+    try:
+        yield stages
+    finally:
+        for event in stages.run_log:
+            print(f"skipped: {event}", file=sys.stderr)
 
 
 def _require(value, what: str):
@@ -175,10 +175,8 @@ def _cmd_shapes(args) -> int:
 
 def _cmd_metrics(args) -> int:
     with _stages(args) as st:
-        profiles = st.day_axis_profiles(st.prep.semesters)
-        if args.ticker:
-            profiles = {k: p for k, p in profiles.items() if k[1] == args.ticker}
-        rows = st.metrics_rows(profiles)
+        tickers = [args.ticker] if args.ticker else None
+        rows = st.metrics_rows(st.day_axis_profiles(st.prep.semesters, tickers))
     out = _out_dir(args)
     (out / "metrics.csv").write_bytes(metrics_csv(rows).encode())
     print(f"{len(rows)} rows -> {out / 'metrics.csv'}")
@@ -293,7 +291,8 @@ def _build_parser() -> _Parser:
     shared.add_argument("--out", help="output directory")
     shared.add_argument("--time-format", choices=["auto", "clock", "index"],
                         help="time column format (HH:MM or minute index)")
-    shared.add_argument("--jobs", type=int, help="worker threads")
+    shared.add_argument("--jobs", type=int,
+                        help="accepted for compatibility; stages run on one thread")
 
     parser = _Parser(prog="intradayvol",
                      description="Intraday volume profile analytics")

@@ -199,10 +199,12 @@ def shape_functionals(fit: FitResult) -> ShapeFunctionals:
 
 def _gauss_newton_afternoon(u, y, start, max_iter=200):
     """Refine (A, B, beta) for the model y = A - B*u^beta. Returns
-    (params, rss, converged)."""
+    (params, rss, converged). A start or step candidate whose residuals
+    overflow has a non-finite RSS and is rejected, so overflow is silenced."""
     a, b, beta = start
-    resid = (a - b * u ** beta) - y
-    rss = float((resid ** 2).sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = (a - b * u ** beta) - y
+        rss = float((resid ** 2).sum())
     converged = False
     for _ in range(max_iter):
         if not (math.isfinite(rss) and abs(beta) < 12.0):
@@ -217,8 +219,9 @@ def _gauss_newton_afternoon(u, y, start, max_iter=200):
         improved = False
         for _ in range(30):
             cand = (a + scale * step[0], b + scale * step[1], beta + scale * step[2])
-            cand_resid = (cand[0] - cand[1] * u ** cand[2]) - y
-            cand_rss = float((cand_resid ** 2).sum())
+            with np.errstate(over="ignore", invalid="ignore"):
+                cand_resid = (cand[0] - cand[1] * u ** cand[2]) - y
+                cand_rss = float((cand_resid ** 2).sum())
             if math.isfinite(cand_rss) and cand_rss <= rss:
                 improved = True
                 break

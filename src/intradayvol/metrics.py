@@ -69,22 +69,19 @@ def daily_ohlc(panel: MinutePanel, index: SemesterIndex, ticker: str, s: int) ->
     require_included(index, ticker, s)
     i = panel.company_index(ticker)
     day_idx = semester_day_indices(panel, index, s)
-    rows = []
-    pres = panel.present()
-    for j in day_idx:
-        mask = pres[i, j]
-        if not mask.any():
-            continue
-        t = np.nonzero(mask)[0]
-        rows.append((
-            panel.open[i, j, t[0]],
-            panel.high[i, j, mask].max(),
-            panel.low[i, j, mask].min(),
-            panel.close[i, j, t[-1]],
-        ))
-    if not rows:
+    mask = np.isfinite(panel.volume[i, day_idx])
+    has_data = mask.any(axis=1)
+    if not has_data.any():
         raise NoData(f"({ticker}, semester {s}) has no days with data")
-    return np.asarray(rows, dtype=float)
+    day_idx, mask = day_idx[has_data], mask[has_data]
+    first = mask.argmax(axis=1)
+    last = SESSION_MINUTES - 1 - mask[:, ::-1].argmax(axis=1)
+    return np.column_stack((
+        panel.open[i, day_idx, first],
+        np.where(mask, panel.high[i, day_idx], -np.inf).max(axis=1),
+        np.where(mask, panel.low[i, day_idx], np.inf).min(axis=1),
+        panel.close[i, day_idx, last],
+    ))
 
 
 def garman_klass_volatility(daily_bars, trading_days_per_year: float = 252.0) -> float:

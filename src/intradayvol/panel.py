@@ -12,7 +12,7 @@ import csv
 import datetime as dt
 import io
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
@@ -637,8 +637,9 @@ def assign_semesters(panel: MinutePanel, boundaries: Sequence[tuple[dt.date, dt.
 
 
 def semester_day_indices(panel: MinutePanel, index: SemesterIndex, s: int) -> np.ndarray:
+    """Positions of semester s's days on the panel's (sorted) day axis."""
     first, last = index.range_of(s)
-    return np.array([j for j, d in enumerate(panel.days) if first <= d <= last], dtype=int)
+    return np.arange(bisect_left(panel.days, first), bisect_right(panel.days, last))
 
 
 def included_company_indices(panel: MinutePanel, index: SemesterIndex, s: int) -> np.ndarray:

@@ -2,10 +2,9 @@
 
 The bundle is assembled fully in memory and written in one pass, so a
 failed run leaves no partial output, and two runs with the same inputs
-and config produce byte-identical directories regardless of the worker
-count (workers only schedule pure per-slice computations; assembly
-always reduces in sorted key order). manifest.json is written last and
-lists a content hash for every other file plus the config hash.
+and analysis config produce byte-identical directories. manifest.json is
+written last and lists a content hash for every other file plus the
+config hash.
 
 Each stage has one implementation, a method of `Stages`; `run_pipeline`
 composes all of them and the single-stage CLI commands select from them.
@@ -16,7 +15,6 @@ import datetime as dt
 import hashlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
@@ -117,7 +115,7 @@ class PipelineConfig:
     confidence: float = 0.95
     return_convention: str = "close-denominator"
     literal_kurtosis: bool = False
-    jobs: int = 1
+    jobs: int = 1  # accepted for compatibility; stages run on one thread
     out_dir: str = "report"
 
     def __post_init__(self):
@@ -169,9 +167,10 @@ class PipelineConfig:
         return doc
 
     def analysis_json(self) -> dict:
-        """The fields that can change bundle content. Scheduling and the
-        output location are dropped so that --jobs/--out never break the
-        byte-identical-bundle contract."""
+        """The fields that can change bundle content. `jobs` (accepted for
+        compatibility, it selects nothing) and the output location are
+        dropped so that --jobs/--out never break the byte-identical-bundle
+        contract."""
         doc = self.to_json()
         doc.pop("jobs", None)
         doc.pop("out_dir", None)
@@ -246,41 +245,31 @@ TICKER_MEAN_FITS = {
 
 
 class Stages:
-    """The pipeline's stages over one prepared panel. Per-slice work runs on
-    `config.jobs` threads (shut down on leaving the `with` block) and is
-    reduced in sorted key order. A slice failing with DataError or
-    NumericalError is logged to `run_log` and skipped."""
+    """The pipeline's stages over one prepared panel. Each stage computes its
+    slices one after another in key order. A slice failing with DataError
+    or NumericalError is logged to `run_log` and skipped."""
 
     def __init__(self, config: PipelineConfig, prep: PreparedPanel):
         self.config = config
         self.prep = prep
         self.run_log: list[str] = []
-        self._pool = ThreadPoolExecutor(max_workers=config.jobs)
 
-    def __enter__(self) -> "Stages":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._pool.shutdown()
-
-    def day_axis_profiles(self, semesters) -> dict[tuple[int, str], CumulantProfile]:
-        """Day-axis profile of every included (semester, ticker) pair."""
+    def day_axis_profiles(self, semesters, tickers=None) -> dict[tuple[int, str], CumulantProfile]:
+        """Day-axis profile of every included (semester, ticker) pair, over
+        the given tickers that are in the panel (default: all companies)."""
         panel, index = self.prep.panel, self.prep.index
-        lk = self.config.literal_kurtosis
-        keys = [(s, t) for s in semesters for t in panel.companies
-                if not index.is_excluded(t, s)]
-
-        def task(key):
-            s, ticker = key
-            return _fit_or_error(cumulants_over_days, panel, index, ticker, s,
-                                 literal_kurtosis=lk)
-
+        companies = [t for t in panel.companies if tickers is None or t in tickers]
         profiles = {}
-        for (s, ticker), (result, err) in zip(keys, self._pool.map(task, keys)):
-            if err:
-                self.run_log.append(f"{ticker} s={s} cumulants: {err}")
-            else:
-                profiles[(s, ticker)] = result
+        for s in semesters:
+            for ticker in companies:
+                if index.is_excluded(ticker, s):
+                    continue
+                result, err = _fit_or_error(cumulants_over_days, panel, index, ticker, s,
+                                            literal_kurtosis=self.config.literal_kurtosis)
+                if err:
+                    self.run_log.append(f"{ticker} s={s} cumulants: {err}")
+                else:
+                    profiles[(s, ticker)] = result
         return profiles
 
     def ticker_mean(self, s: int, profiles) -> AggregatedProfile | None:
@@ -295,15 +284,11 @@ class Stages:
     def day_mean(self, s: int) -> AggregatedProfile | None:
         """Semester s's per-day cross-sections averaged over days."""
         panel, index = self.prep.panel, self.prep.index
-        lk = self.config.literal_kurtosis
-        days = [panel.days[j] for j in semester_day_indices(panel, index, s)]
-
-        def task(day):
-            return _fit_or_error(cumulants_over_companies, panel, index, day, s,
-                                 literal_kurtosis=lk)
-
         cross = []
-        for day, (result, err) in zip(days, self._pool.map(task, days)):
+        for j in semester_day_indices(panel, index, s):
+            day = panel.days[j]
+            result, err = _fit_or_error(cumulants_over_companies, panel, index, day, s,
+                                        literal_kurtosis=self.config.literal_kurtosis)
             if err:
                 self.run_log.append(f"s={s} day={day.isoformat()} cross-section: {err}")
             else:
@@ -326,11 +311,10 @@ class Stages:
         """Scalar metrics and shape functionals per profiled pair. A value
         that fails is NaN; a pair whose every value failed is dropped."""
         panel, index, config = self.prep.panel, self.prep.index, self.config
-
-        def task(key):
-            s, ticker = key
+        rows = []
+        for (s, ticker), profile in profiles.items():
             row: dict[str, float] = {}
-            quartic, err = _fit_or_error(fit_quartic, profiles[key].mean)
+            quartic, err = _fit_or_error(fit_quartic, profile.mean)
             if err:
                 row["concavity"] = row["symmetry"] = float("nan")
                 row["error_quartic"] = err
@@ -348,11 +332,6 @@ class Stages:
                 row[name] = float("nan") if err else value
                 if err:
                     row[f"error_{name}"] = err
-            return row
-
-        keys = list(profiles)
-        rows = []
-        for (s, ticker), row in zip(keys, self._pool.map(task, keys)):
             for k, v in sorted(row.items()):
                 if k.startswith("error_"):
                     self.run_log.append(f"{ticker} s={s} {k[6:]}: {v}")
@@ -566,8 +545,7 @@ def run_pipeline(config: PipelineConfig, write: bool = True) -> ReportBundle:
         raise DataError(
             f"regime boundary {config.regime_boundary_semester} outside "
             f"1..{prep.index.n_semesters}")
-    with Stages(config, prep) as stages:
-        bundle = _run_stages(stages)
+    bundle = _run_stages(Stages(config, prep))
     if write:
         bundle.write(config.out_dir)
     return bundle

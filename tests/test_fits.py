@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from intradayvol.errors import (
     MorningNonPositive,
     NonPositiveExponent,
     NonPositiveValue,
+    NumericalError,
     RankDeficient,
     TooFewPoints,
     WindowTooSmall,
@@ -31,7 +33,15 @@ from intradayvol.fits import (
     scatter_relation,
     shape_functionals,
 )
-from intradayvol.panel import SESSION_MINUTES
+from intradayvol.cumulants import aggregate_ticker_profiles, cumulants_over_days
+from intradayvol.panel import SESSION_MINUTES, assign_semesters
+from intradayvol.synth import (
+    GeneratorSpec,
+    IntensitySpec,
+    NoiseSpec,
+    cv_to_sigma_l,
+    generate_panel,
+)
 
 T = np.arange(SESSION_MINUTES, dtype=float)
 
@@ -275,6 +285,25 @@ class TestKurtosisRelaxation:
         kappa[291:384] = np.nan
         with pytest.raises(WindowTooSmall):
             fit_kurtosis_relaxation(kappa)
+
+    def test_overflowing_candidates_emit_no_runtime_warning(self):
+        # a noisy ticker-mean kurtosis on which Gauss-Newton steps overshoot
+        # into residuals whose squares overflow
+        panel, truth = generate_panel(GeneratorSpec(
+            n_companies=8, n_days=60, n_semesters=1, seed=2,
+            intensity=IntensitySpec(opening_amplitude=2000.0, opening_exponent=0.29,
+                                    closing_amplitude=1000.0, closing_exponent=0.4,
+                                    baseline=50.0),
+            noise=NoiseSpec(sigma_l=cv_to_sigma_l(0.6)), price_model="gbm"))
+        index = assign_semesters(panel, truth.boundaries)
+        kappa = aggregate_ticker_profiles(
+            [cumulants_over_days(panel, index, t, 1) for t in panel.companies], 1).kurtosis
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                fit_kurtosis_relaxation(kappa)
+            except NumericalError:
+                pass  # whether it converges is not the point here
 
     def test_afternoon_handles_gaps(self):
         kappa = self._kappa(beta_a=0.8)

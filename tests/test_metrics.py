@@ -103,6 +103,33 @@ class TestDailyOhlc:
         with pytest.raises(NoData):
             daily_ohlc(panel, index, "T00", 1)
 
+    def test_multi_company_gappy_panel_matches_per_day_reference(self, rng):
+        shape = (3, 6, SESSION_MINUTES)
+        present = rng.uniform(size=shape) < 0.7
+        present[1, 2] = False  # T01 has no minute on a day T00 and T02 trade
+        present[2, 4, :300] = False
+        mid = 100.0 * np.exp(np.cumsum(0.001 * rng.standard_normal(shape), axis=2))
+        spread = rng.uniform(0.0, 0.5, size=(2,) + shape)
+        arrays = {"volume": np.rint(rng.uniform(1.0, 500.0, size=shape)),
+                  "open": mid, "close": mid[:, :, ::-1].copy(),
+                  "high": mid + spread[0], "low": mid - spread[1]}
+        arrays = {k: np.where(present, v, np.nan) for k, v in arrays.items()}
+        panel = MinutePanel(("T00", "T01", "T02"), tuple(weekdays(6)), **arrays)
+        index = contiguous_semesters(panel, 3)
+        assert present[0, 2].any() and present[2, 2].any()
+        for i, ticker in enumerate(panel.companies):
+            for s, days in ((1, range(0, 3)), (2, range(3, 6))):
+                want = []
+                for j in days:
+                    t = np.nonzero(present[i, j])[0]
+                    if len(t):
+                        want.append((arrays["open"][i, j, t[0]],
+                                     np.nanmax(arrays["high"][i, j]),
+                                     np.nanmin(arrays["low"][i, j]),
+                                     arrays["close"][i, j, t[-1]]))
+                np.testing.assert_array_equal(daily_ohlc(panel, index, ticker, s),
+                                              np.array(want))
+
 
 class TestGarmanKlass:
     def test_degenerate_bars_give_exact_zero(self):

@@ -269,6 +269,13 @@ class TestSemesters:
         index = contiguous_semesters(small_panel, 4)
         np.testing.assert_array_equal(
             semester_day_indices(small_panel, index, 2), [4, 5, 6, 7])
+        # a semester range that holds no panel day
+        days = small_panel.days
+        index = assign_semesters(small_panel, [
+            (days[0], days[3]), (days[4], days[-1]),
+            (days[-1] + dt.timedelta(days=1), days[-1] + dt.timedelta(days=30))])
+        empty = semester_day_indices(small_panel, index, 3)
+        assert empty.shape == (0,) and empty.dtype.kind == "i"
 
     def test_exclusions(self, small_panel):
         index = contiguous_semesters(small_panel, 4)

@@ -4,10 +4,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
 
+from intradayvol import metrics as metrics_mod
+from intradayvol import pipeline as pipeline_mod
 from intradayvol.cli import main
 from intradayvol.errors import DataError, MissingUpstream, UnknownFigure
 from intradayvol.panel import SESSION_MINUTES, MinutePanel, write_panel_csv
@@ -257,6 +260,27 @@ class TestDeterminism:
         files2 = run_pipeline(threaded, write=False).files()
         assert files1 == files2
 
+    def test_slices_run_on_the_calling_thread(self, base_config, monkeypatch):
+        threads = {}
+
+        def record(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                threads.setdefault(name, set()).add(threading.get_ident())
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        record(pipeline_mod, "cumulants_over_days")
+        record(pipeline_mod, "cumulants_over_companies")
+        record(metrics_mod, "daily_ohlc")
+        config = PipelineConfig.from_json(dict(base_config.to_json(), jobs=4))
+        run_pipeline(config, write=False)
+        caller = {threading.get_ident()}
+        assert threads == {"cumulants_over_days": caller,
+                           "cumulants_over_companies": caller,
+                           "daily_ohlc": caller}
+
 
 class TestPureEmission:
     def test_files_is_pure(self, base_config):
@@ -435,6 +459,23 @@ class TestStageCommands:
         header, *rows = (bundle_dir / "metrics.csv").read_bytes().splitlines(keepends=True)
         expected = header + b"".join(r for r in rows if r.startswith(b"C01,"))
         assert (tmp_path / "metrics.csv").read_bytes() == expected
+
+    @pytest.mark.parametrize("ticker, profiled", [("C01", {"C01"}), ("ZZZ", set())])
+    def test_metrics_for_one_ticker_profiles_only_it(self, capsys, tmp_path, monkeypatch,
+                                                     config_file, ticker, profiled):
+        seen = set()
+        over_days = pipeline_mod.cumulants_over_days
+
+        def counting(panel, index, t, s, **kwargs):
+            seen.add(t)
+            return over_days(panel, index, t, s, **kwargs)
+        monkeypatch.setattr(pipeline_mod, "cumulants_over_days", counting)
+        assert main(["metrics", "--config", str(config_file), "--ticker", ticker,
+                     "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert seen == profiled
+        if not profiled:  # an unknown ticker gives the header alone
+            assert (tmp_path / "metrics.csv").read_bytes().count(b"\n") == 1
 
     @pytest.mark.parametrize("tail_excluded", [[], [1, 2, 3, 4]])
     def test_xsection(self, capsys, tmp_path, base_config, tail_excluded):
