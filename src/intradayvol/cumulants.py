@@ -47,6 +47,27 @@ CONVENTIONS = {
 _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 
 
+def _row_medians(values: np.ndarray) -> np.ndarray:
+    """np.nanmedian(values, axis=1) by one sort. NaN sorts last, so a
+    row's m non-NaN entries (infinities included) come first, and its
+    median is (0.0 + lo + hi) / 2 of entries (m - 1) // 2 and m // 2: one
+    entry twice when m is odd, as nanmedian computes it for rows shorter
+    than 600 (its sum starts from +0.0, so a -0.0 median comes out as
+    0.0). All-NaN rows give NaN, without nanmedian's warning."""
+    rows, width = values.shape
+    if not width:
+        return np.full(rows, np.nan)
+    ordered = np.sort(values, axis=1)
+    m = width - np.isnan(ordered).sum(axis=1)
+    index = np.arange(rows)
+    lo = ordered[index, (m - 1) // 2]
+    hi = ordered[index, m // 2]
+    with np.errstate(invalid="ignore", over="ignore"):
+        med = (0.0 + lo + hi) / 2
+    med[m == 0] = np.nan
+    return med
+
+
 def minute_sample_stats(values: np.ndarray, *, literal_kurtosis: bool = False) -> dict[str, np.ndarray]:
     """Row-wise robust cumulants of a (minutes, samples) matrix.
 
@@ -69,9 +90,7 @@ def minute_sample_stats(values: np.ndarray, *, literal_kurtosis: bool = False) -
         var = (dev ** 2).sum(axis=1) / np.maximum(n, 1)
         mad = np.abs(dev).sum(axis=1) / np.maximum(n, 1)
 
-        med = np.full(values.shape[0], np.nan)
-        if has_any.any():
-            med[has_any] = np.nanmedian(values[has_any], axis=1)
+        med = _row_medians(values)
 
         sigma = np.sqrt(var)
         ok_sigma = sigma > 0

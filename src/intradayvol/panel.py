@@ -14,9 +14,9 @@ import io
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable, Mapping, NoReturn, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -183,50 +183,87 @@ class MinutePanel:
             b = bars[k]
             return f"duplicate cell ({b.ticker}, {b.date.isoformat()}, minute {b.minute})"
 
-        return _scatter_panel(list(tickers), list(days), t_code, d_code, minute,
-                              values, duplicate)
+        slabs = _Slabs()
+        slabs.add(t_code, d_code, minute, values, duplicate)
+        return slabs.panel(list(tickers), list(days))
 
 
 _VALUE_FIELDS = ("volume", "open", "high", "low", "close")
 
 
-def _first_duplicate(cell: np.ndarray) -> int | None:
-    """Position of the first entry of `cell` equal to an earlier one."""
-    _, first = np.unique(cell, return_index=True)
-    if first.size == cell.size:
-        return None
-    later = np.ones(cell.size, dtype=bool)
-    later[first] = False
-    return int(np.argmax(later))
+class _Slabs:
+    """The cells of a panel under construction: one 391-minute slab per
+    (ticker code, day code) pair that holds a cell, numbered in first-seen
+    order, for each of the five value fields. A slab is NaN until its
+    cells are added, so a finite volume marks a taken cell.
 
+    Each field's slabs are one (capacity, 391) array that grows by a
+    quarter, one field at a time, so the store holds at most 1.25 times
+    its cells plus one field's copy while growing.
+    """
 
-def _scatter_panel(tickers: Sequence[str], days: Sequence[dt.date],
-                   t_code: np.ndarray, d_code: np.ndarray, minute: np.ndarray,
-                   values: Sequence[np.ndarray], duplicate) -> MinutePanel:
-    """Panel from per-row codes: row k is cell (tickers[t_code[k]],
-    days[d_code[k]], minute[k]) with the five values[.][k]. The axes hold
-    only the codes that occur. A repeated cell raises DuplicateCell with
-    the text duplicate(k) of its first repeat."""
-    axes = []
-    ranks = []
-    for labels, code in ((tickers, t_code), (days, d_code)):
-        used = sorted(np.unique(code).tolist(), key=labels.__getitem__)
-        rank = np.zeros(len(labels), dtype=np.int64)
-        rank[used] = np.arange(len(used))
-        axes.append(tuple(labels[k] for k in used))
-        ranks.append(rank[code])
-    companies, panel_days = axes
-    shape = (len(companies), len(panel_days), SESSION_MINUTES)
-    cell = (ranks[0] * shape[1] + ranks[1]) * SESSION_MINUTES + minute
-    k = _first_duplicate(cell)
-    if k is not None:
-        raise DuplicateCell(duplicate(k))
-    arrays = []
-    for column in values:
-        arr = np.full(shape, np.nan)
-        arr.reshape(-1)[cell] = column
-        arrays.append(arr)
-    return MinutePanel(companies, panel_days, *arrays)
+    def __init__(self):
+        self.number: dict[int, int] = {}     # ticker code << 32 | day code -> slab
+        self.fields = [np.empty((0, SESSION_MINUTES)) for _ in _VALUE_FIELDS]
+
+    def _slab(self, key: int) -> int:
+        slab = self.number.get(key)
+        if slab is None:
+            slab = self.number[key] = len(self.number)
+            if slab == len(self.fields[0]):
+                capacity = max(16, slab + slab // 4)
+                for f in range(len(self.fields)):
+                    grown = np.empty((capacity, SESSION_MINUTES))
+                    grown[:slab] = self.fields[f][:slab]
+                    self.fields[f] = grown
+            for arr in self.fields:
+                arr[slab] = np.nan
+        return slab
+
+    def add(self, t_code: np.ndarray, d_code: np.ndarray, minute: np.ndarray,
+            values: Sequence[np.ndarray], duplicate) -> None:
+        """Put row k's five values[.][k] in cell (t_code[k], d_code[k],
+        minute[k]). A cell that is already taken, or that an earlier row
+        of this call repeats, raises DuplicateCell with the text
+        duplicate(k) of the first such row, before anything is stored."""
+        if not len(minute):
+            return
+        keys, inverse = np.unique((t_code.astype(np.int64) << 32) | d_code,
+                                  return_inverse=True)
+        slab = np.array([self._slab(k) for k in keys.tolist()], dtype=np.int64)[inverse]
+        cell = slab * SESSION_MINUTES + minute
+        repeat = np.isfinite(self.fields[0].reshape(-1)[cell])
+        _, first = np.unique(cell, return_index=True)
+        if first.size < cell.size or repeat.any():
+            later = np.ones(cell.size, dtype=bool)
+            later[first] = False
+            raise DuplicateCell(duplicate(int(np.argmax(repeat | later))))
+        for arr, column in zip(self.fields, values):
+            arr.reshape(-1)[cell] = column
+
+    def panel(self, tickers: Sequence[str], days: Sequence[dt.date]) -> MinutePanel:
+        """The sorted panel of the slabs, where code k labels tickers[k]
+        and days[k]. The axes hold only the labels that have a slab. Each
+        field's slabs are dropped once its panel array is filled."""
+        keys = np.fromiter(self.number, np.int64, len(self.number))
+        axes = []
+        ranks = []
+        for labels, code in ((tickers, keys >> 32), (days, keys & 0xFFFFFFFF)):
+            used = sorted(set(code.tolist()), key=labels.__getitem__)
+            rank = np.zeros(len(labels), dtype=np.int64)
+            rank[used] = np.arange(len(used))
+            axes.append(tuple(labels[k] for k in used))
+            ranks.append(rank[code])
+        companies, panel_days = axes
+        shape = (len(companies), len(panel_days), SESSION_MINUTES)
+        dest = ranks[0] * shape[1] + ranks[1]
+        arrays = []
+        for f in range(len(self.fields)):
+            arr = np.full(shape, np.nan)
+            arr.reshape(-1, SESSION_MINUTES)[dest] = self.fields[f][:len(dest)]
+            self.fields[f] = None
+            arrays.append(arr)
+        return MinutePanel(companies, panel_days, *arrays)
 
 
 def _parse_minute(value: str, time_format: str) -> int:
@@ -259,9 +296,12 @@ def _csv_paths(path) -> list[Path]:
     return [p]
 
 
-#: csv records parsed per block. Each block's string columns and per-row
-#: arrays are garbage before the next is read, so this bounds the loader's
-#: transient memory; per-block numpy overhead is negligible at this size.
+#: characters read per text block (then cut after the block's last line
+#: feed). A block's strings and per-row arrays are garbage before the next
+#: is read, so this bounds the loader's transient memory.
+_BLOCK_CHARS = 100_000
+
+#: csv records parsed per block on the csv-module path.
 _BLOCK_ROWS = 1024
 
 # Minute codes of rows that do not give a session minute.
@@ -294,6 +334,53 @@ def _floats(column: Sequence[str]) -> np.ndarray:
             except ValueError:
                 pass
         return out
+
+
+def _memo_floats(columns: Sequence[Sequence[str]]) -> list[np.ndarray]:
+    """_floats of each column, parsing each distinct string of all the
+    columns once: on bar data most prices repeat a neighbouring one."""
+    strings = list(chain.from_iterable(columns))
+    distinct = list(dict.fromkeys(strings))
+    memo = dict(zip(distinct, _floats(distinct).tolist()))
+    parsed = np.fromiter(map(memo.__getitem__, strings), float, len(strings))
+    return list(parsed.reshape(len(columns), -1))
+
+
+def _split_block(text: str, width: int) -> list[list[str]] | None:
+    """The columns of a block of whole lines, each line a record of
+    `width` comma-separated fields, or None unless every record is one
+    where csv.reader gives exactly str.split(","): no quote, no NUL, no
+    lone CR, no blank or ragged line and no field over the csv field
+    size limit."""
+    if '"' in text or "\0" in text:
+        return None
+    if "\r" in text:
+        if text.count("\r") != text.count("\r\n"):
+            return None
+        text = text.replace("\r\n", "\n")
+    if text.endswith("\n"):
+        text = text[:-1]
+    n = text.count("\n") + 1
+    # a record separator token after every record: it falls every
+    # width + 1 tokens exactly when each record has `width` fields
+    tokens = text.replace("\n", ",\n,").split(",")
+    stride = width + 1
+    if len(tokens) != n * stride - 1 or tokens[width::stride].count("\n") != n - 1:
+        return None
+    limit = csv.field_size_limit()
+    if len(text) > limit and max(map(len, tokens)) > limit:
+        return None
+    return [tokens[k::stride] for k in range(width)]
+
+
+def _csv_lines(text: str, fh) -> Iterable[str]:
+    """The lines of `text` and then of the rest of `fh`, split as a file
+    opened with newline="" splits them. `text` is the file's unparsed text
+    up to fh's position, so its last line may end in fh: that line is
+    completed from fh first, and a CR LF split between them stays one
+    line end."""
+    yield from io.StringIO(text + fh.readline(), newline="")
+    yield from fh
 
 
 def _valid_values(vol, o, h, lo, c) -> np.ndarray:
@@ -353,13 +440,17 @@ class _Layout:
 
 
 class _ColumnLoader:
-    """Kept rows of a load as compact code and float64 columns.
+    """A load's kept rows, scattered block by block into a panel's slabs.
 
-    Tickers and days are interned to integer codes in first-seen order and
-    each distinct time, date and ticker string is parsed once. Skip
-    reasons, line numbers (record index + 2) and error precedence follow
-    the row-at-a-time MinuteBar rules: time first, then session range, then
-    every other field.
+    Each file is read in text blocks of whole lines. A block of plain
+    records (see _split_block) is split into columns with str.split; the
+    first block that is not, and the rest of its file, go through
+    csv.reader instead. Tickers and days are interned to integer codes in
+    first-seen order, each distinct time, date and ticker string is parsed
+    once, and each distinct price string once per block. Skip reasons,
+    line numbers (record index + 2) and error precedence follow the
+    row-at-a-time MinuteBar rules: time first, then session range, then
+    every other field; a repeated cell raises in the block where it occurs.
     """
 
     def __init__(self, time_format: str, strict: bool):
@@ -371,10 +462,7 @@ class _ColumnLoader:
         self.minute_codes = _Memo(self._minute_code)
         self.day_codes = _Memo(self._day_code)
         self.ticker_codes = _Memo(lambda s: self.tickers.setdefault(s.strip(), len(self.tickers)))
-        self.columns: list[list[np.ndarray]] = [[] for _ in range(8)]  # ticker, day, minute, 5 values
-        # per kept block: (source, first record index, kept positions or
-        # None for all rows, number kept)
-        self.blocks: list[tuple[str, int, np.ndarray | None, int]] = []
+        self.slabs = _Slabs()
 
     def _minute_code(self, s: str) -> int:
         try:
@@ -391,24 +479,37 @@ class _ColumnLoader:
         return self.days.setdefault(day, len(self.days))
 
     def load_file(self, p: Path, schema: Mapping[str, str]) -> None:
-        self.report.files.append(str(p))
+        source = str(p)
+        self.report.files.append(source)
         with open(p, newline="") as fh:
-            reader = csv.reader(fh)
             try:
-                header = next(reader)
+                header = next(csv.reader(fh))
             except StopIteration:
-                self._raise(DataError(f"{p}: empty file (header row required)"))
-            try:
-                layout = _Layout.from_header(p, header, schema)
-            except MissingColumn as exc:
-                self._raise(exc)
+                raise DataError(f"{p}: empty file (header row required)") from None
+            layout = _Layout.from_header(p, header, schema)
             start = 0
-            while rows := list(islice(reader, _BLOCK_ROWS)):
-                self._load_block(str(p), start, rows, layout)
-                start += len(rows)
+            tail = ""
+            while True:
+                chunk = fh.read(_BLOCK_CHARS)
+                rest = tail + chunk
+                cut = rest.rfind("\n") + 1 if chunk else len(rest)
+                if not cut:
+                    break
+                columns = _split_block(rest[:cut], len(header))
+                if columns is None:
+                    break
+                tail = rest[cut:]
+                self._load_block(source, start, columns, None, layout)
+                start += len(columns[0])
+            if rest:
+                reader = csv.reader(_csv_lines(rest, fh))
+                while rows := list(islice(reader, _BLOCK_ROWS)):
+                    self._load_rows(source, start, rows, layout)
+                    start += len(rows)
 
-    def _load_block(self, source: str, start: int, rows: list[list[str]],
-                    layout: _Layout) -> None:
+    def _load_rows(self, source: str, start: int, rows: list[list[str]],
+                   layout: _Layout) -> None:
+        """_load_block of csv.reader records, which may be short."""
         n = len(rows)
         width = layout.width
         lens = list(map(len, rows))
@@ -418,25 +519,36 @@ class _ColumnLoader:
             # pad so that zip keeps every row; a short row is never kept
             short = np.fromiter(map(width.__gt__, lens), bool, n)
             padded = [r + [""] * (width - k) if k < width else r for r, k in zip(rows, lens)]
-        cols = list(zip(*padded))
-        minute = np.fromiter(map(self.minute_codes.__getitem__, cols[layout.time]), np.int16, n)
-        day = np.fromiter(map(self.day_codes.__getitem__, cols[layout.date]), np.int32, n)
+        self._load_block(source, start, list(zip(*padded)), short, layout, rows)
+
+    def _load_block(self, source: str, start: int, columns: Sequence[Sequence[str]],
+                    short: np.ndarray | None, layout: _Layout,
+                    rows: list[list[str]] | None = None) -> None:
+        """Check and keep the records of a block, given as columns (and
+        as `rows` when a record may be shorter than the layout)."""
+        n = len(columns[0])
+        minute = np.fromiter(map(self.minute_codes.__getitem__, columns[layout.time]),
+                             np.int16, n)
+        day = np.fromiter(map(self.day_codes.__getitem__, columns[layout.date]), np.int32, n)
         if layout.ticker is None:
             code = self.tickers.setdefault(layout.file_ticker, len(self.tickers))
             ticker = np.full(n, code, dtype=np.int32)
         else:
-            ticker = np.fromiter(map(self.ticker_codes.__getitem__, cols[layout.ticker]),
+            ticker = np.fromiter(map(self.ticker_codes.__getitem__, columns[layout.ticker]),
                                  np.int32, n)
-        values = [_floats(cols[k]) for k in layout.values]
+        volume, *prices = layout.values
+        values = [_floats(columns[volume]), *_memo_floats([columns[k] for k in prices])]
         ok = (minute >= 0) & (day >= 0) & _valid_values(*values)
         if short is not None:
             ok &= ~short
-        block = [ticker, day, minute, *values]
+        block = (source, start, ticker, day, minute, values)
         if ok.all():
             self.report.n_rows += n
-            self._keep(source, start, block, None)
+            self._keep(*block, None)
             return
 
+        if rows is None:
+            rows = [list(row) for row in zip(*columns)]
         bad = np.flatnonzero(~ok)
         blank = {k for k in bad[minute[bad] == _BAD_TIME].tolist()
                  if not any(c.strip() for c in rows[k])}
@@ -448,59 +560,35 @@ class _ColumnLoader:
             if minute[k] == _OFF_SESSION:
                 reason = "out-of-session"
             elif self.strict:
-                self._keep(source, start, block, np.flatnonzero(ok[:k]))
-                self._raise(MalformedRow(
-                    f"{source}:{line}: {layout.row_error(rows[k], self.time_format)}"))
+                self._keep(*block, np.flatnonzero(ok[:k]))
+                raise MalformedRow(
+                    f"{source}:{line}: {layout.row_error(rows[k], self.time_format)}")
             else:
                 reason = "malformed"
             self.report.skipped.append(SkippedRow(source, line, reason))
-        self._keep(source, start, block, np.flatnonzero(ok))
+        self._keep(*block, np.flatnonzero(ok))
 
-    def _keep(self, source: str, start: int, block: list[np.ndarray],
+    def _keep(self, source: str, start: int, ticker: np.ndarray, day: np.ndarray,
+              minute: np.ndarray, values: list[np.ndarray],
               positions: np.ndarray | None) -> None:
-        """Append a block's kept rows: all of them, or those at `positions`."""
+        """Scatter a block's kept rows: all of them, or those at `positions`."""
         if positions is not None:
-            block = [a[positions] for a in block]
-        count = len(block[0])
-        self.report.n_loaded += count
-        for acc, arr in zip(self.columns, block):
-            acc.append(arr)
-        self.blocks.append((source, start, positions, count))
+            ticker, day, minute = ticker[positions], day[positions], minute[positions]
+            values = [v[positions] for v in values]
 
-    def _duplicate(self, k: int, ticker: np.ndarray, day: np.ndarray,
-                   minute: np.ndarray) -> str:
-        """DuplicateCell text for kept row k, with its source line."""
-        pos = k
-        for source, start, positions, count in self.blocks:
-            if pos < count:
-                line = start + (pos if positions is None else int(positions[pos])) + 2
-                break
-            pos -= count
-        name = list(self.tickers)[ticker[k]]
-        date = list(self.days)[day[k]]
-        return f"{source}:{line}: duplicate cell ({name}, {date}, {minute[k]})"
+        def duplicate(k: int) -> str:
+            line = start + (k if positions is None else int(positions[k])) + 2
+            name = list(self.tickers)[ticker[k]]
+            date = list(self.days)[day[k]]
+            return f"{source}:{line}: duplicate cell ({name}, {date}, {minute[k]})"
 
-    def _raise(self, exc: DataError) -> NoReturn:
-        """Raise exc, unless the rows kept so far already repeat a cell:
-        a row-at-a-time load would have stopped at that repeat first."""
-        if self.report.n_loaded:
-            ticker, day, minute = (np.concatenate(acc) for acc in self.columns[:3])
-            cell = (ticker.astype(np.int64) * len(self.days) + day) * SESSION_MINUTES + minute
-            k = _first_duplicate(cell)
-            if k is not None:
-                raise DuplicateCell(self._duplicate(k, ticker, day, minute)) from None
-        raise exc from None
+        self.slabs.add(ticker, day, minute, values, duplicate)
+        self.report.n_loaded += len(minute)
 
     def panel(self) -> MinutePanel:
         if not self.report.n_loaded:
             raise DataError("no usable rows in input")
-        columns = []
-        for acc in self.columns:
-            columns.append(np.concatenate(acc))
-            acc.clear()
-        ticker, day, minute, *values = columns
-        return _scatter_panel(list(self.tickers), list(self.days), ticker, day, minute, values,
-                              lambda k: self._duplicate(k, ticker, day, minute))
+        return self.slabs.panel(list(self.tickers), list(self.days))
 
 
 def load_minute_bars(

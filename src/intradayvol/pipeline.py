@@ -95,6 +95,19 @@ def _csv_text(header: list[str], rows) -> str:
     return "\r\n".join(lines) + "\r\n"
 
 
+def _minute_csv(header: list[str], blocks) -> str:
+    """_csv_text of per-minute columns: for each (key, columns) block,
+    one row per minute t of `key,` (omitted when key is None), t and the
+    columns' 17-digit floats. `%.17g` gives the same text as _fmt."""
+    parts = [",".join(header) + "\r\n"]
+    for key, columns in blocks:
+        prefix = "" if key is None else f"{key},"
+        row = prefix + "%d" + ",%.17g" * len(columns) + "\r\n"
+        parts.append("".join(map(row.__mod__, zip(range(SESSION_MINUTES),
+                                                  *(c.tolist() for c in columns)))))
+    return "".join(parts)
+
+
 @dataclass
 class PipelineConfig:
     input_paths: list[str] = field(default_factory=list)
@@ -501,9 +514,8 @@ def metrics_csv(rows) -> str:
 
 def variance_ratio_csv(var_ratio: dict[int, np.ndarray]) -> str:
     """xsection/variance_ratio.csv: the per-minute ratio of each semester."""
-    return _csv_text(["semester", "t", "variance_ratio"],
-                     [[s, t, _fmt(var_ratio[s][t])]
-                      for s in sorted(var_ratio) for t in range(SESSION_MINUTES)])
+    return _minute_csv(["semester", "t", "variance_ratio"],
+                       [(s, [var_ratio[s]]) for s in sorted(var_ratio)])
 
 
 def kurtosis_tail_csv(kurt_tail: dict[int, float]) -> str:
@@ -514,8 +526,7 @@ def kurtosis_tail_csv(kurt_tail: dict[int, float]) -> str:
 
 def kurtosis_curve_csv(curve: np.ndarray) -> str:
     """xsection/kurtosis_curve.csv: the semester-averaged kurtosis curve."""
-    return _csv_text(["t", "mean_kurtosis"],
-                     [[t, _fmt(curve[t])] for t in range(SESSION_MINUTES)])
+    return _minute_csv(["t", "mean_kurtosis"], [(None, [curve])])
 
 
 _PRIMARY_PARAM = {
@@ -617,9 +628,7 @@ def _need(value, what: str):
 def _wide_profile_csv(bundle: ReportBundle, attr: str) -> str:
     profs = _need({s: getattr(p, attr) for s, p in sorted(bundle.ticker_mean.items())},
                   "no aggregated day-axis profiles")
-    return _csv_text(["t"] + [f"s{s:02d}" for s in profs],
-                     [[t] + [_fmt(v[t]) for v in profs.values()]
-                      for t in range(SESSION_MINUTES)])
+    return _minute_csv(["t"] + [f"s{s:02d}" for s in profs], [(None, list(profs.values()))])
 
 
 def _semester_fit_series(bundle: ReportBundle, fit_name: str, coeff: str) -> dict[int, float]:
@@ -707,10 +716,9 @@ def _activity_concavity_csv(bundle: ReportBundle) -> str:
 
 
 def _scatter_csv(profiles: dict[int, AggregatedProfile], column: str, attr: str) -> str:
-    return _csv_text(["semester", "t", "x_mean", column],
-                     [[s, t, _fmt(p.mean[t]), _fmt(getattr(p, attr)[t])]
-                      for s, p in sorted(_need(profiles, "no aggregated profiles").items())
-                      for t in range(SESSION_MINUTES)])
+    return _minute_csv(["semester", "t", "x_mean", column],
+                       [(s, [p.mean, getattr(p, attr)])
+                        for s, p in sorted(_need(profiles, "no aggregated profiles").items())])
 
 
 def _kurtosis_relaxation_csv(bundle: ReportBundle) -> str:

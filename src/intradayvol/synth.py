@@ -165,10 +165,22 @@ class GroundTruth:
         }
 
 
-def _cell_rng(seed: int, stream: int, day: int, company: int) -> np.random.Generator:
+def _cell_rng(seed: int, stream: int, day: int, company: int,
+              reuse: np.random.Generator | None = None) -> np.random.Generator:
+    """A generator at the start of one cell's Philox stream. `reuse`, a
+    generator an earlier call returned, is reset to that state and
+    returned: building a Philox also seeds a throwaway SeedSequence from
+    the OS, which costs as much as a cell's draws."""
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, _KEY_MIX], dtype=np.uint64)
     counter = np.array([0, stream, day, company], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(counter=counter, key=key))
+    if reuse is None:
+        return np.random.Generator(np.random.Philox(counter=counter, key=key))
+    reuse.bit_generator.state = {
+        "bit_generator": "Philox", "state": {"counter": counter, "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+        "has_uint32": 0, "uinteger": 0,
+    }
+    return reuse
 
 
 def _weekdays(start: dt.date, count: int) -> list[dt.date]:
@@ -231,17 +243,18 @@ def generate_panel(spec: GeneratorSpec) -> tuple[MinutePanel, GroundTruth]:
     close = np.empty(shape)
 
     sigma_minute = spec.daily_log_volatility / math.sqrt(SESSION_MINUTES)
+    rng = None
     for i in range(spec.n_companies):
         for d in range(n_total_days):
             s = d // spec.n_days + 1
-            rng = _cell_rng(spec.seed, _VOLUME_STREAM, d, i)
+            rng = _cell_rng(spec.seed, _VOLUME_STREAM, d, i, rng)
             eps = spec.noise.draw(rng, SESSION_MINUTES)
             volume[i, d] = np.rint(curves[s] * eps)
         if spec.price_model == "gbm":
             # per-cell return streams, chained deterministically across days
             day_start = spec.start_price
             for d in range(n_total_days):
-                rng = _cell_rng(spec.seed, _PRICE_STREAM, d, i)
+                rng = _cell_rng(spec.seed, _PRICE_STREAM, d, i, rng)
                 path = day_start * np.exp(np.cumsum(rng.normal(0.0, sigma_minute, SESSION_MINUTES)))
                 opens = np.concatenate([[day_start], path[:-1]])
                 open_[i, d] = opens

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import datetime as dt
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from intradayvol.cumulants import (
     PROFILE_COLUMNS,
+    _row_medians,
     aggregate_day_profiles,
     aggregate_ticker_profiles,
     cumulants_over_companies,
@@ -127,6 +129,33 @@ class TestKernel:
         values[0] = [1.0, 1.0, 1.0]
         with np.errstate(all="raise"):
             minute_sample_stats(values)
+
+
+_MEDIAN_ENTRIES = st.one_of(
+    st.floats(-1e300, 1e300), st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0]))
+
+
+class TestRowMedians:
+    @given(st.integers(0, 6).flatmap(lambda w: st.lists(
+        st.lists(_MEDIAN_ENTRIES, min_size=w, max_size=w), min_size=1, max_size=8)))
+    @settings(max_examples=300, deadline=None)
+    def test_bitwise_equal_to_nanmedian(self, rows):
+        values = np.array(rows, dtype=float).reshape(len(rows), -1)
+        got = _row_medians(values)
+        if values.shape[1] == 0:
+            assert np.isnan(got).all() and got.shape == (len(rows),)
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN rows
+            want = np.nanmedian(values, axis=1)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_counts_infinities_but_not_nan(self):
+        values = np.array([[np.inf, 1.0, np.nan, 2.0],
+                           [-np.inf, np.inf, np.nan, np.nan],
+                           [np.nan] * 4,
+                           [3.0, np.nan, np.nan, np.nan]])
+        np.testing.assert_array_equal(_row_medians(values), [2.0, np.nan, np.nan, 3.0])
 
 
 class TestPanelProfiles:

@@ -4,6 +4,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import io
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -36,6 +37,8 @@ from intradayvol.panel import (
     write_panel_csv,
     _parse_minute,
 )
+
+from intradayvol.synth import GeneratorSpec, IntensitySpec, generate_panel
 
 from conftest import build_panel, contiguous_semesters, weekdays
 
@@ -457,12 +460,12 @@ _MUTATIONS = ("blank", "spaces", "short", "short_off_session", "bad_float", "bad
 
 @st.composite
 def _row(draw, minute, columns):
-    """(kind, line text) for one data row in a file with these columns."""
+    """(kind, fields) for one data row in a file with these columns."""
     kind = draw(st.sampled_from(("clean",) * 6 + _MUTATIONS))
     if kind == "blank":
-        return kind, ""
+        return kind, []
     if kind == "spaces":
-        return kind, ",".join(" " * draw(st.integers(0, 2)) for _ in columns)
+        return kind, [" " * draw(st.integers(0, 2)) for _ in columns]
     lo = draw(st.integers(1, 50))
     o, c = draw(st.integers(lo, lo + 5)), draw(st.integers(lo, lo + 5))
     fields = {
@@ -495,53 +498,134 @@ def _row(draw, minute, columns):
         cells = cells[:draw(st.integers(0, len(columns) - 1))]
     elif kind == "short_off_session":
         cells = cells[:columns.index("minute") + 1]
-    return kind, ",".join(cells)
+    return kind, cells
+
+
+def _quote(field: str) -> str:
+    return '"' + field.replace('"', '""') + '"'
+
+
+@st.composite
+def _record(draw, fields, columns):
+    """The text of one record: plain, or with some fields quoted, a NUL in
+    a field, an extra field, or a quoted field holding a comma, a quote,
+    CR or LF (the ticker, or an extra last field)."""
+    form = draw(st.sampled_from(("plain",) * 6 + ("quoted", "nul", "extra", "embedded")))
+    fields = list(fields)
+    if fields and form == "quoted":
+        for k in draw(st.sets(st.integers(0, len(fields) - 1), min_size=1)):
+            fields[k] = _quote(fields[k])
+    elif fields and form == "nul":
+        k = draw(st.integers(0, len(fields) - 1))
+        fields[k] += "\0"
+    elif form == "extra":
+        fields.append(draw(st.sampled_from(["", "x", "1.5"])))
+    elif form == "embedded":
+        text = draw(st.sampled_from(['A,B', 'say "hi"', "R\r\nS", "R\nS", "R\rS", ""]))
+        if fields and "ticker" in columns and len(fields) > columns.index("ticker"):
+            fields[columns.index("ticker")] = _quote(text)
+        else:
+            fields.append(_quote(text))
+    return ",".join(fields)
 
 
 @st.composite
 def _csv_files(draw):
     """1-3 files, each with its own column order, with or without a
-    ticker column; every in-session time is distinct across the files,
-    so a repeated cell appears only when `repeat` copies a clean row."""
+    ticker column, LF, CRLF, CR-only or mixed line ends and with or
+    without a final line end; every in-session time is distinct across
+    the files, so a repeated cell appears only when `repeat` copies a
+    clean row. Yields (stem, file text) pairs and `repeat`."""
     files = []
     minute = 0
+    repeat = draw(st.integers(0, 9)) == 0
     for k in range(draw(st.integers(1, 3))):
         names = _COLUMNS if draw(st.booleans()) else _COLUMNS[1:]
         columns = draw(st.permutations(names))
-        rows = []
+        records = [",".join(columns)]
+        clean = []
         for _ in range(draw(st.integers(0, 25))):
-            rows.append(draw(_row(minute, columns)))
+            kind, fields = draw(_row(minute, columns))
             minute += 1
-        files.append((f"F{k}", columns, rows))
-    return files, draw(st.integers(0, 9)) == 0
+            records.append(draw(_record(fields, columns)))
+            if kind == "clean":
+                clean.append(",".join(fields))
+        if repeat and clean:
+            records.append(clean[0])
+        ends = draw(st.sampled_from(["\n", "\r\n", "\r", "mixed"]))
+        text = ""
+        for record in records:
+            end = draw(st.sampled_from(["\n", "\r\n", "\r"])) if ends == "mixed" else ends
+            text += record + end
+        if draw(st.booleans()):
+            text = text[:-len(end)]
+        files.append((f"F{k}", text))
+    return files, repeat
 
 
 class TestColumnarLoaderEquivalence:
-    @given(_csv_files(), st.sampled_from([1, 2, 3, 7, 1024]))
-    @settings(max_examples=150, deadline=None)
-    def test_matches_row_at_a_time_rules(self, tmp_path_factory, drawn, block_rows):
-        files, repeat = drawn
+    @given(_csv_files(), st.sampled_from([1, 2, 3, 7, 1024]),
+           st.one_of(st.integers(1, 80), st.just(100_000)))
+    @settings(max_examples=250, deadline=None)
+    def test_matches_row_at_a_time_rules(self, tmp_path_factory, drawn, block_rows,
+                                         block_chars):
+        files, _ = drawn
         root = tmp_path_factory.mktemp("eq")
         paths = []
-        for stem, columns, rows in files:
-            lines = [",".join(columns)] + [text for _, text in rows]
-            if repeat:
-                clean = [text for kind, text in rows if kind == "clean"]
-                if clean:
-                    lines.append(clean[0])
+        for stem, text in files:
             path = root / f"{stem}.csv"
-            path.write_text("\n".join(lines) + "\n")
+            path.write_bytes(text.encode())
             paths.append(path)
+        _assert_matches_reference(paths, block_rows, block_chars)
 
-        with mock.patch.object(panel_mod, "_BLOCK_ROWS", block_rows):
-            for strict in (False, True):
-                got = _outcome(load_minute_bars, [str(p) for p in paths], strict=strict)
-                want = _outcome(_reference_load, paths, strict=strict)
-                if want[0] != "ok":
-                    assert got == want
-                    continue
-                assert got[0] == "ok", got
-                _assert_loaded(*got[1], *want[1])
+    @pytest.mark.parametrize("text", [
+        # plain CRLF records, a blank line, no final line end
+        HEADER.replace("\n", "\r\n") + "A,2004-01-05,09:30,1,10,10,10,10\r\n"
+        "A,2004-01-05,09:31,2,10,11,9,10.5\r\nB,2004-01-05,junk,1,1,1,1,1\r\n"
+        "B,2004-01-05,16:00,3,10,10,10,10\r\n\r\nB,2004-01-05,10:00,4,5,6,4,5",
+        # plain LF records, then a quoted field: the csv path from there on
+        HEADER + "A,2004-01-05,09:30,1,10,10,10,10\nA,2004-01-05,09:31,2,10,10,10,10\n"
+        '"B",2004-01-05,09:30,3,10,10,10,10\nB,2004-01-05,09:31,4,10,10,10,10\n',
+        # CR-only line ends, and one lone CR among CRLFs
+        HEADER.replace("\n", "\r") + "A,2004-01-05,09:30,1,10,10,10,10\r"
+        "A,2004-01-05,09:31,2,10,10,10,10\r",
+        HEADER.replace("\n", "\r\n") + "A,2004-01-05,09:30,1,10,10,10,10\r\n"
+        "A,2004-01-05,09:31,2,10,10,10,10\rA,2004-01-05,09:32,2,10,10,10,10\r\n",
+        # a blank record ended by a lone CR: its next line has the right
+        # field count, but csv.reader counts one more record, which moves
+        # the malformed row's line number
+        HEADER + "A,2004-01-05,09:30,1,10,10,10,10\n\rA,2004-01-05,09:31,2,10,10,10,10\n"
+        "A,2004-01-05,junk,1,10,10,10,10\n",
+        # a short and a long record: the block's field count is right
+        HEADER + "A,2004-01-05,09:30,1,10,10,10\nA,2004-01-05,09:31,2,10,10,10,10,9\n"
+        "A,2004-01-05,09:32,1,10,10,10,10\n",
+    ])
+    def test_block_boundary_at_every_offset(self, tmp_path, text):
+        path = tmp_path / "a.csv"
+        path.write_bytes(text.encode())
+        for block_chars in range(1, len(text) + 2):
+            _assert_matches_reference([path], 1024, block_chars)
+
+    def test_peak_memory_is_the_panel_plus_one_block(self, tmp_path):
+        spec = GeneratorSpec(n_companies=6, n_days=30, seed=3, price_model="gbm",
+                             intensity=IntensitySpec(opening_amplitude=2000.0,
+                                                     opening_exponent=0.29))
+        panel, _ = generate_panel(spec)
+        path = tmp_path / "panel.csv"
+        write_panel_csv(panel, path)
+        panel_bytes = 5 * panel.volume.nbytes
+        block_chars = 20_000
+        with mock.patch.object(panel_mod, "_BLOCK_CHARS", block_chars):
+            tracemalloc.start()
+            try:
+                loaded, _ = load_minute_bars(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        np.testing.assert_array_equal(loaded.close, panel.close)
+        # a block's text, its copies, its field strings and columns: about
+        # 10 bytes a character
+        assert peak < 1.5 * panel_bytes + 16 * block_chars, (peak, panel_bytes)
 
     def test_strict_reports_first_bad_row_message(self, tmp_path):
         text = HEADER + ("A,2004-01-05,09:30,1,10,10,10,10\n"
@@ -570,6 +654,19 @@ class TestColumnarLoaderEquivalence:
         for later, strict in ((malformed, True), (headless, False)):
             with pytest.raises(DuplicateCell, match="a.csv:3: duplicate cell"):
                 load_minute_bars([first, later], strict=strict)
+
+
+def _assert_matches_reference(paths, block_rows, block_chars):
+    with mock.patch.object(panel_mod, "_BLOCK_ROWS", block_rows), \
+            mock.patch.object(panel_mod, "_BLOCK_CHARS", block_chars):
+        for strict in (False, True):
+            got = _outcome(load_minute_bars, [str(p) for p in paths], strict=strict)
+            want = _outcome(_reference_load, paths, strict=strict)
+            if want[0] != "ok":
+                assert got == want, block_chars
+                continue
+            assert got[0] == "ok", (got, block_chars)
+            _assert_loaded(*got[1], *want[1])
 
 
 def _assert_loaded(panel, report, bars, n_rows, skipped):

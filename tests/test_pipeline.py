@@ -300,6 +300,35 @@ class TestPureEmission:
         assert bundle.normalizers == manifest["normalizers"]
 
 
+class TestMinuteCsv:
+    """The per-minute CSV writers against one _fmt call per cell."""
+
+    @staticmethod
+    def _columns(seed, n):
+        rng = np.random.default_rng(seed)
+        special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e300, 1 / 3, 123456789.0]
+        out = []
+        for _ in range(n):
+            col = rng.normal(size=SESSION_MINUTES) * 10.0 ** rng.integers(-5, 6)
+            col[rng.integers(0, SESSION_MINUTES, 20)] = rng.choice(special, 20)
+            out.append(col)
+        return out
+
+    def test_keyed_and_unkeyed_blocks(self):
+        fmt, csv_text = pipeline_mod._fmt, pipeline_mod._csv_text
+        ratio = dict(zip((3, 1, 12), self._columns(1, 3)))
+        assert pipeline_mod.variance_ratio_csv(ratio) == csv_text(
+            ["semester", "t", "variance_ratio"],
+            [[s, t, fmt(ratio[s][t])] for s in sorted(ratio) for t in range(SESSION_MINUTES)])
+        (curve,) = self._columns(2, 1)
+        assert pipeline_mod.kurtosis_curve_csv(curve) == csv_text(
+            ["t", "mean_kurtosis"], [[t, fmt(curve[t])] for t in range(SESSION_MINUTES)])
+        wide = self._columns(3, 4)
+        header = ["t", "s01", "s02", "s03", "s04"]
+        assert pipeline_mod._minute_csv(header, [(None, wide)]) == csv_text(
+            header, [[t] + [fmt(c[t]) for c in wide] for t in range(SESSION_MINUTES)])
+
+
 class TestFigures:
     def test_unknown_figure_id(self, report):
         bundle, out = report
