@@ -141,3 +141,7 @@ class UnknownFigure(DataError):
 
 class MissingUpstream(DataError):
     pass
+
+
+class CorruptBundle(DataError):
+    """A bundle file is missing from, or differs from, its manifest.json."""

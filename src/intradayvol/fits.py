@@ -270,14 +270,13 @@ def fit_kurtosis_relaxation(kappa_profile,
         starts.append((float(ab[0]), 0.5 * float(ab[1]), beta))
 
     best = None
-    any_converged = False
+    rss_list = []
     for start in starts:
         params, rss, converged = _gauss_newton_afternoon(u, y, start)
-        any_converged = any_converged or converged
+        rss_list.append(f"{rss:.3g}")
         if converged and (best is None or rss < best[1]):
             best = (params, rss)
-    if not any_converged or best is None:
-        rss_list = [f"{_gauss_newton_afternoon(u, y, s)[1]:.3g}" for s in starts]
+    if best is None:
         raise AfternoonNoConverge(
             f"no start converged; best residuals per start: {rss_list}")
 

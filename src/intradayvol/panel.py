@@ -547,11 +547,12 @@ class _ColumnLoader:
             self._keep(*block, None)
             return
 
-        if rows is None:
-            rows = [list(row) for row in zip(*columns)]
+        def record(k: int) -> list[str]:
+            return rows[k] if rows is not None else [c[k] for c in columns]
+
         bad = np.flatnonzero(~ok)
         blank = {k for k in bad[minute[bad] == _BAD_TIME].tolist()
-                 if not any(c.strip() for c in rows[k])}
+                 if not any(c.strip() for c in record(k))}
         self.report.n_rows += n - len(blank)
         for k in bad.tolist():
             if k in blank:
@@ -562,7 +563,7 @@ class _ColumnLoader:
             elif self.strict:
                 self._keep(*block, np.flatnonzero(ok[:k]))
                 raise MalformedRow(
-                    f"{source}:{line}: {layout.row_error(rows[k], self.time_format)}")
+                    f"{source}:{line}: {layout.row_error(record(k), self.time_format)}")
             else:
                 reason = "malformed"
             self.report.skipped.append(SkippedRow(source, line, reason))
@@ -624,30 +625,71 @@ def _csv_prefix(fields: Sequence[str]) -> str:
     return buf.getvalue()[:-2]  # drop the \r\n line terminator
 
 
+#: present rows the writer formats per chunk of whole (company, day)
+#: blocks; a chunk's arrays and strings bound the writer's memory.
+_WRITE_ROWS = 1024
+
+_MINUTE_TEXT = np.array([str(t) for t in range(SESSION_MINUTES)], dtype=object)
+
+
+def _g17(values: np.ndarray) -> list[str]:
+    """`%.17g` of each value, formatted once per distinct 64-bit pattern
+    (so -0.0 and +0.0, and NaN payloads, stay apart): on bar data a price
+    mostly repeats a neighbouring open, high, low or close."""
+    bits, inverse = np.unique(values.astype(np.float64, copy=False).view(np.int64),
+                              return_inverse=True)
+    text = np.array(list(map("%.17g".__mod__, bits.view(np.float64).tolist())), dtype=object)
+    return text[inverse].tolist()
+
+
+def _volume_text(volume: np.ndarray) -> list[str]:
+    """`%.17g` of each volume. For integers of magnitude under 2**53
+    other than -0.0 that text is str(int(v)), which is much cheaper."""
+    if np.all((np.abs(volume) < 2.0 ** 53) & (volume == np.trunc(volume))
+              & ~((volume == 0) & np.signbit(volume))):
+        return list(map(str, volume.astype(np.int64).tolist()))
+    return list(map("%.17g".__mod__, volume.tolist()))
+
+
 def write_panel_csv(panel: MinutePanel, path) -> None:
     """Serialize to the canonical combined CSV (sorted, 17-digit floats).
 
-    Rows go out one (company, day) block at a time. The csv module quotes
-    the block's ticker and date; `%.17g` gives the same text as
-    format(x, ".17g").
+    Rows go out in chunks of whole (company, day) blocks of about
+    _WRITE_ROWS present rows, in C order, so the writer holds one chunk's
+    values and text (plus one company's day x minute mask while it counts
+    rows). The csv module quotes each ticker and date once; `%.17g` gives
+    the same text as format(x, ".17g").
     """
-    pres = panel.present()
-    counts = pres.sum(axis=2).tolist()
-    minute = np.flatnonzero(pres) % SESSION_MINUTES
-    # boolean indexing runs in C order: company, then day, then minute
-    values = [getattr(panel, name)[pres] for name in _VALUE_FIELDS]
-    end = 0
+    n_days = len(panel.days)
+    fields = [getattr(panel, name).reshape(-1, SESSION_MINUTES) for name in _VALUE_FIELDS]
+    counts = np.zeros(len(fields[0]), dtype=np.int64)
+    for i, company in enumerate(panel.volume):
+        counts[i * n_days:(i + 1) * n_days] = np.count_nonzero(np.isfinite(company), axis=1)
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    tickers = [_csv_prefix((ticker,)) for ticker in panel.companies]
+    days = [_csv_prefix((day.isoformat(),)) for day in panel.days]
+    first = done = 0
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(CANONICAL_COLUMNS)
-        for ticker, day_counts in zip(panel.companies, counts):
-            for day, count in zip(panel.days, day_counts):
-                if not count:
-                    continue
-                start, end = end, end + count
-                prefix = _csv_prefix((ticker, day.isoformat())).replace("%", "%%")
-                row = prefix + "%d,%.17g,%.17g,%.17g,%.17g,%.17g\r\n"
-                fh.write("".join(map(row.__mod__, zip(
-                    minute[start:end].tolist(), *(v[start:end].tolist() for v in values)))))
+        while done < total:
+            # blocks up to the one that completes _WRITE_ROWS more rows
+            last = min(int(np.searchsorted(ends, done + _WRITE_ROWS)) + 1, len(ends))
+            cells = np.flatnonzero(np.isfinite(fields[0][first:last]))
+            volume, *prices = (f[first:last].reshape(-1)[cells] for f in fields)
+            n = len(cells)
+            text = _g17(np.concatenate(prices))
+            rows = list(map(",".join, zip(
+                _MINUTE_TEXT[cells % SESSION_MINUTES].tolist(), _volume_text(volume),
+                text[:n], text[n:2 * n], text[2 * n:3 * n], text[3 * n:])))
+            start = 0
+            for block in np.flatnonzero(counts[first:last]).tolist():
+                block += first
+                end = start + int(counts[block])
+                prefix = tickers[block // n_days] + days[block % n_days]
+                fh.write(prefix + ("\r\n" + prefix).join(rows[start:end]) + "\r\n")
+                start = end
+            first, done = last, int(ends[last - 1])
 
 
 @dataclass(frozen=True)

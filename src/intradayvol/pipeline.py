@@ -1,10 +1,11 @@
 """End-to-end orchestration: panel in, plot-ready report bundle out.
 
-The bundle is assembled fully in memory and written in one pass, so a
-failed run leaves no partial output, and two runs with the same inputs
-and analysis config produce byte-identical directories. manifest.json is
-written last and lists a content hash for every other file plus the
-config hash.
+The bundle is assembled fully in memory, written into a sibling
+temporary directory and renamed into place, so a failed run leaves the
+previous bundle (or nothing) and never a partial or mixed one; two runs
+with the same inputs and analysis config produce byte-identical
+directories. manifest.json lists a content hash for every other file plus
+the config hash, and `load_figure_csv` serves only files it lists.
 
 Each stage has one implementation, a method of `Stages`; `run_pipeline`
 composes all of them and the single-stage CLI commands select from them.
@@ -15,6 +16,8 @@ import datetime as dt
 import hashlib
 import json
 import math
+import os
+import shutil
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
@@ -34,7 +37,13 @@ from .cumulants import (
     profile_csv_bytes,
     variance_ratio,
 )
-from .errors import DataError, MissingUpstream, NumericalError, UnknownFigure
+from .errors import (
+    CorruptBundle,
+    DataError,
+    MissingUpstream,
+    NumericalError,
+    UnknownFigure,
+)
 from .fits import (
     FitResult,
     fit_closing_powerlaw,
@@ -485,21 +494,68 @@ class ReportBundle:
         return out
 
     def write(self, out_dir) -> Path:
-        out_dir = Path(out_dir)
+        """Write the bundle as out_dir, replacing a bundle already there
+        whole. The files go into a sibling directory that is renamed into
+        place; the old bundle is moved aside first and removed last. A
+        symlinked out_dir is followed, so its target is replaced. Only an
+        empty directory or one `_is_bundle` accepts is replaced; the
+        working directory, or one that holds it, never is. A run killed
+        between the two renames leaves the previous bundle in the hidden
+        sibling `.NAME.<pid>.old`."""
+        out_dir = Path(out_dir).resolve()
+        if Path.cwd().resolve().is_relative_to(out_dir):
+            raise DataError(f"{out_dir} holds the working directory; not replacing it")
+        if out_dir.exists() and not (out_dir.is_dir() and (
+                not any(out_dir.iterdir()) or _is_bundle(out_dir))):
+            raise DataError(f"{out_dir} exists and is not a report bundle; "
+                            "not replacing it")
         files = self.files()
-        manifest = {
+        files["manifest.json"] = dump_json({
             "config_hash": self.config.config_hash(),
             "normalizers": self.normalizers,
             "files": {rel: hashlib.sha256(data).hexdigest()
                       for rel, data in sorted(files.items())},
-        }
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for rel, data in sorted(files.items()):
-            target = out_dir / rel
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_bytes(data)
-        (out_dir / "manifest.json").write_bytes(dump_json(manifest))
+        })
+        out_dir.parent.mkdir(parents=True, exist_ok=True)
+        staging, aside = (out_dir.with_name(f".{out_dir.name}.{os.getpid()}.{end}")
+                          for end in ("new", "old"))
+        for leftover in (staging, aside):  # of a killed run that had this pid
+            shutil.rmtree(leftover, ignore_errors=True)
+        try:
+            staging.mkdir()
+            for rel, data in files.items():
+                target = staging / rel
+                target.parent.mkdir(parents=True, exist_ok=True)
+                target.write_bytes(data)
+            if out_dir.exists():
+                out_dir.rename(aside)
+            try:
+                staging.rename(out_dir)
+            except OSError:
+                if aside.exists():
+                    aside.rename(out_dir)
+                raise
+        finally:
+            shutil.rmtree(staging, ignore_errors=True)
+        shutil.rmtree(aside, ignore_errors=True)
         return out_dir
+
+
+def _is_bundle(directory: Path) -> bool:
+    """Whether directory holds a report bundle and nothing else: a
+    manifest.json with `config_hash` and a `files` table, and no file,
+    symlink or other entry besides it and the files that table lists."""
+    try:
+        manifest = json.loads((directory / "manifest.json").read_bytes())
+    except (OSError, ValueError):
+        return False
+    if not (isinstance(manifest, dict) and "config_hash" in manifest
+            and isinstance(manifest.get("files"), dict)):
+        return False
+    listed = set(manifest["files"]) | {"manifest.json"}
+    return all(path.relative_to(directory).as_posix() in listed
+               for path in directory.rglob("*")
+               if path.is_symlink() or not path.is_dir())
 
 
 def metrics_csv(rows) -> str:
@@ -775,11 +831,25 @@ def emit_figure_series(bundle: ReportBundle, figure_id: str) -> str:
 
 
 def load_figure_csv(report_dir, figure_id: str) -> bytes:
-    """Fetch one figure CSV from a written bundle directory."""
+    """Fetch one figure CSV from a written bundle directory: only a file
+    that the bundle's manifest.json lists, and only with the listed hash."""
     if figure_id not in FIGURE_IDS:
         raise UnknownFigure(f"{figure_id!r}; known ids: {', '.join(FIGURE_IDS)}")
-    path = Path(report_dir) / "figures" / f"{figure_id}.csv"
-    if not path.exists():
+    rel = f"figures/{figure_id}.csv"
+    path = Path(report_dir) / rel
+    manifest = Path(report_dir) / "manifest.json"
+    try:
+        digest = json.loads(manifest.read_bytes())["files"].get(rel) \
+            if manifest.exists() else None
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise CorruptBundle(f"{manifest}: unreadable ({exc!r})") from None
+    if digest is None:
         raise MissingUpstream(
             f"{path} not in bundle (upstream fits may have failed; see run_log.json)")
-    return path.read_bytes()
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise CorruptBundle(f"{path}: listed in manifest.json but unreadable ({exc})") from None
+    if hashlib.sha256(data).hexdigest() != digest:
+        raise CorruptBundle(f"{path}: SHA-256 does not match manifest.json")
+    return data

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from intradayvol.errors import (
     TooFewPoints,
     WindowTooSmall,
 )
+from intradayvol import fits as fits_mod
 from intradayvol.fits import (
     HALF_SESSION,
     fit_closing_powerlaw,
@@ -304,6 +306,22 @@ class TestKurtosisRelaxation:
                 fit_kurtosis_relaxation(kappa)
             except NumericalError:
                 pass  # whether it converges is not the point here
+
+    def test_no_converging_start_reports_each_start_once(self):
+        # an afternoon rising like exp(u/5): every Gauss-Newton start fails
+        kappa = self._kappa()
+        kappa[291:] = 2.0 + np.exp((T[291:] - 290.0) / 5.0)
+        with mock.patch.object(fits_mod, "_gauss_newton_afternoon",
+                               wraps=fits_mod._gauss_newton_afternoon) as gauss_newton, \
+                warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(AfternoonNoConverge) as err:
+                fit_kurtosis_relaxation(kappa)
+        assert str(err.value) == (
+            "no start converged; best residuals per start: ['4.48e+17', '7.07e+17', "
+            "'4.07e+17', '5.8e+17', '3.63e+17', '5.22e+17', '3.28e+17', '4.83e+17', "
+            "'2.95e+17', '4.51e+17', '2.68e+17', '4.21e+17']")
+        assert gauss_newton.call_count == 12
 
     def test_afternoon_handles_gaps(self):
         kappa = self._kappa(beta_a=0.8)

@@ -359,6 +359,50 @@ class TestRoundTripProperty:
                                           getattr(panel, name), err_msg=name)
 
 
+def _bits(pattern: int) -> float:
+    return float(np.array([pattern], dtype=np.uint64).view(np.float64)[0])
+
+
+#: prices whose text or bit pattern is easy to get wrong: signed zeros,
+#: NaNs with other payloads and signs, infinities, subnormals
+_EDGE_PRICES = (0.0, -0.0, float("nan"), _bits(0x7FF8000000000001), _bits(0xFFF8000000000000),
+                float("inf"), -float("inf"), 5e-324, 2.2250738585072009e-308, 0.1, 0.5)
+
+#: volumes on and past the integer fast path's edges
+_EDGE_VOLUMES = (0.0, -0.0, 0.5, 1e-300, 2.0 ** 53 - 1, 2.0 ** 53, 2.0 ** 53 + 2, 1e17,
+                 3e20, -7.0)
+
+
+@st.composite
+def writer_panel_strategy(draw):
+    """Panels the writer must copy exactly, valid or not: some (company,
+    day) blocks absent, prices either chained like bars (open is the last
+    close, high and low repeat them) or all distinct, edge values mixed in."""
+    n_c = draw(st.integers(1, 3))
+    n_d = draw(st.integers(1, 4))
+    chained = draw(st.booleans())
+    price = st.one_of(st.floats(1e-3, 1e6), st.sampled_from(_EDGE_PRICES))
+    volume_value = st.one_of(st.integers(0, 10 ** 9).map(float),
+                             st.floats(0, 1e22), st.sampled_from(_EDGE_VOLUMES))
+    volume = np.full((n_c, n_d, SESSION_MINUTES), np.nan)
+    prices = np.full((4, n_c, n_d, SESSION_MINUTES), np.nan)
+    last = draw(price)
+    for i in range(n_c):
+        for j in range(n_d):
+            minutes = draw(st.lists(st.integers(0, 390), max_size=6, unique=True))
+            for t in minutes:
+                volume[i, j, t] = draw(volume_value)
+                if chained:
+                    close = draw(price)
+                    quad = (last, draw(st.sampled_from((last, close))), close, close)
+                    last = close
+                else:
+                    quad = tuple(draw(price) for _ in range(4))
+                prices[:, i, j, t] = quad
+    companies = tuple(f"T{i:02d}" for i in range(n_c))
+    return MinutePanel(companies, tuple(weekdays(n_d)), volume, *prices)
+
+
 class TestWriterBytes:
     @given(panel_strategy())
     @settings(max_examples=25, deadline=None)
@@ -366,6 +410,44 @@ class TestWriterBytes:
         path = tmp_path_factory.mktemp("wb") / "panel.csv"
         write_panel_csv(panel, path)
         assert path.read_bytes() == _reference_csv_bytes(panel)
+
+    @given(writer_panel_strategy())
+    @settings(max_examples=60, deadline=None)
+    def test_edge_values_at_every_chunk_size(self, tmp_path_factory, panel):
+        path = tmp_path_factory.mktemp("wc") / "panel.csv"
+        want = _reference_csv_bytes(panel)
+        # from one row per chunk (a cut between every pair of blocks) to
+        # the whole panel in one chunk
+        for rows in range(1, int(panel.present().sum()) + 2):
+            with mock.patch.object(panel_mod, "_WRITE_ROWS", rows):
+                write_panel_csv(panel, path)
+            assert path.read_bytes() == want, rows
+
+    def test_empty_panel_writes_the_header(self, tmp_path):
+        path = tmp_path / "panel.csv"
+        for shape in ((0, 0, SESSION_MINUTES), (2, 1, SESSION_MINUTES)):
+            arrays = [np.full(shape, np.nan) for _ in range(5)]
+            panel = MinutePanel(("A", "B")[:shape[0]], tuple(weekdays(shape[1])), *arrays)
+            write_panel_csv(panel, path)
+            assert path.read_bytes() == _reference_csv_bytes(panel)
+
+    def test_peak_memory_is_one_chunk(self, tmp_path):
+        spec = GeneratorSpec(n_companies=4, n_days=100, seed=5, price_model="gbm",
+                             intensity=IntensitySpec(opening_amplitude=2000.0,
+                                                     opening_exponent=0.29))
+        panel, _ = generate_panel(spec)
+        n_rows = int(panel.present().sum())
+        path = tmp_path / "panel.csv"
+        tracemalloc.start()
+        try:
+            write_panel_csv(panel, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # five whole-panel float64 copies of the present values take
+        # 40 bytes a row; a chunk's values and text take about 0.5 MB
+        assert n_rows > 100_000
+        assert peak < 8 * n_rows, (peak, n_rows)
 
     def test_ticker_needing_quotes(self, tmp_path):
         volume = np.full((2, 1, SESSION_MINUTES), np.nan)

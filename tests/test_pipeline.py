@@ -1,10 +1,13 @@
 """End-to-end pipeline, report bundle, figure series, and CLI exit codes."""
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
 import threading
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ import pytest
 from intradayvol import metrics as metrics_mod
 from intradayvol import pipeline as pipeline_mod
 from intradayvol.cli import main
-from intradayvol.errors import DataError, MissingUpstream, UnknownFigure
+from intradayvol.errors import CorruptBundle, DataError, MissingUpstream, UnknownFigure
 from intradayvol.panel import SESSION_MINUTES, MinutePanel, write_panel_csv
 from intradayvol.pipeline import (
     FIGURE_IDS,
@@ -367,6 +370,125 @@ class TestFigures:
         emitted = {rel for rel in manifest["files"] if rel.startswith("figures/")}
         assert emitted <= {f"figures/{f}.csv" for f in FIGURE_IDS}
         assert "figures/fig1.csv" in emitted
+
+
+def _tree(root: Path) -> dict[str, tuple[bytes, int]]:
+    """relpath -> (bytes, mtime in ns) of every file under root."""
+    return {p.relative_to(root).as_posix(): (p.read_bytes(), p.stat().st_mtime_ns)
+            for p in root.rglob("*") if p.is_file()}
+
+
+class TestBundleDirectory:
+    """A bundle directory holds exactly one run's files, or the previous run's."""
+
+    _TAIL_FILES = {"figures/fig15.csv", "figures/fig16.csv", "xsection/kurtosis_curve.csv"}
+
+    def test_rerun_drops_files_the_new_run_does_not_emit(self, capsys, tmp_path,
+                                                         base_config):
+        out = tmp_path / "report"
+        config_file = tmp_path / "config.json"
+        argv = ["report", "--config", str(config_file), "--out", str(out)]
+        doc = base_config.to_json()
+        config_file.write_text(json.dumps(doc))
+        assert main(argv) == 0
+        assert self._TAIL_FILES <= set(_tree(out))
+
+        doc["kurtosis_tail_excluded_semesters"] = [1, 2, 3, 4]
+        config_file.write_text(json.dumps(doc))
+        assert main(argv) == 0
+        listed = json.loads((out / "manifest.json").read_text())["files"]
+        assert set(_tree(out)) == set(listed) | {"manifest.json"}
+        assert not self._TAIL_FILES & set(listed)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "report"]
+        capsys.readouterr()
+        assert main(["figure", "--report", str(out), "--id", "fig16"]) == 2
+        assert "fig16.csv not in bundle" in capsys.readouterr().err
+
+    def test_failed_write_leaves_the_previous_bundle(self, tmp_path, report):
+        bundle, _ = report
+        out = tmp_path / "report"
+        bundle.write(out)
+        before = _tree(out)
+        config = PipelineConfig.from_json(bundle.config.to_json())
+        config.kurtosis_tail_t_min += 1
+        other = dataclasses.replace(bundle, config=config)
+        real_write = Path.write_bytes
+        written = []
+
+        def write_bytes(path, data):
+            written.append(path)
+            if len(written) == 5:
+                raise OSError("disk full")
+            return real_write(path, data)
+
+        with mock.patch.object(Path, "write_bytes", write_bytes), \
+                pytest.raises(OSError, match="disk full"):
+            other.write(out)
+        assert _tree(out) == before
+        assert [p.name for p in tmp_path.iterdir()] == ["report"]
+
+    def test_directory_that_is_not_a_bundle_is_kept(self, tmp_path, report):
+        (tmp_path / "panel.csv").write_text("x\n")
+        with pytest.raises(DataError, match="not a report bundle"):
+            report[0].write(tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == ["panel.csv"]
+
+    @pytest.mark.parametrize("manifest", [
+        b'{"name": "app", "version": "1.0"}',
+        b"not json",
+        b"[]",
+        # bundle-shaped, but app.js is not one of its files
+        b'{"config_hash": "x", "files": {"figures/fig1.csv": "0"}}',
+    ])
+    def test_directory_with_a_foreign_manifest_is_kept(self, tmp_path, report, manifest):
+        out = tmp_path / "app"
+        out.mkdir()
+        (out / "manifest.json").write_bytes(manifest)
+        (out / "app.js").write_text("x\n")
+        with pytest.raises(DataError, match="not a report bundle"):
+            report[0].write(out)
+        assert _tree(out).keys() == {"manifest.json", "app.js"}
+        assert (out / "manifest.json").read_bytes() == manifest
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["app"]
+
+    def test_file_added_to_a_bundle_keeps_it(self, tmp_path, report):
+        out = report[0].write(tmp_path / "report")
+        (out / "figures" / "notes.txt").write_text("mine\n")
+        with pytest.raises(DataError, match="not a report bundle"):
+            report[0].write(out)
+        assert (out / "figures" / "notes.txt").read_text() == "mine\n"
+
+    def test_symlinked_out_replaces_its_target(self, tmp_path, report):
+        bundle, _ = report
+        real, link = tmp_path / "real", tmp_path / "link"
+        real.mkdir()
+        link.symlink_to(real, target_is_directory=True)
+        assert bundle.write(link) == real
+        first = _tree(real)
+        assert bundle.write(link) == real
+        assert link.is_symlink() and link.resolve() == real
+        assert {rel: data for rel, (data, _) in _tree(real).items()} == \
+            {rel: data for rel, (data, _) in first.items()}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "real"]
+
+    def test_working_directory_is_kept(self, tmp_path, monkeypatch, report):
+        # replacing it would leave the process in a deleted directory
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "link").symlink_to(tmp_path, target_is_directory=True)
+        monkeypatch.chdir(tmp_path / "sub")
+        for out in (".", "..", tmp_path / "link" / "sub", tmp_path / "link"):
+            with pytest.raises(DataError, match="holds the working directory"):
+                report[0].write(out)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "sub"]
+
+    def test_figure_must_match_its_manifest_hash(self, tmp_path, report):
+        out = report[0].write(tmp_path / "report")
+        (out / "figures" / "fig3.csv").write_bytes(b"edited\r\n")
+        with pytest.raises(CorruptBundle, match="SHA-256"):
+            load_figure_csv(out, "fig3")
+        (out / "manifest.json").write_text("{")
+        with pytest.raises(CorruptBundle, match="manifest.json"):
+            load_figure_csv(out, "fig2")
 
 
 class TestCli:
