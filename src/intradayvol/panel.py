@@ -12,11 +12,15 @@ import csv
 import datetime as dt
 import io
 import math
+import os
+import pickle
+import select
 from bisect import bisect_left, bisect_right
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -297,12 +301,25 @@ def _csv_paths(path) -> list[Path]:
 
 
 #: characters read per text block (then cut after the block's last line
-#: feed). A block's strings and per-row arrays are garbage before the next
-#: is read, so this bounds the loader's transient memory.
+#: feed). The loader holds the text and arrays of a few blocks at a time
+#: (see _BlockReader), so this bounds its transient memory.
 _BLOCK_CHARS = 100_000
 
 #: csv records parsed per block on the csv-module path.
 _BLOCK_ROWS = 1024
+
+#: inputs of at least this many bytes, all files together, are parsed on
+#: two processes where fork and a second CPU are available (see _Helper);
+#: on smaller ones the fork costs more than it saves.
+_HELPER_MIN_BYTES = 1_000_000
+
+#: blocks the helper is asked for ahead of its answers: one to parse and
+#: one queued, so that it does not wait for the loader between blocks.
+_HELPER_DEPTH = 2
+
+#: blocks read and not yet applied, at most: while the helper's answer
+#: for the oldest is not back, the loader parses later blocks itself.
+_READ_AHEAD = 6
 
 # Minute codes of rows that do not give a session minute.
 _BAD_TIME = -2       # the time field is missing or does not parse
@@ -346,6 +363,14 @@ def _memo_floats(columns: Sequence[Sequence[str]]) -> list[np.ndarray]:
     return list(parsed.reshape(len(columns), -1))
 
 
+def _distinct(column: Sequence[str]) -> tuple[list[str], np.ndarray]:
+    """The distinct strings of a column in first-seen order, and the
+    position of each entry's string among them."""
+    position = {s: k for k, s in enumerate(dict.fromkeys(column))}
+    return list(position), np.fromiter(map(position.__getitem__, column), np.int32,
+                                       len(column))
+
+
 def _split_block(text: str, width: int) -> list[list[str]] | None:
     """The columns of a block of whole lines, each line a record of
     `width` comma-separated fields, or None unless every record is one
@@ -354,23 +379,38 @@ def _split_block(text: str, width: int) -> list[list[str]] | None:
     size limit."""
     if '"' in text or "\0" in text:
         return None
+    n = text.count("\n")
+    crlf = False
     if "\r" in text:
-        if text.count("\r") != text.count("\r\n"):
-            return None
-        text = text.replace("\r\n", "\n")
-    if text.endswith("\n"):
-        text = text[:-1]
-    n = text.count("\n") + 1
+        cr = text.count("\r")
+        crlf = cr == n  # as many CRs as line ends: the canonical writer's CR LF
+        if not crlf:
+            if cr != text.count("\r\n"):
+                return None
+            text = text.replace("\r\n", "\n")
     # a record separator token after every record: it falls every
     # width + 1 tokens exactly when each record has `width` fields
     tokens = text.replace("\n", ",\n,").split(",")
+    ended = text.endswith("\n")
+    if ended:
+        del tokens[-2:]  # the last line end and the empty token after it
+    else:
+        n += 1
     stride = width + 1
     if len(tokens) != n * stride - 1 or tokens[width::stride].count("\n") != n - 1:
         return None
     limit = csv.field_size_limit()
     if len(text) > limit and max(map(len, tokens)) > limit:
         return None
-    return [tokens[k::stride] for k in range(width)]
+    columns = [tokens[k::stride] for k in range(width)]
+    if crlf:
+        # each CR must end the last field of a record that has a line end
+        last = columns[-1] if ended else columns[-1][:-1]
+        kept = [s[:-1] for s in last if s.endswith("\r")]
+        if len(kept) != len(last):
+            return None
+        columns[-1] = kept if ended else kept + columns[-1][-1:]
+    return columns
 
 
 def _csv_lines(text: str, fh) -> Iterable[str]:
@@ -407,6 +447,11 @@ class _Layout:
         return 1 + max(self.time, self.date, *self.values,
                        -1 if self.ticker is None else self.ticker)
 
+    @property
+    def keys(self) -> tuple[int, ...]:
+        """The time, date and (if the file has one) ticker columns."""
+        return (self.time, self.date) + (() if self.ticker is None else (self.ticker,))
+
     @staticmethod
     def from_header(p: Path, header: list[str], schema: Mapping[str, str]) -> "_Layout":
         header = [h.strip() for h in header]
@@ -439,18 +484,340 @@ class _Layout:
         raise AssertionError(f"row {row!r} passes MinuteBar but failed the column rules")
 
 
+class _Parsed(NamedTuple):
+    """A block's records as arrays, ready to be checked and kept."""
+
+    keys: list[tuple[list[str], np.ndarray]]  # _distinct of each _Layout.keys column
+    values: list[np.ndarray]                  # volume, open, high, low, close
+    blank: list[int]                          # records of empty or all-space fields
+
+
+def _parse_columns(columns: Sequence[Sequence[str]], layout: _Layout,
+                   record: Callable[[int], Sequence[str]]) -> _Parsed:
+    """The block whose record k has the fields record(k), and whose
+    columns hold at least layout.width fields of each record."""
+    keys = [_distinct(columns[k]) for k in layout.keys]
+    volume, *prices = layout.values
+    values = [_floats(columns[volume]), *_memo_floats([columns[k] for k in prices])]
+    # a blank record has a blank time field
+    times, position = keys[0]
+    spaces = [k for k, s in enumerate(times) if not s.strip()]
+    blank = []
+    if spaces:
+        blank = [k for k in np.flatnonzero(np.isin(position, spaces)).tolist()
+                 if not any(f.strip() for f in record(k))]
+    return _Parsed(keys, values, blank)
+
+
+def _blocks(fh) -> Iterator[tuple[str, int]]:
+    """fh's text from its position in blocks of whole lines, as (rest,
+    cut) pairs: rest is the text read and not in an earlier block, and
+    rest[:cut] the block, cut after its last line feed or at the end of
+    the file. A block that holds no line feed has cut 0."""
+    tail = ""
+    while True:
+        chunk = fh.read(_BLOCK_CHARS)
+        rest = tail + chunk
+        if not rest:
+            return
+        cut = rest.rfind("\n") + 1 if chunk else len(rest)
+        yield rest, cut
+        tail = rest[cut:]
+
+
+class _Input:
+    """One input file, open past its header row, and its text blocks,
+    numbered from 0. Both the loader and its helper open each file."""
+
+    def __init__(self, number: int, path: Path, schema: Mapping[str, str]):
+        self.number = number
+        self.source = str(path)
+        self.fh = open(path, newline="")
+        try:
+            try:
+                header = next(csv.reader(self.fh))
+            except StopIteration:
+                raise DataError(f"{path}: empty file (header row required)") from None
+            self.layout = _Layout.from_header(path, header, schema)
+        except BaseException:
+            self.fh.close()
+            raise
+        self.fields = len(header)
+        self.blocks = enumerate(_blocks(self.fh))
+        self.done = False  # no more blocks are read from fh
+
+    def parse(self, rest: str, cut: int) -> _Parsed | None:
+        """The block rest[:cut], or None if csv.reader must read it."""
+        columns = _split_block(rest[:cut], self.fields)
+        if columns is None:
+            return None
+        return _parse_columns(columns, self.layout, lambda k: [c[k] for c in columns])
+
+
+_PENDING = object()  # the parse of a block the helper was asked for
+
+
+@dataclass(eq=False)
+class _Block:
+    input: _Input
+    number: int
+    rest: str
+    cut: int
+    parsed: object = _PENDING  # _Parsed, or None for the csv path
+
+    def record(self, k: int) -> list[str]:
+        """The fields of record k, from the text split again (only a
+        strict-mode error needs them)."""
+        return [c[k] for c in _split_block(self.rest[:self.cut], self.input.fields)]
+
+
+def _read_exact(fd: int, n: int) -> bytearray:
+    data = bytearray()
+    while len(data) < n:
+        chunk = os.read(fd, n - len(data))
+        if not chunk:
+            raise EOFError
+        data += chunk
+    return data
+
+
+def _send(fd: int, obj) -> None:
+    """Write obj to a pipe, pickled after its length."""
+    data = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
+    view = memoryview(len(data).to_bytes(8, "little") + data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _receive(fd: int):
+    """The next object _send wrote to the pipe; EOFError once it is closed."""
+    return pickle.loads(_read_exact(fd, int.from_bytes(_read_exact(fd, 8), "little")))
+
+
+def _serve(paths: Sequence[Path], schema: Mapping[str, str], requests: int,
+           answers: int) -> None:
+    """The helper's loop: answer each (file number, block number) request,
+    which come in file order, with Input.parse of that block, until the
+    request pipe closes."""
+    inp = None
+    try:
+        while True:
+            try:
+                number, wanted = _receive(requests)
+            except EOFError:
+                return
+            if inp is None or inp.number != number:
+                if inp is not None:
+                    inp.fh.close()
+                inp = _Input(number, paths[number], schema)
+            for k, (rest, cut) in inp.blocks:
+                if k == wanted:
+                    break
+            else:
+                return  # the file is shorter than the loader's: it parses the block itself
+            _send(answers, inp.parse(rest, cut))
+    finally:
+        if inp is not None:
+            inp.fh.close()
+
+
+class _Helper:
+    """A forked process that parses the blocks the loader asks it for.
+
+    It opens the input files and cuts them into blocks itself: a forked
+    child shares the file offsets of the parent's open files, and the
+    loader's requests are a few bytes, so no pipe fills with text. Its
+    answers are pickled _Parsed arrays. It exits when its request pipe
+    closes, or when it writes an answer that no one will read.
+    """
+
+    def __init__(self, paths: Sequence[Path], schema: Mapping[str, str]):
+        requests, self.requests = os.pipe()
+        self.answers, answers = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            for fd in (requests, self.requests, self.answers, answers):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            code = 1
+            try:
+                os.close(self.requests)
+                os.close(self.answers)
+                _serve(paths, schema, requests, answers)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(requests)
+        os.close(answers)
+        self.asked: deque[_Block] = deque()  # not yet answered, oldest first
+        self.alive = True
+        self.poll = select.poll()
+        self.poll.register(self.answers, select.POLLIN)
+
+    @staticmethod
+    def start(paths: Sequence[Path], schema: Mapping[str, str]) -> "_Helper | None":
+        """A helper for these inputs, or None where it would not pay: no
+        fork, one CPU, under _HELPER_MIN_BYTES of input, or no process
+        to spare."""
+        if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+                and len(os.sched_getaffinity(0)) >= 2):
+            return None
+        try:
+            if sum(p.stat().st_size for p in paths) < _HELPER_MIN_BYTES:
+                return None
+            return _Helper(paths, schema)
+        except OSError:
+            return None
+
+    def ask(self, block: _Block) -> None:
+        try:
+            _send(self.requests, (block.input.number, block.number))
+        except BrokenPipeError:
+            self.alive = False
+            return
+        self.asked.append(block)
+
+    def ready(self) -> bool:
+        """Whether the oldest answer, or the helper's exit, can be read."""
+        return bool(self.poll.poll(0))
+
+    def answer(self, block: _Block):
+        """The helper's parse of block, dropping the answers to blocks
+        asked for before it; _PENDING if the helper has exited."""
+        while self.asked:
+            asked = self.asked.popleft()
+            try:
+                parsed = _receive(self.answers)
+            except EOFError:
+                self.alive = False
+                break
+            if asked is block:
+                return parsed
+        return _PENDING
+
+    def stop(self) -> None:
+        """Ask for no more blocks: the helper exits after its last answer."""
+        if self.requests is not None:
+            os.close(self.requests)
+            self.requests = None
+
+    def close(self) -> None:
+        """Stop and reap the helper: it sees its request pipe close, or
+        its next answer fail."""
+        self.stop()
+        os.close(self.answers)
+        os.waitpid(self.pid, 0)
+
+
+class _BlockReader:
+    """The text blocks of the input files in file order, each parsed.
+
+    Above _HELPER_MIN_BYTES a _Helper parses a share of the blocks: the
+    reader keeps it asked for the next _HELPER_DEPTH blocks, and while the
+    answer for the oldest block is not back it parses up to _READ_AHEAD
+    later blocks itself. Every block is still handed out in file order.
+    A file is opened when its first block is read, and an error opening
+    or reading it is raised once the blocks before it are handed out.
+    """
+
+    def __init__(self, paths: Sequence[Path], schema: Mapping[str, str]):
+        self.paths = iter(enumerate(paths))
+        self.schema = schema
+        self.inputs: deque[_Input] = deque()  # open, oldest first
+        self.queue: deque[_Block] = deque()   # read, not yet handed out
+        self.failed: Exception | None = None
+        self.helper = _Helper.start(paths, schema)
+
+    def __enter__(self) -> "_BlockReader":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        try:
+            for inp in self.inputs:
+                inp.fh.close()
+        finally:
+            if self.helper is not None:
+                self.helper.close()
+
+    def _read(self) -> _Block | None:
+        """The next block of the input files; None after the last, or
+        from a file that could not be opened or read."""
+        while self.failed is None:
+            inp = self.inputs[-1] if self.inputs else None
+            try:
+                if inp is not None and not inp.done:
+                    block = next(inp.blocks, None)
+                    if block is not None:
+                        number, (rest, cut) = block
+                        return _Block(inp, number, rest, cut)
+                    inp.done = True
+                    continue
+                number, path = next(self.paths, (None, None))
+                if path is None:
+                    break
+                self.inputs.append(_Input(number, path, self.schema))
+            except (DataError, OSError, ValueError, csv.Error) as exc:
+                self.failed = exc  # raised in its turn
+        if self.helper is not None:
+            self.helper.stop()  # so that it exits while the last blocks are applied
+        return None
+
+    def __iter__(self) -> Iterator[_Block]:
+        helper = self.helper
+        while True:
+            while (helper is not None and helper.alive
+                   and len(helper.asked) < _HELPER_DEPTH and (block := self._read())):
+                helper.ask(block)
+                self.queue.append(block)
+            head = self.queue[0] if self.queue else None
+            if head is None or (head.parsed is _PENDING and len(self.queue) < _READ_AHEAD
+                                and not helper.ready()):
+                block = self._read()
+                if block is not None:
+                    block.parsed = block.input.parse(block.rest, block.cut)
+                    self.queue.append(block)
+                    continue
+                if head is None:
+                    if self.failed is not None:
+                        raise self.failed
+                    return
+            self.queue.popleft()
+            if head.parsed is _PENDING:
+                head.parsed = helper.answer(head)
+            if head.parsed is _PENDING:  # the helper has exited
+                head.parsed = head.input.parse(head.rest, head.cut)
+            while self.inputs[0] is not head.input:
+                self.inputs.popleft().fh.close()
+            yield head
+
+    def rest_of(self, block: _Block) -> str:
+        """The text of block's file from block on that has been read, the
+        rest being in block.input.fh; no more blocks of it are read, and
+        those read already are dropped."""
+        block.input.done = True
+        last = block
+        text = []
+        while self.queue and self.queue[0].input is block.input:
+            text.append(last.rest[:last.cut])
+            last = self.queue.popleft()
+        return "".join(text) + last.rest
+
+
 class _ColumnLoader:
     """A load's kept rows, scattered block by block into a panel's slabs.
 
-    Each file is read in text blocks of whole lines. A block of plain
-    records (see _split_block) is split into columns with str.split; the
-    first block that is not, and the rest of its file, go through
-    csv.reader instead. Tickers and days are interned to integer codes in
-    first-seen order, each distinct time, date and ticker string is parsed
-    once, and each distinct price string once per block. Skip reasons,
-    line numbers (record index + 2) and error precedence follow the
-    row-at-a-time MinuteBar rules: time first, then session range, then
-    every other field; a repeated cell raises in the block where it occurs.
+    Each file is read in text blocks of whole lines (see _BlockReader). A
+    block of plain records (see _split_block) is split into columns with
+    str.split; the first block that is not, and the rest of its file, go
+    through csv.reader instead. Tickers and days are interned to integer
+    codes in first-seen order, each distinct time, date and ticker string
+    is parsed once, and each distinct price string once per block. Skip
+    reasons, line numbers (record index + 2) and error precedence follow
+    the row-at-a-time MinuteBar rules: time first, then session range,
+    then every other field; a repeated cell raises in the block where it
+    occurs.
     """
 
     def __init__(self, time_format: str, strict: bool):
@@ -478,40 +845,27 @@ class _ColumnLoader:
             return -1
         return self.days.setdefault(day, len(self.days))
 
-    def load_file(self, p: Path, schema: Mapping[str, str]) -> None:
-        source = str(p)
-        self.report.files.append(source)
-        with open(p, newline="") as fh:
-            try:
-                header = next(csv.reader(fh))
-            except StopIteration:
-                raise DataError(f"{p}: empty file (header row required)") from None
-            layout = _Layout.from_header(p, header, schema)
-            start = 0
-            tail = ""
-            while True:
-                chunk = fh.read(_BLOCK_CHARS)
-                rest = tail + chunk
-                cut = rest.rfind("\n") + 1 if chunk else len(rest)
-                if not cut:
-                    break
-                columns = _split_block(rest[:cut], len(header))
-                if columns is None:
-                    break
-                tail = rest[cut:]
-                self._load_block(source, start, columns, None, layout)
-                start += len(columns[0])
-            if rest:
-                reader = csv.reader(_csv_lines(rest, fh))
-                while rows := list(islice(reader, _BLOCK_ROWS)):
-                    self._load_rows(source, start, rows, layout)
+    def load(self, paths: Sequence[Path], schema: Mapping[str, str]) -> None:
+        self.report.files = [str(p) for p in paths]
+        with _BlockReader(paths, schema) as reader:
+            current, start = None, 0
+            for block in reader:
+                inp = block.input
+                if inp is not current:
+                    current, start = inp, 0
+                if block.parsed is not None:
+                    self._load_block(inp, start, block.parsed, None, block.record)
+                    start += len(block.parsed.values[0])
+                    continue
+                records = csv.reader(_csv_lines(reader.rest_of(block), inp.fh))
+                while rows := list(islice(records, _BLOCK_ROWS)):
+                    self._load_rows(inp, start, rows)
                     start += len(rows)
 
-    def _load_rows(self, source: str, start: int, rows: list[list[str]],
-                   layout: _Layout) -> None:
+    def _load_rows(self, inp: _Input, start: int, rows: list[list[str]]) -> None:
         """_load_block of csv.reader records, which may be short."""
         n = len(rows)
-        width = layout.width
+        width = inp.layout.width
         lens = list(map(len, rows))
         short = None
         padded = rows
@@ -519,25 +873,23 @@ class _ColumnLoader:
             # pad so that zip keeps every row; a short row is never kept
             short = np.fromiter(map(width.__gt__, lens), bool, n)
             padded = [r + [""] * (width - k) if k < width else r for r, k in zip(rows, lens)]
-        self._load_block(source, start, list(zip(*padded)), short, layout, rows)
+        parsed = _parse_columns(list(zip(*padded)), inp.layout, rows.__getitem__)
+        self._load_block(inp, start, parsed, short, rows.__getitem__)
 
-    def _load_block(self, source: str, start: int, columns: Sequence[Sequence[str]],
-                    short: np.ndarray | None, layout: _Layout,
-                    rows: list[list[str]] | None = None) -> None:
-        """Check and keep the records of a block, given as columns (and
-        as `rows` when a record may be shorter than the layout)."""
-        n = len(columns[0])
-        minute = np.fromiter(map(self.minute_codes.__getitem__, columns[layout.time]),
-                             np.int16, n)
-        day = np.fromiter(map(self.day_codes.__getitem__, columns[layout.date]), np.int32, n)
-        if layout.ticker is None:
+    def _load_block(self, inp: _Input, start: int, parsed: _Parsed,
+                    short: np.ndarray | None, record: Callable[[int], list[str]]) -> None:
+        """Check and keep the records of a block, whose record k has the
+        fields record(k)."""
+        source, layout, values = inp.source, inp.layout, parsed.values
+        n = len(values[0])
+        times, days, *tickers = parsed.keys
+        minute = _codes(self.minute_codes, times, np.int16)
+        day = _codes(self.day_codes, days, np.int32)
+        if tickers:
+            ticker = _codes(self.ticker_codes, tickers[0], np.int32)
+        else:
             code = self.tickers.setdefault(layout.file_ticker, len(self.tickers))
             ticker = np.full(n, code, dtype=np.int32)
-        else:
-            ticker = np.fromiter(map(self.ticker_codes.__getitem__, columns[layout.ticker]),
-                                 np.int32, n)
-        volume, *prices = layout.values
-        values = [_floats(columns[volume]), *_memo_floats([columns[k] for k in prices])]
         ok = (minute >= 0) & (day >= 0) & _valid_values(*values)
         if short is not None:
             ok &= ~short
@@ -546,15 +898,9 @@ class _ColumnLoader:
             self.report.n_rows += n
             self._keep(*block, None)
             return
-
-        def record(k: int) -> list[str]:
-            return rows[k] if rows is not None else [c[k] for c in columns]
-
-        bad = np.flatnonzero(~ok)
-        blank = {k for k in bad[minute[bad] == _BAD_TIME].tolist()
-                 if not any(c.strip() for c in record(k))}
+        blank = set(parsed.blank)
         self.report.n_rows += n - len(blank)
-        for k in bad.tolist():
+        for k in np.flatnonzero(~ok).tolist():
             if k in blank:
                 continue
             line = start + k + 2
@@ -592,6 +938,12 @@ class _ColumnLoader:
         return self.slabs.panel(list(self.tickers), list(self.days))
 
 
+def _codes(memo: _Memo, keys: tuple[list[str], np.ndarray], dtype) -> np.ndarray:
+    """The memo's code of each entry of a _distinct column."""
+    distinct, position = keys
+    return np.fromiter(map(memo.__getitem__, distinct), dtype, len(distinct))[position]
+
+
 def load_minute_bars(
     path,
     schema: Mapping[str, str] | None = None,
@@ -606,6 +958,8 @@ def load_minute_bars(
     Malformed rows are skipped and reported (or raised when strict);
     rows outside the 09:30-16:00 session are always skipped and counted.
     A repeated (ticker, date, minute) cell rejects the whole load.
+    Inputs over _HELPER_MIN_BYTES are parsed on two processes, with the
+    same result.
     """
     schema = dict(DEFAULT_SCHEMA, **(schema or {}))
     if isinstance(path, (list, tuple)):
@@ -613,8 +967,7 @@ def load_minute_bars(
     else:
         paths = _csv_paths(path)
     loader = _ColumnLoader(time_format, strict)
-    for p in paths:
-        loader.load_file(p, schema)
+    loader.load(paths, schema)
     return loader.panel(), loader.report
 
 

@@ -17,6 +17,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import shutil
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -501,7 +502,8 @@ class ReportBundle:
         empty directory or one `_is_bundle` accepts is replaced; the
         working directory, or one that holds it, never is. A run killed
         between the two renames leaves the previous bundle in the hidden
-        sibling `.NAME.<pid>.old`."""
+        sibling `.NAME.<pid>.old`, which a later write removes (see
+        _remove_stale_siblings)."""
         out_dir = Path(out_dir).resolve()
         if Path.cwd().resolve().is_relative_to(out_dir):
             raise DataError(f"{out_dir} holds the working directory; not replacing it")
@@ -517,10 +519,9 @@ class ReportBundle:
                       for rel, data in sorted(files.items())},
         })
         out_dir.parent.mkdir(parents=True, exist_ok=True)
+        _remove_stale_siblings(out_dir)
         staging, aside = (out_dir.with_name(f".{out_dir.name}.{os.getpid()}.{end}")
                           for end in ("new", "old"))
-        for leftover in (staging, aside):  # of a killed run that had this pid
-            shutil.rmtree(leftover, ignore_errors=True)
         try:
             staging.mkdir()
             for rel, data in files.items():
@@ -539,6 +540,36 @@ class ReportBundle:
             shutil.rmtree(staging, ignore_errors=True)
         shutil.rmtree(aside, ignore_errors=True)
         return out_dir
+
+
+def _remove_stale_siblings(out_dir: Path) -> None:
+    """Remove the `.NAME.<pid>.new` and `.NAME.<pid>.old` directories
+    beside out_dir that writes killed between their renames left behind:
+    those of a pid that no running process has, or that is this
+    process's (so an earlier process's). A `.old` directory holds the
+    bundle that was set aside, and is removed only if it is empty or
+    `_is_bundle` accepts it."""
+    name = re.compile(rf"\.{re.escape(out_dir.name)}\.(\d+)\.(new|old)")
+    for sibling in out_dir.parent.iterdir():
+        match = name.fullmatch(sibling.name)
+        if (match is None or sibling.is_symlink() or not sibling.is_dir()
+                or _running(int(match[1]))):
+            continue
+        if match[2] == "new" or not any(sibling.iterdir()) or _is_bundle(sibling):
+            shutil.rmtree(sibling, ignore_errors=True)
+
+
+def _running(pid: int) -> bool:
+    """Whether a process other than this one has this pid."""
+    if pid == os.getpid():
+        return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except (PermissionError, OverflowError):
+        pass  # another user's process, or no pid at all: keep its files
+    return True
 
 
 def _is_bundle(directory: Path) -> bool:

@@ -6,6 +6,7 @@ so each test controls exactly which cells are present.
 from __future__ import annotations
 
 import datetime as dt
+import os
 
 import numpy as np
 import pytest
@@ -76,3 +77,15 @@ def small_panel():
 @pytest.fixture
 def small_index(small_panel):
     return contiguous_semesters(small_panel, 4)  # two semesters of 4 days
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process unreaped, such as a loader
+    helper that outlived load_minute_bars."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"a child process ({pid or 'still running'}) was left unreaped")

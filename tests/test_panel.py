@@ -4,6 +4,9 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import io
+import os
+import subprocess
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -763,3 +766,158 @@ def _assert_loaded(panel, report, bars, n_rows, skipped):
         assert [getattr(panel, name)[cell] for name in
                 ("volume", "open", "high", "low", "close")] == \
             [bar.volume, bar.open, bar.high, bar.low, bar.close]
+
+
+# --- parsing on two processes --------------------------------------------
+
+_HELPER_RUNS = (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+                and len(os.sched_getaffinity(0)) >= 2)
+needs_helper = pytest.mark.skipif(not _HELPER_RUNS,
+                                  reason="the helper needs fork and a second CPU")
+
+
+def _serial_and_helped(paths, **kwargs):
+    """The outcome of loading paths on one process, the outcome through
+    the helper whatever the input size, and the number of blocks the
+    helper's answers gave."""
+    with mock.patch.object(panel_mod, "_HELPER_MIN_BYTES", 2 ** 62):
+        serial = _outcome(load_minute_bars, paths, **kwargs)
+    answered = []
+    real_answer = panel_mod._Helper.answer
+
+    def answer(helper, block):
+        parsed = real_answer(helper, block)
+        answered.append(parsed is not panel_mod._PENDING)
+        return parsed
+
+    with mock.patch.object(panel_mod, "_HELPER_MIN_BYTES", 0), \
+            mock.patch.object(panel_mod._Helper, "answer", answer):
+        helped = _outcome(load_minute_bars, paths, **kwargs)
+    return serial, helped, sum(answered)
+
+
+def _assert_bit_equal(serial, helped):
+    """The same error, or the same LoadReport and panel bit for bit."""
+    if serial[0] != "ok" or helped[0] != "ok":
+        assert helped == serial
+        return
+    (want, want_report), (got, got_report) = serial[1], helped[1]
+    assert got_report == want_report
+    assert (got.companies, got.days) == (want.companies, want.days)
+    for name in ("volume", "open", "high", "low", "close"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+def _rows(ticker, day, minutes, end="\r\n"):
+    return "".join(f"{ticker},{day},{t},{t + 1},10.5,11.25,10,10.75{end}" for t in minutes)
+
+
+@needs_helper
+class TestHelper:
+    @given(_csv_files(), st.one_of(st.integers(1, 80), st.just(100_000)))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_serial_load(self, tmp_path_factory, drawn, block_chars):
+        files, _ = drawn
+        root = tmp_path_factory.mktemp("helper")
+        paths = []
+        for stem, text in files:
+            paths.append(root / f"{stem}.csv")
+            paths[-1].write_bytes(text.encode())
+        with mock.patch.object(panel_mod, "_BLOCK_CHARS", block_chars):
+            for strict in (False, True):
+                serial, helped, _ = _serial_and_helped(paths, strict=strict)
+                _assert_bit_equal(serial, helped)
+
+    def test_files_with_a_csv_tail_and_skipped_rows(self, tmp_path):
+        day, later = "2004-01-05", "2004-01-06"
+        b_rows = _rows("B", day, range(391)).splitlines(keepends=True)
+        b_rows[300] = b_rows[300].replace("B,", '"B",', 1)  # the csv path from here
+        b_rows[350] = b_rows[350].replace(",10,", ",12,", 1)  # low above open
+        b_rows[20] = b_rows[20].replace(",10,", ",12,", 1)
+        files = {
+            "a.csv": HEADER + _rows("A", day, range(391)) + "A,2004-01-05,391,1,1,1,1,1\r\n",
+            "b.csv": HEADER + "".join(b_rows) + _rows("B", later, range(391)),
+            "c.csv": HEADER,
+            "d.csv": HEADER + _rows("C", day, range(200), "\n") + " , ,,,,,, \n"
+            + "C,2004-01-05,junk,1,1,1,1,1\n" + _rows("C", later, range(391), "\n"),
+        }
+        paths = []
+        for name, text in files.items():
+            paths.append(tmp_path / name)
+            paths[-1].write_bytes(text.encode())
+        with mock.patch.object(panel_mod, "_BLOCK_CHARS", 2_000):
+            serial, helped, answered = _serial_and_helped(paths)
+            assert serial[0] == "ok"
+            _assert_bit_equal(serial, helped)
+            assert answered >= 2  # the first two blocks are always the helper's
+            report = helped[1][1]
+            assert [(s.line, s.reason) for s in report.skipped] == [
+                (393, "out-of-session"), (22, "malformed"), (352, "malformed"),
+                (203, "malformed")]
+            assert report.n_rows == 391 * 4 + 200 + 2  # not the blank record
+            serial, helped, _ = _serial_and_helped(paths, strict=True)
+            assert serial == (MalformedRow, f"{paths[1]}:22: OHLC ordering violated: "
+                                            "(10.5, 11.25, 12.0, 10.75)")
+            _assert_bit_equal(serial, helped)
+
+    def test_errors_raised_with_blocks_in_flight(self, tmp_path):
+        rows = _rows("A", "2004-01-05", range(391)).splitlines(keepends=True)
+        malformed = tmp_path / "malformed.csv"
+        malformed.write_text(HEADER + "".join(rows[:40]) + rows[40].replace(",10,", ",12,")
+                             + "".join(rows[41:]))
+        duplicate = tmp_path / "duplicate.csv"
+        duplicate.write_text(HEADER + "".join(rows[:40]) + rows[5] + "".join(rows[40:]))
+        with mock.patch.object(panel_mod, "_BLOCK_CHARS", 500):
+            for paths, strict, error in (([malformed], True, MalformedRow),
+                                         ([duplicate, malformed], False, DuplicateCell)):
+                serial, helped, answered = _serial_and_helped(paths, strict=strict)
+                assert serial[0] is error
+                _assert_bit_equal(serial, helped)
+                assert answered >= 1
+
+    def test_helper_cuts_blocks_of_the_patched_size(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text(HEADER + _rows("A", "2004-01-05", range(391), "\n"))
+        # the helper is asked for blocks 0 and 1 first; one that cut
+        # 100,000-character blocks would answer block 0 with the whole
+        # file, and have no block 1
+        with mock.patch.object(panel_mod, "_BLOCK_CHARS", 1_500):
+            serial, helped, answered = _serial_and_helped([path])
+        _assert_bit_equal(serial, helped)
+        assert answered >= 2
+
+    def test_no_file_left_open_in_either_process(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text(HEADER + _rows("A", "2004-01-05", range(391), "\n"))
+        code = ("import sys\nfrom intradayvol import panel\n"
+                "panel._HELPER_MIN_BYTES, panel._BLOCK_CHARS = 0, 1_000\n"
+                "panel.load_minute_bars(sys.argv[1])\n")
+        done = subprocess.run([sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+                               "-c", code, str(path)], capture_output=True, text=True,
+                              timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert "ResourceWarning" not in done.stderr
+
+    def test_no_helper_below_the_size_threshold(self, tmp_path):
+        path = _write(tmp_path / "a.csv", HEADER + _rows("A", "2004-01-05", range(10)))
+        with mock.patch.object(panel_mod._Helper, "__init__",
+                               side_effect=AssertionError("forked")):
+            load_minute_bars(path)
+
+
+@pytest.mark.parametrize("text", [
+    "A,1,2\r\nB,3,4\r\n", "A,1,2\nB,3,4\n", "A,1,2\r\nB,3,4\n", "A,1,2\nB,3,4",
+    "A,1,2\r\nB,3,4",
+])
+def test_split_block_line_ends(text):
+    assert panel_mod._split_block(text, 3) == [["A", "B"], ["1", "3"], ["2", "4"]]
+
+
+@pytest.mark.parametrize("text", [
+    "A,1,2\rB,3,4\r\n",      # a lone CR
+    "A,1,2\r\n\r\nB,3,4\r\n",  # a blank line
+    "A,1,2\r\nB,3\r\n",      # a short record
+    "A,1,2\r\nB,3,4,5\r\n",  # a long one
+])
+def test_split_block_declines(text):
+    assert panel_mod._split_block(text, 3) is None

@@ -5,6 +5,8 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import shutil
 import threading
 from pathlib import Path
 from unittest import mock
@@ -480,6 +482,28 @@ class TestBundleDirectory:
             with pytest.raises(DataError, match="holds the working directory"):
                 report[0].write(out)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "sub"]
+
+    def test_write_removes_what_killed_writes_left(self, tmp_path, report):
+        bundle, _ = report
+        dead = []
+        for _ in range(2):
+            pid = os.fork()
+            if pid == 0:
+                os._exit(0)
+            os.waitpid(pid, 0)  # reaped: no process has this pid now
+            dead.append(pid)
+        live = os.getppid()
+        old = bundle.write(tmp_path / "previous")
+        for pid in (dead[0], live):
+            shutil.copytree(old, tmp_path / f".report.{pid}.old")
+            (tmp_path / f".report.{pid}.new" / "figures").mkdir(parents=True)
+        shutil.copytree(old, tmp_path / f".report.{dead[1]}.old")
+        (tmp_path / f".report.{dead[1]}.old" / "notes.txt").write_text("mine\n")
+        (tmp_path / f".other.{dead[0]}.new").mkdir()
+        bundle.write(tmp_path / "report")
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([
+            "previous", "report", f".report.{live}.old", f".report.{live}.new",
+            f".report.{dead[1]}.old", f".other.{dead[0]}.new"])
 
     def test_figure_must_match_its_manifest_hash(self, tmp_path, report):
         out = report[0].write(tmp_path / "report")
