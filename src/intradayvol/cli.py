@@ -7,7 +7,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime as dt
-import json
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -28,14 +27,13 @@ from .pipeline import (
     PipelineConfig,
     Stages,
     dump_json,
-    kurtosis_curve_csv,
-    kurtosis_tail_csv,
     load_figure_csv,
     load_panel,
     metrics_csv,
     prepare_panel,
+    read_json,
     run_pipeline,
-    variance_ratio_csv,
+    xsection_files,
 )
 from .stats_tests import mww_test, welch_test
 from .synth import GeneratorSpec, IntensitySpec, NoiseSpec, generate_panel
@@ -116,11 +114,14 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_profile(args) -> int:
+    try:
+        day = dt.date.fromisoformat(args.day) if args.day else None
+    except ValueError:
+        raise DataError(f"--day {args.day!r} is not an ISO date (YYYY-MM-DD)") from None
     with _stages(args) as st:
         panel, index = st.prep.panel, st.prep.index
         lk = st.config.literal_kurtosis
-        if args.day:
-            day = dt.date.fromisoformat(args.day)
+        if day:
             s = args.semester if args.semester else index.semester_of(day)
             prof = cumulants_over_companies(panel, index, day, s, literal_kurtosis=lk)
             name = f"profile_s{s:02d}_day_{day.isoformat()}.csv"
@@ -161,15 +162,15 @@ def _semester_fit(args, name: str):
 def _cmd_fit(args) -> int:
     if args.model == "kurtosis":
         morning, afternoon = _semester_fit(args, "kurtosis_relaxation")
-        _print_json({"morning": morning.to_json(), "afternoon": afternoon.to_json()})
+        _print_json({"morning": morning, "afternoon": afternoon})
     else:
-        _print_json(_semester_fit(args, args.model).to_json())
+        _print_json(_semester_fit(args, args.model))
     return 0
 
 
 def _cmd_shapes(args) -> int:
     fit = _semester_fit(args, "quartic")
-    _print_json({"quartic": fit.to_json(), "shapes": shape_functionals(fit).to_json()})
+    _print_json({"quartic": fit, "shapes": shape_functionals(fit)})
     return 0
 
 
@@ -185,7 +186,10 @@ def _cmd_metrics(args) -> int:
 
 def _parse_samples(text: str) -> list[float]:
     if text.startswith("@"):
-        raw = Path(text[1:]).read_text()
+        try:
+            raw = Path(text[1:]).read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise DataError(f"sample file {text[1:]} is not readable: {exc}") from None
         parts = raw.replace(",", " ").split()
     else:
         parts = [p for p in text.split(",") if p.strip()]
@@ -196,13 +200,15 @@ def _parse_samples(text: str) -> list[float]:
 
 
 def _cmd_tests(args) -> int:
+    if not 0.0 < args.confidence < 1.0:
+        raise DataError("--confidence must be in (0, 1)")
     a = _parse_samples(args.sample_1)
     b = _parse_samples(args.sample_2)
     doc = {}
     if args.test in ("welch", "both"):
-        doc["welch"] = welch_test(a, b, args.confidence, tails=args.tails).to_json()
+        doc["welch"] = welch_test(a, b, args.confidence, tails=args.tails)
     if args.test in ("mww", "both"):
-        doc["mww"] = mww_test(a, b, args.confidence, tails=args.tails).to_json()
+        doc["mww"] = mww_test(a, b, args.confidence, tails=args.tails)
     _print_json(doc)
     return 0
 
@@ -215,18 +221,15 @@ def _cmd_xsection(args) -> int:
     out = _out_dir(args)
     for s, prof in sorted(day_mean.items()):
         (out / f"s{s:02d}_day_mean.csv").write_bytes(profile_csv_bytes(prof))
-    (out / "variance_ratio.csv").write_bytes(variance_ratio_csv(var_ratio).encode())
-    (out / "kurtosis_tail.csv").write_bytes(kurtosis_tail_csv(kurt_tail).encode())
-    if kurt_curve is not None:
-        (out / "kurtosis_curve.csv").write_bytes(kurtosis_curve_csv(kurt_curve).encode())
+    for name, data in xsection_files(var_ratio, kurt_tail, kurt_curve).items():
+        (out / name).write_bytes(data)
     print(f"{len(day_mean)} semesters -> {out}")
     return 0
 
 
 def _cmd_synth(args) -> int:
     if args.spec:
-        with open(args.spec) as fh:
-            doc = json.load(fh)
+        doc = read_json(args.spec, "spec file")
         intensity = IntensitySpec(**doc.get("intensity", {}))
         noise = NoiseSpec(**doc.get("noise", {}))
         overrides = {int(k): IntensitySpec(**v)

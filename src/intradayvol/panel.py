@@ -168,29 +168,6 @@ class MinutePanel:
         """Boolean mask of present cells."""
         return np.isfinite(self.volume)
 
-    @staticmethod
-    def from_bars(bars: Iterable[MinuteBar]) -> "MinutePanel":
-        """Panel holding each bar in its cell; a repeated cell raises
-        DuplicateCell."""
-        bars = list(bars)
-        n = len(bars)
-        tickers: dict[str, int] = {}
-        days: dict[dt.date, int] = {}
-        t_code = np.fromiter((tickers.setdefault(b.ticker, len(tickers)) for b in bars),
-                             np.int64, n)
-        d_code = np.fromiter((days.setdefault(b.date, len(days)) for b in bars), np.int64, n)
-        minute = np.fromiter((b.minute for b in bars), np.int64, n)
-        values = [np.fromiter((getattr(b, name) for b in bars), float, n)
-                  for name in _VALUE_FIELDS]
-
-        def duplicate(k: int) -> str:
-            b = bars[k]
-            return f"duplicate cell ({b.ticker}, {b.date.isoformat()}, minute {b.minute})"
-
-        slabs = _Slabs()
-        slabs.add(t_code, d_code, minute, values, duplicate)
-        return slabs.panel(list(tickers), list(days))
-
 
 _VALUE_FIELDS = ("volume", "open", "high", "low", "close")
 

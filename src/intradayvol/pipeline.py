@@ -78,7 +78,8 @@ def _fmt(x) -> str:
 
 
 def _jsonify(obj):
-    """Recursively make an object JSON-clean; non-finite floats -> None."""
+    """Recursively make an object JSON-clean: non-finite floats -> None,
+    and an object with a to_json method -> its to_json()."""
     if isinstance(obj, dict):
         return {str(k): _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -90,12 +91,28 @@ def _jsonify(obj):
         return int(obj)
     if isinstance(obj, np.ndarray):
         return [_jsonify(v) for v in obj.tolist()]
+    if hasattr(obj, "to_json"):
+        return _jsonify(obj.to_json())
     return obj
 
 
 def dump_json(obj) -> bytes:
     """The bundle's JSON encoding: sorted keys, indent 2, NaN as null."""
     return (json.dumps(_jsonify(obj), indent=2, sort_keys=True) + "\n").encode()
+
+
+def read_json(path, what: str):
+    """The JSON document in the file at path; DataError, naming the file as
+    `what`, when it is missing, unreadable or not JSON."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise DataError(f"{what} {path} not found") from None
+    except OSError as exc:
+        raise DataError(f"{what} {path} is not readable: {exc.strerror}") from None
+    except ValueError as exc:
+        raise DataError(f"{what} {path} is not valid JSON: {exc}") from None
 
 
 def _csv_text(header: list[str], rows) -> str:
@@ -116,6 +133,48 @@ def _minute_csv(header: list[str], blocks) -> str:
         parts.append("".join(map(row.__mod__, zip(range(SESSION_MINUTES),
                                                   *(c.tolist() for c in columns)))))
     return "".join(parts)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
+def _is_iso_date(value) -> bool:
+    try:
+        dt.date.fromisoformat(value)
+    except (TypeError, ValueError):
+        return False
+    return True
+
+
+def _is_list_of(check, length=None):
+    return lambda v: (isinstance(v, list) and all(map(check, v))
+                      and (length is None or len(v) == length))
+
+
+#: a PipelineConfig field's annotation -> (check of a JSON value for the
+#: field, what that value must be)
+_JSON_TYPES = {
+    "str": (_is_str, "a string"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "int": (_is_int, "an integer"),
+    "float": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    "list[str]": (_is_list_of(_is_str), "a list of strings"),
+    "list[int]": (_is_list_of(_is_int), "a list of integers"),
+    "tuple[int, int]": (_is_list_of(_is_int, 2), "a [first, last] pair of minutes"),
+    "dict[str, str]": (lambda v: isinstance(v, dict) and all(map(_is_str, v.values())),
+                       "an object of strings"),
+    "dict[int, list[str]]": (lambda v: isinstance(v, dict) and all(
+        _is_str(k) and k.isdecimal() and _is_list_of(_is_str)(x) for k, x in v.items()),
+        "an object of semester numbers -> lists of tickers"),
+    "list[tuple[str, str]] | None": (
+        lambda v: v is None or _is_list_of(_is_list_of(_is_iso_date, 2))(v),
+        "null or a list of [first, last] ISO dates"),
+}
 
 
 @dataclass
@@ -153,10 +212,17 @@ class PipelineConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "PipelineConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(doc) - known
+        """The config a JSON document describes; DataError unless it is an
+        object whose keys are config fields holding values of their type."""
+        if not isinstance(doc, dict):
+            raise DataError(f"a config must be a JSON object, not {type(doc).__name__}")
+        unknown = set(doc) - set(cls.__dataclass_fields__)
         if unknown:
             raise DataError(f"unknown config keys: {sorted(unknown)}")
+        for name, value in doc.items():
+            check, what = _JSON_TYPES[cls.__dataclass_fields__[name].type]
+            if not check(value):
+                raise DataError(f"config field {name} must be {what}, not {value!r}")
         doc = dict(doc)
         for name in WINDOW_FIELDS:
             if name in doc:
@@ -170,14 +236,7 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
-        try:
-            with open(path) as fh:
-                doc = json.load(fh)
-        except FileNotFoundError:
-            raise DataError(f"config file {path} not found") from None
-        except json.JSONDecodeError as exc:
-            raise DataError(f"config file {path} is not valid JSON: {exc}") from None
-        return cls.from_json(doc)
+        return cls.from_json(read_json(path, "config file"))
 
     def to_json(self) -> dict:
         doc = asdict(self)
@@ -202,16 +261,6 @@ class PipelineConfig:
     def config_hash(self) -> str:
         return hashlib.sha256(
             json.dumps(self.analysis_json(), sort_keys=True).encode()).hexdigest()
-
-
-def _fit_or_error(fn, *args, **kwargs):
-    """(result, None), or (None, message) for a per-slice data or numerical
-    failure, which is recorded and not fatal. Any other exception is a bug
-    and propagates."""
-    try:
-        return fn(*args, **kwargs), None
-    except (DataError, NumericalError) as exc:
-        return None, f"{type(exc).__name__}: {exc}"
 
 
 @dataclass(frozen=True)
@@ -267,15 +316,33 @@ TICKER_MEAN_FITS = {
 }
 
 
+def _or_error(value, err: str | None):
+    """An attempt's value, or {"error": message} when it failed."""
+    return {"error": err} if err else value
+
+
 class Stages:
     """The pipeline's stages over one prepared panel. Each stage computes its
-    slices one after another in key order. A slice failing with DataError
-    or NumericalError is logged to `run_log` and skipped."""
+    slices one after another in key order, each through `attempt`."""
 
     def __init__(self, config: PipelineConfig, prep: PreparedPanel):
         self.config = config
         self.prep = prep
         self.run_log: list[str] = []
+
+    def attempt(self, event: str | None, fn, *args, **kwargs):
+        """(fn(*args, **kwargs), None), or (None, "ErrorType: message") when
+        fn raises DataError or NumericalError: a failed slice, which is
+        logged to `run_log` as "event: ErrorType: message" (not at all when
+        event is None) and is not fatal. Any other exception is a bug and
+        propagates."""
+        try:
+            return fn(*args, **kwargs), None
+        except (DataError, NumericalError) as exc:
+            err = f"{type(exc).__name__}: {exc}"
+            if event is not None:
+                self.run_log.append(f"{event}: {err}")
+            return None, err
 
     def day_axis_profiles(self, semesters, tickers=None) -> dict[tuple[int, str], CumulantProfile]:
         """Day-axis profile of every included (semester, ticker) pair, over
@@ -287,11 +354,10 @@ class Stages:
             for ticker in companies:
                 if index.is_excluded(ticker, s):
                     continue
-                result, err = _fit_or_error(cumulants_over_days, panel, index, ticker, s,
-                                            literal_kurtosis=self.config.literal_kurtosis)
-                if err:
-                    self.run_log.append(f"{ticker} s={s} cumulants: {err}")
-                else:
+                result, err = self.attempt(
+                    f"{ticker} s={s} cumulants", cumulants_over_days, panel, index,
+                    ticker, s, literal_kurtosis=self.config.literal_kurtosis)
+                if not err:
                     profiles[(s, ticker)] = result
         return profiles
 
@@ -299,10 +365,7 @@ class Stages:
         """Semester s's day-axis profiles averaged over companies."""
         day_profs = [profiles[(s, t)] for t in self.prep.panel.companies
                      if (s, t) in profiles]
-        agg, err = _fit_or_error(aggregate_ticker_profiles, day_profs, s)
-        if err:
-            self.run_log.append(f"s={s} ticker_mean: {err}")
-        return agg
+        return self.attempt(f"s={s} ticker_mean", aggregate_ticker_profiles, day_profs, s)[0]
 
     def day_mean(self, s: int) -> AggregatedProfile | None:
         """Semester s's per-day cross-sections averaged over days."""
@@ -310,16 +373,12 @@ class Stages:
         cross = []
         for j in semester_day_indices(panel, index, s):
             day = panel.days[j]
-            result, err = _fit_or_error(cumulants_over_companies, panel, index, day, s,
-                                        literal_kurtosis=self.config.literal_kurtosis)
-            if err:
-                self.run_log.append(f"s={s} day={day.isoformat()} cross-section: {err}")
-            else:
+            result, err = self.attempt(
+                f"s={s} day={day.isoformat()} cross-section", cumulants_over_companies,
+                panel, index, day, s, literal_kurtosis=self.config.literal_kurtosis)
+            if not err:
                 cross.append(result)
-        agg, err = _fit_or_error(aggregate_day_profiles, cross, s)
-        if err:
-            self.run_log.append(f"s={s} day_mean: {err}")
-        return agg
+        return self.attempt(f"s={s} day_mean", aggregate_day_profiles, cross, s)[0]
 
     def aggregates(self, semesters, profiles):
         """(ticker_mean, day_mean, variance ratio), each keyed by semester."""
@@ -331,39 +390,29 @@ class Stages:
         return ticker_mean, day_mean, var_ratio
 
     def metrics_rows(self, profiles) -> list[metrics_mod.SemesterMetrics]:
-        """Scalar metrics and shape functionals per profiled pair. A value
-        that fails is NaN; a pair whose every value failed is dropped."""
+        """Scalar metrics and shape functionals per profiled pair, attempted
+        (and logged) in name order. A value that fails is NaN; a pair whose
+        every value failed is dropped."""
         panel, index, config = self.prep.panel, self.prep.index, self.config
+        nan = float("nan")
         rows = []
         for (s, ticker), profile in profiles.items():
-            row: dict[str, float] = {}
-            quartic, err = _fit_or_error(fit_quartic, profile.mean)
-            if err:
-                row["concavity"] = row["symmetry"] = float("nan")
-                row["error_quartic"] = err
-            else:
-                sf = shape_functionals(quartic)
-                row["concavity"], row["symmetry"] = sf.concavity, sf.symmetry
-            for name, fn in (
-                    ("activity", lambda: metrics_mod.activity(panel, index, ticker, s)),
-                    ("volatility", lambda: metrics_mod.garman_klass_volatility(
-                        metrics_mod.daily_ohlc(panel, index, ticker, s))),
-                    ("price_variation", lambda: metrics_mod.semester_return(
-                        *metrics_mod.semester_endpoint_prices(panel, index, ticker, s),
-                        convention=config.return_convention))):
-                value, err = _fit_or_error(fn)
-                row[name] = float("nan") if err else value
-                if err:
-                    row[f"error_{name}"] = err
-            for k, v in sorted(row.items()):
-                if k.startswith("error_"):
-                    self.run_log.append(f"{ticker} s={s} {k[6:]}: {v}")
-            if all(math.isnan(row[k]) for k in
-                   ("activity", "volatility", "price_variation", "concavity", "symmetry")):
-                continue
-            rows.append(metrics_mod.SemesterMetrics(
-                ticker, s, row["activity"], row["volatility"], row["price_variation"],
-                row["concavity"], row["symmetry"]))
+            key = f"{ticker} s={s}"
+            activity, _ = self.attempt(f"{key} activity",
+                                       metrics_mod.activity, panel, index, ticker, s)
+            price_variation, _ = self.attempt(
+                f"{key} price_variation", lambda: metrics_mod.semester_return(
+                    *metrics_mod.semester_endpoint_prices(panel, index, ticker, s),
+                    convention=config.return_convention))
+            quartic, err = self.attempt(f"{key} quartic", fit_quartic, profile.mean)
+            shapes = None if err else shape_functionals(quartic)
+            volatility, _ = self.attempt(
+                f"{key} volatility", lambda: metrics_mod.garman_klass_volatility(
+                    metrics_mod.daily_ohlc(panel, index, ticker, s)))
+            values = [nan if v is None else v for v in (activity, volatility, price_variation)]
+            values += [nan, nan] if shapes is None else [shapes.concavity, shapes.symmetry]
+            if not all(math.isnan(v) for v in values):
+                rows.append(metrics_mod.SemesterMetrics(ticker, s, *values))
         return rows
 
     def semester_fits(self, semesters, ticker_mean, day_mean) -> dict[int, dict[str, Any]]:
@@ -376,10 +425,8 @@ class Stages:
             tm, dm = ticker_mean.get(s), day_mean.get(s)
             if tm is not None:
                 for name, fit in TICKER_MEAN_FITS.items():
-                    value, err = _fit_or_error(fit, self.config, tm)
-                    if err:
-                        self.run_log.append(f"s={s} {name}: {err}")
-                        value = {"error": err}
+                    value, err = self.attempt(f"s={s} {name}", fit, self.config, tm)
+                    value = _or_error(value, err)
                     if name == "kurtosis_relaxation":
                         entry["kurtosis_morning"], entry["kurtosis_afternoon"] = (
                             (value, value) if err else value)
@@ -388,12 +435,12 @@ class Stages:
                 if isinstance(entry["quartic"], FitResult):
                     entry["shapes"] = shape_functionals(entry["quartic"])
             if dm is not None:
-                value, err = _fit_or_error(fit_quartic, dm.mean)
-                entry["quartic_cross"] = value if value is not None else {"error": err}
-                if isinstance(value, FitResult):
+                value, err = self.attempt(None, fit_quartic, dm.mean)
+                entry["quartic_cross"] = _or_error(value, err)
+                if not err:
                     entry["shapes_cross"] = shape_functionals(value)
-                value, err = _fit_or_error(scatter_relation, dm.mean, dm.kurtosis, "morning", 2)
-                entry["scatter_kurtosis_morning"] = value if value is not None else {"error": err}
+                entry["scatter_kurtosis_morning"] = _or_error(*self.attempt(
+                    None, scatter_relation, dm.mean, dm.kurtosis, "morning", 2))
             out[s] = entry
         return out
 
@@ -402,13 +449,10 @@ class Stages:
         averaged over the non-excluded semesters ({} and None on failure)."""
         if not day_mean:
             return {}, None
-        value, err = _fit_or_error(
-            mean_kurtosis_tail, day_mean, self.config.kurtosis_tail_t_min,
+        value, err = self.attempt(
+            "kurtosis tail", mean_kurtosis_tail, day_mean, self.config.kurtosis_tail_t_min,
             set(self.config.kurtosis_tail_excluded_semesters))
-        if err:
-            self.run_log.append(f"kurtosis tail: {err}")
-            return {}, None
-        return value
+        return ({}, None) if err else value
 
     def regressions(self, metrics_rows) -> dict[str, Any]:
         """Per-ticker concavity-on-activity regression across semesters."""
@@ -416,14 +460,31 @@ class Stages:
         for m in metrics_rows:
             if math.isfinite(m.activity) and math.isfinite(m.concavity):
                 by_ticker.setdefault(m.ticker, []).append(m)
-        out: dict[str, Any] = {}
-        for ticker in sorted(by_ticker):
-            value, err = _fit_or_error(
-                metrics_mod.concavity_activity_regression, by_ticker[ticker])
-            out[ticker] = value if value is not None else {"error": err}
-            if err:
-                self.run_log.append(f"{ticker} concavity regression: {err}")
-        return out
+        return {ticker: _or_error(*self.attempt(
+                    f"{ticker} concavity regression",
+                    metrics_mod.concavity_activity_regression, by_ticker[ticker]))
+                for ticker in sorted(by_ticker)}
+
+    def regime_tests(self, alpha: dict[int, float]) -> dict:
+        """Welch and MWW tests of the opening exponents up to the regime
+        boundary semester against those after it. A failed test is stored
+        as {"error": message}."""
+        rb = self.config.regime_boundary_semester
+        pre = [alpha[s] for s in sorted(alpha) if s <= rb]
+        post = [alpha[s] for s in sorted(alpha) if s > rb]
+        doc = {
+            "series": {str(s): alpha[s] for s in sorted(alpha)},
+            "regime_boundary_semester": rb,
+            "n_pre": len(pre),
+            "n_post": len(post),
+        }
+        if len(pre) < 2 or len(post) < 2:
+            doc["error"] = "need at least two opening exponents on each side of the boundary"
+            return doc
+        for name, test in (("welch", welch_test), ("mww", mww_test)):
+            result, err = self.attempt(None, test, pre, post, self.config.confidence)
+            doc[name] = {"error": err} if err else result.to_json()
+        return doc
 
 
 @dataclass
@@ -466,28 +527,19 @@ class ReportBundle:
         out["profiles/index.json"] = dump_json(
             {"profiles": profile_index, "conventions": dict(CONVENTIONS)})
 
-        fits_doc: dict[str, Any] = {}
-        flat_rows = []
-        for s in self.semesters:
-            entry: dict[str, Any] = {}
-            for name, value in sorted(self.semester_fits[s].items()):
-                if isinstance(value, FitResult):
-                    flat_rows.append(_flat_fit_row(s, name, value))
-                entry[name] = value.to_json() if hasattr(value, "to_json") else value
-            fits_doc[str(s)] = entry
-        out["fits.json"] = dump_json(fits_doc)
+        out["fits.json"] = dump_json({str(s): self.semester_fits[s] for s in self.semesters})
+        flat_rows = [_flat_fit_row(s, name, value) for s in self.semesters
+                     for name, value in sorted(self.semester_fits[s].items())
+                     if isinstance(value, FitResult)]
         out["fits.csv"] = _csv_text(
             ["semester", "model", "fit", "primary_param", "primary_value",
              "primary_se", "r", "n_points"], flat_rows).encode()
 
         out["metrics.csv"] = metrics_csv(self.metrics_rows).encode()
-        out["regressions.json"] = dump_json(
-            {t: (v.to_json() if isinstance(v, FitResult) else v)
-             for t, v in self.regressions.items()})
-        out["xsection/variance_ratio.csv"] = variance_ratio_csv(self.var_ratio).encode()
-        out["xsection/kurtosis_tail.csv"] = kurtosis_tail_csv(self.kurt_tail).encode()
-        if self.kurt_curve is not None:
-            out["xsection/kurtosis_curve.csv"] = kurtosis_curve_csv(self.kurt_curve).encode()
+        out["regressions.json"] = dump_json(self.regressions)
+        for name, data in xsection_files(self.var_ratio, self.kurt_tail,
+                                         self.kurt_curve).items():
+            out[f"xsection/{name}"] = data
         out["tests.json"] = dump_json(self.tests)
         for fig, data in self.figures.items():
             out[f"figures/{fig}.csv"] = data
@@ -616,6 +668,17 @@ def kurtosis_curve_csv(curve: np.ndarray) -> str:
     return _minute_csv(["t", "mean_kurtosis"], [(None, [curve])])
 
 
+def xsection_files(var_ratio: dict[int, np.ndarray], kurt_tail: dict[int, float],
+                   kurt_curve: np.ndarray | None) -> dict[str, bytes]:
+    """The cross-section files, name -> bytes: the variance ratio, the
+    kurtosis tail means and, when there is one, the kurtosis curve."""
+    out = {"variance_ratio.csv": variance_ratio_csv(var_ratio).encode(),
+           "kurtosis_tail.csv": kurtosis_tail_csv(kurt_tail).encode()}
+    if kurt_curve is not None:
+        out["kurtosis_curve.csv"] = kurtosis_curve_csv(kurt_curve).encode()
+    return out
+
+
 _PRIMARY_PARAM = {
     "opening": "alpha",
     "closing": "alpha_prime",
@@ -636,30 +699,23 @@ def _flat_fit_row(s: int, fit_name: str, fit: FitResult) -> list:
 
 def run_pipeline(config: PipelineConfig, write: bool = True) -> ReportBundle:
     """Execute every stage and (by default) write the bundle to
-    config.out_dir. Per-ticker failures are logged and skipped; the run
-    fails outright only when nothing succeeds."""
+    config.out_dir. Per-slice failures are logged and skipped; the run
+    fails outright only when nothing succeeds. The regime tests, the
+    figure series and their normalizer semesters are derived here, once;
+    figure skips are logged after every stage event, in FIGURE_IDS order."""
     prep = prepare_panel(config)
     if not 1 <= config.regime_boundary_semester <= prep.index.n_semesters:
         raise DataError(
             f"regime boundary {config.regime_boundary_semester} outside "
             f"1..{prep.index.n_semesters}")
-    bundle = _run_stages(Stages(config, prep))
-    if write:
-        bundle.write(config.out_dir)
-    return bundle
-
-
-def _run_stages(stages: Stages) -> ReportBundle:
-    """Compose every stage into a bundle. The regime tests, the figure
-    series and their normalizer semesters are derived here, once; figure
-    skips are logged after every stage event, in FIGURE_IDS order."""
-    config, prep = stages.config, stages.prep
+    stages = Stages(config, prep)
     semesters = prep.semesters
     profiles = stages.day_axis_profiles(semesters)
     ticker_mean, day_mean, var_ratio = stages.aggregates(semesters, profiles)
     metrics_rows = stages.metrics_rows(profiles)
     if profiles and not metrics_rows and not ticker_mean:
         raise DataError("every (ticker, semester) computation failed")
+    del profiles  # not part of the bundle: freed before the bundle is encoded
     semester_fits = stages.semester_fits(semesters, ticker_mean, day_mean)
     kurt_tail, kurt_curve = stages.kurtosis_tail(day_mean)
     regressions = stages.regressions(metrics_rows)
@@ -671,7 +727,7 @@ def _run_stages(stages: Stages) -> ReportBundle:
         kurt_curve=kurt_curve, tests={}, normalizers={}, figures={},
         load_report=prep.load_report.to_json(),
         validation=prep.validation.to_json(), run_log=stages.run_log)
-    bundle.tests = _regime_tests(bundle, config)
+    bundle.tests = stages.regime_tests(bundle.alpha_series())
     bundle.normalizers = {key: s0 for key, series in _NORMALIZED_SERIES.items()
                           if (s0 := _first_usable(series(bundle))) is not None}
     for fig, emit in _FIGURES.items():
@@ -679,28 +735,9 @@ def _run_stages(stages: Stages) -> ReportBundle:
             bundle.figures[fig] = emit(bundle).encode()
         except MissingUpstream as exc:
             bundle.run_log.append(f"figure {fig} skipped: {exc}")
+    if write:
+        bundle.write(config.out_dir)
     return bundle
-
-
-def _regime_tests(bundle: ReportBundle, config: PipelineConfig) -> dict:
-    alpha = bundle.alpha_series()
-    rb = config.regime_boundary_semester
-    pre = [alpha[s] for s in sorted(alpha) if s <= rb]
-    post = [alpha[s] for s in sorted(alpha) if s > rb]
-    doc = {
-        "series": {str(s): alpha[s] for s in sorted(alpha)},
-        "regime_boundary_semester": rb,
-        "n_pre": len(pre),
-        "n_post": len(post),
-    }
-    if len(pre) < 2 or len(post) < 2:
-        doc["error"] = "need at least two opening exponents on each side of the boundary"
-        return doc
-    welch, err = _fit_or_error(welch_test, pre, post, config.confidence)
-    doc["welch"] = welch.to_json() if welch is not None else {"error": err}
-    mww, err = _fit_or_error(mww_test, pre, post, config.confidence)
-    doc["mww"] = mww.to_json() if mww is not None else {"error": err}
-    return doc
 
 
 # --- figure series -------------------------------------------------------

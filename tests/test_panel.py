@@ -206,11 +206,6 @@ class TestMinutePanel:
         with pytest.raises(ValueError):
             small_panel.volume[0, 0, 0] = 1.0
 
-    def test_from_bars_duplicate(self):
-        bar = MinuteBar("A", dt.date(2004, 1, 5), 3, 1.0, 1.0, 1.0, 1.0, 1.0)
-        with pytest.raises(DuplicateCell):
-            MinutePanel.from_bars([bar, bar])
-
     def test_lookup_errors(self, small_panel):
         with pytest.raises(DataError, match="not in panel"):
             small_panel.company_index("nope")

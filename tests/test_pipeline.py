@@ -129,8 +129,9 @@ class TestConfig:
 class TestJsonify:
     def test_non_finite_becomes_null(self):
         doc = _jsonify({"a": float("nan"), "b": [float("inf"), 1.5],
-                        "c": np.float64(2.5), "d": np.int64(3)})
-        assert doc == {"a": None, "b": [None, 1.5], "c": 2.5, "d": 3}
+                        "c": np.float64(2.5), "d": np.int64(3),
+                        "e": mock.Mock(to_json=lambda: {"x": np.float64("nan")})})
+        assert doc == {"a": None, "b": [None, 1.5], "c": 2.5, "d": 3, "e": {"x": None}}
         assert json.dumps(doc)
 
 
@@ -236,6 +237,63 @@ class TestRunPipeline:
         assert any("kurtosis_relaxation" in e for e in bundle.run_log)
         assert isinstance(bundle.semester_fits[1]["kurtosis_morning"], dict)
         assert "error" in bundle.semester_fits[1]["kurtosis_morning"]
+
+    def test_failure_log_order_and_metrics(self, tmp_path):
+        # C01 has only minutes < 190 in semester 1 (its quartic fails) and
+        # C02 has no data in semester 2 (its four metrics fail, so its row
+        # is dropped); the log lists failures in stage order, then in key
+        # order, then each pair's metrics in name order
+        panel, truth = generate_panel(GeneratorSpec(
+            n_companies=4, n_days=8, n_semesters=2, seed=3, price_model="gbm",
+            intensity=IntensitySpec(opening_amplitude=2000.0, opening_exponent=0.3,
+                                    closing_amplitude=1000.0, closing_exponent=0.4,
+                                    baseline=50.0)))
+        days = [[j for j, d in enumerate(panel.days) if a <= d <= b]
+                for a, b in truth.boundaries]
+        arrays = {name: getattr(panel, name).copy()
+                  for name in ("volume", "open", "high", "low", "close")}
+        for arr in arrays.values():
+            arr[1, days[0], 190:] = np.nan
+            arr[2, days[1], :] = np.nan
+        write_panel_csv(MinutePanel(panel.companies, panel.days, **arrays),
+                        tmp_path / "panel.csv")
+        config = PipelineConfig(
+            input_paths=[str(tmp_path / "panel.csv")], min_day_coverage=0.0,
+            semester_boundaries=[(a.isoformat(), b.isoformat()) for a, b in truth.boundaries],
+            regime_boundary_semester=1, kurtosis_tail_excluded_semesters=[])
+        bundle = run_pipeline(config, write=False)
+        assert bundle.run_log == [
+            "C01 s=1 quartic: InsufficientSpan: present minutes must span both "
+            "halves of the session",
+            "C02 s=2 activity: NoData: (C02, semester 2) has no present minutes",
+            "C02 s=2 price_variation: NoData: (C02, semester 2) has no days with data",
+            "C02 s=2 quartic: WindowTooSmall: 0 present minutes, need >= 6 for a quartic",
+            "C02 s=2 volatility: NoData: (C02, semester 2) has no days with data",
+            "s=1 kurtosis_relaxation: MorningNonPositive: log undefined at minutes "
+            "[13, 18, 21, 24, 27, 29, 51, 53, 59, 73, 81, 84, 87, 90, 92, 93, 97, 98]",
+            "s=2 kurtosis_relaxation: MorningNonPositive: log undefined at minutes "
+            "[2, 7, 11, 24, 29, 43, 48, 60, 61, 71, 81, 94, 97]",
+            "C00 concavity regression: TooFewPoints: 2 semesters, need >= 3",
+            "C01 concavity regression: TooFewPoints: 1 semesters, need >= 3",
+            "C02 concavity regression: TooFewPoints: 1 semesters, need >= 3",
+            "C03 concavity regression: TooFewPoints: 2 semesters, need >= 3",
+            "figure fig11 skipped: no kurtosis relaxation fits",
+        ]
+        assert bundle.files()["metrics.csv"] == (
+            b"ticker,semester,activity,volatility,price_variation,concavity,symmetry\r\n"
+            b"C00,1,262427.25,0.14272973031104838,1.6455174188650741,"
+            b"2890.7759935388817,-55.239455779090292\r\n"
+            b"C01,1,138452.125,0.10020702094808598,2.806973590084473,nan,nan\r\n"
+            b"C02,1,263941.375,0.17228386206277121,-2.2900680833175633,"
+            b"2729.5936644562853,-53.325292105321289\r\n"
+            b"C03,1,263569.875,0.15159686106451153,-5.9257289779501701,"
+            b"2836.1519496915221,-54.162013790074838\r\n"
+            b"C00,2,261783.625,0.15119710253652335,1.3468899978315476,"
+            b"2735.5684327013232,-58.226127096897386\r\n"
+            b"C01,2,263212.625,0.15638662564125838,-1.9819403445170274,"
+            b"2941.7785437542675,-60.762145888906872\r\n"
+            b"C03,2,261374.875,0.14665339993307061,-4.705939377676903,"
+            b"2942.7036208850254,-54.324156791860275\r\n")
 
     def test_unexpected_stage_error_propagates(self, base_config, monkeypatch):
         # only DataError and NumericalError are per-slice failures; a bug
@@ -535,6 +593,40 @@ class TestCli:
                      "--test", "welch"])
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, files, message", [
+        (["report", "--config", "c.json"], {"c.json": '{"opening_window": 5}'},
+         "opening_window must be a [first, last] pair"),
+        (["report", "--config", "c.json"], {"c.json": '{"min_day_coverage": "high"}'},
+         "min_day_coverage must be a number"),
+        (["report", "--config", "c.json"], {"c.json": '{"confidence": "0.9"}'},
+         "confidence must be a number"),
+        (["report", "--config", "c.json"], {"c.json": '{"ticker_exclusions": {"x": ["C00"]}}'},
+         "ticker_exclusions must be an object of semester numbers"),
+        (["report", "--config", "c.json"],
+         {"c.json": '{"semester_boundaries": [["2004-01-05", "2004-99-01"]]}'},
+         "semester_boundaries must be null or a list of [first, last] ISO dates"),
+        (["report", "--config", "c.json"], {"c.json": '["jobs"]'}, "must be a JSON object"),
+        (["report", "--config", "c.json"], {"c.json": "[]"}, "must be a JSON object"),
+        (["synth", "--spec", "missing.json"], {}, "spec file missing.json not found"),
+        (["synth", "--spec", "s.json"], {"s.json": "{not json"}, "s.json is not valid JSON"),
+        (["tests", "--sample-1", "@missing.txt", "--sample-2", "1,2"], {},
+         "sample file missing.txt is not readable"),
+        (["tests", "--sample-1", "1,2,3", "--sample-2", "4,5,6", "--confidence", "1.5"], {},
+         "--confidence must be in (0, 1)"),
+        (["tests", "--sample-1", "1,2,3", "--sample-2", "4,5,6", "--confidence", "nan"], {},
+         "--confidence must be in (0, 1)"),
+        (["profile", "--day", "2004-13-45"], {}, "'2004-13-45' is not an ISO date"),
+    ])
+    def test_malformed_input_exits_2(self, capsys, tmp_path, monkeypatch, argv, files,
+                                     message):
+        monkeypatch.chdir(tmp_path)
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "Traceback" not in err
+        assert message in err
 
     def test_tests_command_prints_both_tests(self, capsys):
         code = main(["tests", "--sample-1", "0.29,0.30,0.28,0.29",
