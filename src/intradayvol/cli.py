@@ -27,6 +27,7 @@ from .pipeline import (
     PipelineConfig,
     Stages,
     dump_json,
+    json_fields,
     load_figure_csv,
     load_panel,
     metrics_csv,
@@ -227,20 +228,32 @@ def _cmd_xsection(args) -> int:
     return 0
 
 
+def _spec_from_json(doc) -> GeneratorSpec:
+    """The GeneratorSpec a --spec document describes: an object of its
+    fields, n_companies required, with `intensity` and `noise` objects of
+    IntensitySpec and NoiseSpec fields and `overrides` an object of
+    semester numbers -> intensity objects. DataError for anything else."""
+    spec = json_fields(GeneratorSpec, doc, "spec")
+    if "n_companies" not in spec:
+        raise DataError("spec needs n_companies")
+    if "intensity" in spec:
+        spec["intensity"] = IntensitySpec(**json_fields(IntensitySpec, spec["intensity"],
+                                                        "spec intensity"))
+    if "noise" in spec:
+        spec["noise"] = NoiseSpec(**json_fields(NoiseSpec, spec["noise"], "spec noise"))
+    if "overrides" in spec:
+        overrides = spec["overrides"]
+        if not (isinstance(overrides, dict) and all(map(str.isdecimal, overrides))):
+            raise DataError("spec overrides must be an object of semester numbers")
+        spec["overrides"] = {
+            int(s): IntensitySpec(**json_fields(IntensitySpec, v, f"spec override {s}"))
+            for s, v in overrides.items()}
+    return GeneratorSpec(**spec)
+
+
 def _cmd_synth(args) -> int:
     if args.spec:
-        doc = read_json(args.spec, "spec file")
-        intensity = IntensitySpec(**doc.get("intensity", {}))
-        noise = NoiseSpec(**doc.get("noise", {}))
-        overrides = {int(k): IntensitySpec(**v)
-                     for k, v in doc.get("overrides", {}).items()}
-        spec = GeneratorSpec(
-            n_companies=doc["n_companies"], n_days=doc.get("n_days", 126),
-            seed=doc.get("seed", 0), intensity=intensity, noise=noise,
-            n_semesters=doc.get("n_semesters", 1), overrides=overrides,
-            price_model=doc.get("price_model"),
-            daily_log_volatility=doc.get("daily_log_volatility", 0.01),
-            start_price=doc.get("start_price", 100.0))
+        spec = _spec_from_json(read_json(args.spec, "spec file"))
     else:
         spec = GeneratorSpec(
             n_companies=args.companies, n_days=args.days, seed=args.seed,

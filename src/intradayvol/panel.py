@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import io
+import locale
 import math
 import os
 import pickle
@@ -290,9 +291,12 @@ _BLOCK_ROWS = 1024
 #: on smaller ones the fork costs more than it saves.
 _HELPER_MIN_BYTES = 1_000_000
 
-#: blocks the helper is asked for ahead of its answers: one to parse and
-#: one queued, so that it does not wait for the loader between blocks.
+#: blocks (or writer chunks) a _Helper is asked for ahead of its answers:
+#: one to work on and one queued, so that it does not wait between them.
 _HELPER_DEPTH = 2
+
+#: bytes of a _Helper's answer pipe, where the system lets it be set
+_PIPE_BYTES = 1 << 20
 
 #: blocks read and not yet applied, at most: while the helper's answer
 #: for the oldest is not back, the loader parses later blocks itself.
@@ -571,18 +575,24 @@ def _receive(fd: int):
     return pickle.loads(_read_exact(fd, int.from_bytes(_read_exact(fd, 8), "little")))
 
 
-def _serve(paths: Sequence[Path], schema: Mapping[str, str], requests: int,
-           answers: int) -> None:
-    """The helper's loop: answer each (file number, block number) request,
-    which come in file order, with Input.parse of that block, until the
-    request pipe closes."""
+def _requests(fd: int) -> Iterator:
+    """The objects _send writes to the pipe, until it is closed."""
+    while True:
+        try:
+            yield _receive(fd)
+        except EOFError:
+            return
+
+
+def _parses(paths: Sequence[Path], schema: Mapping[str, str],
+            requests: Iterator[tuple[int, int]]) -> Iterator[_Parsed | None]:
+    """The loader's helper: Input.parse of each (file number, block
+    number) block asked for, the requests coming in file order. It opens
+    the files and cuts them into blocks itself, because a forked child
+    shares the file offsets of its parent's open files."""
     inp = None
     try:
-        while True:
-            try:
-                number, wanted = _receive(requests)
-            except EOFError:
-                return
+        for number, wanted in requests:
             if inp is None or inp.number != number:
                 if inp is not None:
                     inp.fh.close()
@@ -592,25 +602,34 @@ def _serve(paths: Sequence[Path], schema: Mapping[str, str], requests: int,
                     break
             else:
                 return  # the file is shorter than the loader's: it parses the block itself
-            _send(answers, inp.parse(rest, cut))
+            yield inp.parse(rest, cut)
     finally:
         if inp is not None:
             inp.fh.close()
 
 
 class _Helper:
-    """A forked process that parses the blocks the loader asks it for.
+    """A forked process that does a share of its parent's work: serve
+    maps the requests it reads, in order, to the answers it sends back.
 
-    It opens the input files and cuts them into blocks itself: a forked
-    child shares the file offsets of the parent's open files, and the
-    loader's requests are a few bytes, so no pipe fills with text. Its
-    answers are pickled _Parsed arrays. It exits when its request pipe
-    closes, or when it writes an answer that no one will read.
+    Requests and answers are pickled through two pipes. A forked child
+    shares its parent's memory as it was at the fork, so requests can be
+    small (a block or chunk number) and only the answers are large. The
+    helper exits when its request pipe closes, when serve ends, or when it
+    writes an answer that no one will read.
     """
 
-    def __init__(self, paths: Sequence[Path], schema: Mapping[str, str]):
+    def __init__(self, serve: Callable[[Iterator], Iterable]):
         requests, self.requests = os.pipe()
         self.answers, answers = os.pipe()
+        try:
+            import fcntl  # POSIX, as fork is
+
+            # room for a few answers: a helper blocked on a full pipe waits
+            # for its parent instead of working on its next request
+            fcntl.fcntl(answers, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+        except (AttributeError, OSError):
+            pass  # not Linux, or over the system's limit: the default size
         try:
             self.pid = os.fork()
         except OSError:
@@ -622,60 +641,62 @@ class _Helper:
             try:
                 os.close(self.requests)
                 os.close(self.answers)
-                _serve(paths, schema, requests, answers)
+                for answer in serve(_requests(requests)):
+                    _send(answers, answer)
                 code = 0
             finally:
                 os._exit(code)
         os.close(requests)
         os.close(answers)
-        self.asked: deque[_Block] = deque()  # not yet answered, oldest first
+        self.asked: deque = deque()  # requests not yet answered, oldest first
         self.alive = True
         self.poll = select.poll()
         self.poll.register(self.answers, select.POLLIN)
 
     @staticmethod
-    def start(paths: Sequence[Path], schema: Mapping[str, str]) -> "_Helper | None":
-        """A helper for these inputs, or None where it would not pay: no
-        fork, one CPU, under _HELPER_MIN_BYTES of input, or no process
-        to spare."""
+    def start(serve: Callable[[Iterator], Iterable], size: Callable[[], int],
+              min_size: int) -> "_Helper | None":
+        """A helper running serve, or None where it would not pay: no
+        fork, one CPU, a job whose size() is under min_size, or no
+        process to spare."""
         if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
                 and len(os.sched_getaffinity(0)) >= 2):
             return None
         try:
-            if sum(p.stat().st_size for p in paths) < _HELPER_MIN_BYTES:
+            if size() < min_size:
                 return None
-            return _Helper(paths, schema)
+            return _Helper(serve)
         except OSError:
             return None
 
-    def ask(self, block: _Block) -> None:
+    def ask(self, request) -> None:
         try:
-            _send(self.requests, (block.input.number, block.number))
+            _send(self.requests, request)
         except BrokenPipeError:
             self.alive = False
             return
-        self.asked.append(block)
+        self.asked.append(request)
 
     def ready(self) -> bool:
         """Whether the oldest answer, or the helper's exit, can be read."""
         return bool(self.poll.poll(0))
 
-    def answer(self, block: _Block):
-        """The helper's parse of block, dropping the answers to blocks
-        asked for before it; _PENDING if the helper has exited."""
+    def answer(self, request):
+        """The answer to request, dropping the answers to those asked for
+        before it; _PENDING if the helper has exited."""
         while self.asked:
             asked = self.asked.popleft()
             try:
-                parsed = _receive(self.answers)
+                answer = _receive(self.answers)
             except EOFError:
                 self.alive = False
                 break
-            if asked is block:
-                return parsed
+            if asked == request:
+                return answer
         return _PENDING
 
     def stop(self) -> None:
-        """Ask for no more blocks: the helper exits after its last answer."""
+        """Ask for nothing more: the helper exits after its last answer."""
         if self.requests is not None:
             os.close(self.requests)
             self.requests = None
@@ -705,7 +726,9 @@ class _BlockReader:
         self.inputs: deque[_Input] = deque()  # open, oldest first
         self.queue: deque[_Block] = deque()   # read, not yet handed out
         self.failed: Exception | None = None
-        self.helper = _Helper.start(paths, schema)
+        self.helper = _Helper.start(lambda requests: _parses(paths, schema, requests),
+                                    lambda: sum(p.stat().st_size for p in paths),
+                                    _HELPER_MIN_BYTES)
 
     def __enter__(self) -> "_BlockReader":
         return self
@@ -746,7 +769,7 @@ class _BlockReader:
         while True:
             while (helper is not None and helper.alive
                    and len(helper.asked) < _HELPER_DEPTH and (block := self._read())):
-                helper.ask(block)
+                helper.ask((block.input.number, block.number))
                 self.queue.append(block)
             head = self.queue[0] if self.queue else None
             if head is None or (head.parsed is _PENDING and len(self.queue) < _READ_AHEAD
@@ -762,7 +785,7 @@ class _BlockReader:
                     return
             self.queue.popleft()
             if head.parsed is _PENDING:
-                head.parsed = helper.answer(head)
+                head.parsed = helper.answer((head.input.number, head.number))
             if head.parsed is _PENDING:  # the helper has exited
                 head.parsed = head.input.parse(head.rest, head.cut)
             while self.inputs[0] is not head.input:
@@ -959,6 +982,16 @@ def _csv_prefix(fields: Sequence[str]) -> str:
 #: blocks; a chunk's arrays and strings bound the writer's memory.
 _WRITE_ROWS = 1024
 
+#: panels of at least this many present rows are written with a _Helper
+#: formatting a share of the chunks, where fork and a second CPU are
+#: available; on smaller ones the fork costs more than it saves.
+_WRITER_MIN_ROWS = 20_000
+
+#: chunks formatted and not yet written, at most: while the helper's
+#: answer for the oldest is not back, the writer formats later chunks
+#: itself. Each holds about 0.1 MB of text.
+_WRITE_AHEAD = 4
+
 _MINUTE_TEXT = np.array([str(t) for t in range(SESSION_MINUTES)], dtype=object)
 
 
@@ -985,10 +1018,12 @@ def write_panel_csv(panel: MinutePanel, path) -> None:
     """Serialize to the canonical combined CSV (sorted, 17-digit floats).
 
     Rows go out in chunks of whole (company, day) blocks of about
-    _WRITE_ROWS present rows, in C order, so the writer holds one chunk's
-    values and text (plus one company's day x minute mask while it counts
-    rows). The csv module quotes each ticker and date once; `%.17g` gives
-    the same text as format(x, ".17g").
+    _WRITE_ROWS present rows, in C order, so the writer holds a few
+    chunks' values and text (plus one company's day x minute mask while it
+    counts rows). The csv module quotes each ticker and date once; `%.17g`
+    gives the same text as format(x, ".17g"). From _WRITER_MIN_ROWS
+    present rows a _Helper formats a share of the chunks (see
+    _helped_chunks); the file is the same.
     """
     n_days = len(panel.days)
     fields = [getattr(panel, name).reshape(-1, SESSION_MINUTES) for name in _VALUE_FIELDS]
@@ -999,27 +1034,74 @@ def write_panel_csv(panel: MinutePanel, path) -> None:
     total = int(ends[-1]) if len(ends) else 0
     tickers = [_csv_prefix((ticker,)) for ticker in panel.companies]
     days = [_csv_prefix((day.isoformat(),)) for day in panel.days]
+    encoding = locale.getpreferredencoding(False)  # a text-mode open()'s
+    cuts = []  # the (first, last) block range of each chunk
     first = done = 0
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(CANONICAL_COLUMNS)
-        while done < total:
-            # blocks up to the one that completes _WRITE_ROWS more rows
-            last = min(int(np.searchsorted(ends, done + _WRITE_ROWS)) + 1, len(ends))
-            cells = np.flatnonzero(np.isfinite(fields[0][first:last]))
-            volume, *prices = (f[first:last].reshape(-1)[cells] for f in fields)
-            n = len(cells)
-            text = _g17(np.concatenate(prices))
-            rows = list(map(",".join, zip(
-                _MINUTE_TEXT[cells % SESSION_MINUTES].tolist(), _volume_text(volume),
-                text[:n], text[n:2 * n], text[2 * n:3 * n], text[3 * n:])))
-            start = 0
-            for block in np.flatnonzero(counts[first:last]).tolist():
-                block += first
-                end = start + int(counts[block])
-                prefix = tickers[block // n_days] + days[block % n_days]
-                fh.write(prefix + ("\r\n" + prefix).join(rows[start:end]) + "\r\n")
-                start = end
-            first, done = last, int(ends[last - 1])
+    while done < total:
+        # blocks up to the one that completes _WRITE_ROWS more rows
+        last = min(int(np.searchsorted(ends, done + _WRITE_ROWS)) + 1, len(ends))
+        cuts.append((first, last))
+        first, done = last, int(ends[last - 1])
+
+    def chunk_text(k: int) -> bytes:
+        """The encoded rows of chunk k."""
+        first, last = cuts[k]
+        cells = np.flatnonzero(np.isfinite(fields[0][first:last]))
+        volume, *prices = (f[first:last].reshape(-1)[cells] for f in fields)
+        n = len(cells)
+        text = _g17(np.concatenate(prices))
+        rows = list(map(",".join, zip(
+            _MINUTE_TEXT[cells % SESSION_MINUTES].tolist(), _volume_text(volume),
+            text[:n], text[n:2 * n], text[2 * n:3 * n], text[3 * n:])))
+        out = []
+        start = 0
+        for block in np.flatnonzero(counts[first:last]).tolist():
+            block += first
+            end = start + int(counts[block])
+            prefix = tickers[block // n_days] + days[block % n_days]
+            out.append(prefix + ("\r\n" + prefix).join(rows[start:end]) + "\r\n")
+            start = end
+        return "".join(out).encode(encoding)
+
+    # forked before the file is opened, so that the child holds no buffer of it
+    helper = _Helper.start(lambda requests: map(chunk_text, requests), lambda: total,
+                           _WRITER_MIN_ROWS)
+    try:
+        with open(path, "wb") as fh:
+            fh.write((",".join(CANONICAL_COLUMNS) + "\r\n").encode(encoding))
+            for text in _helped_chunks(helper, len(cuts), chunk_text):
+                fh.write(text)
+    finally:
+        if helper is not None:
+            helper.close()
+
+
+def _helped_chunks(helper: _Helper | None, n: int,
+                   work: Callable[[int], bytes]) -> Iterator[bytes]:
+    """work(k) for k in 0..n-1, in order. The helper, if any, is kept
+    asked for the next _HELPER_DEPTH chunks, and while its answer for the
+    oldest is not back this process works on later chunks itself, up to
+    _WRITE_AHEAD in all; it also does the chunks of a helper that has
+    exited."""
+    queue: deque[tuple[int, object]] = deque()  # (k, work(k) or _PENDING), oldest first
+    k = 0
+    while k < n or queue:
+        while (helper is not None and helper.alive and len(helper.asked) < _HELPER_DEPTH
+               and k < n):
+            helper.ask(k)
+            queue.append((k, _PENDING))
+            k += 1
+        if k < n and (not queue or (queue[0][1] is _PENDING and len(queue) < _WRITE_AHEAD
+                                    and not helper.ready())):
+            queue.append((k, work(k)))
+            k += 1
+            continue
+        head, text = queue.popleft()
+        if text is _PENDING:
+            text = helper.answer(head)
+        if text is _PENDING:  # the helper has exited
+            text = work(head)
+        yield text
 
 
 @dataclass(frozen=True)

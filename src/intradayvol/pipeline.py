@@ -20,6 +20,7 @@ import os
 import re
 import shutil
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Any
 
@@ -171,10 +172,28 @@ _JSON_TYPES = {
     "dict[int, list[str]]": (lambda v: isinstance(v, dict) and all(
         _is_str(k) and k.isdecimal() and _is_list_of(_is_str)(x) for k, x in v.items()),
         "an object of semester numbers -> lists of tickers"),
+    "str | None": (lambda v: v is None or _is_str(v), "a string or null"),
     "list[tuple[str, str]] | None": (
         lambda v: v is None or _is_list_of(_is_list_of(_is_iso_date, 2))(v),
         "null or a list of [first, last] ISO dates"),
 }
+
+
+def json_fields(cls, doc, what: str) -> dict:
+    """The fields of dataclass cls that the JSON value doc sets; DataError
+    unless doc is an object whose keys are fields of cls, each holding a
+    value of its type. Fields of a type _JSON_TYPES does not list, such as
+    another dataclass, are left to the caller."""
+    if not isinstance(doc, dict):
+        raise DataError(f"a {what} must be a JSON object, not {type(doc).__name__}")
+    unknown = set(doc) - set(cls.__dataclass_fields__)
+    if unknown:
+        raise DataError(f"unknown {what} keys: {sorted(unknown)}")
+    for name, value in doc.items():
+        check, kind = _JSON_TYPES.get(cls.__dataclass_fields__[name].type, (None, None))
+        if check is not None and not check(value):
+            raise DataError(f"{what} field {name} must be {kind}, not {value!r}")
+    return dict(doc)
 
 
 @dataclass
@@ -209,21 +228,14 @@ class PipelineConfig:
             raise DataError("jobs must be >= 1")
         if not 0.0 < self.confidence < 1.0:
             raise DataError("confidence must be in (0, 1)")
+        if not 0.0 <= self.min_day_coverage <= 1.0:
+            raise DataError(f"min_day_coverage {self.min_day_coverage} outside [0, 1]")
 
     @classmethod
     def from_json(cls, doc: dict) -> "PipelineConfig":
         """The config a JSON document describes; DataError unless it is an
         object whose keys are config fields holding values of their type."""
-        if not isinstance(doc, dict):
-            raise DataError(f"a config must be a JSON object, not {type(doc).__name__}")
-        unknown = set(doc) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise DataError(f"unknown config keys: {sorted(unknown)}")
-        for name, value in doc.items():
-            check, what = _JSON_TYPES[cls.__dataclass_fields__[name].type]
-            if not check(value):
-                raise DataError(f"config field {name} must be {what}, not {value!r}")
-        doc = dict(doc)
+        doc = json_fields(cls, doc, "config")
         for name in WINDOW_FIELDS:
             if name in doc:
                 doc[name] = tuple(doc[name])
@@ -509,6 +521,12 @@ class ReportBundle:
     def alpha_series(self) -> dict[int, float]:
         return _semester_fit_series(self, "opening", "alpha")
 
+    @cached_property
+    def xsection(self) -> dict[str, bytes]:
+        """xsection_files of the bundle, formatted once for both the
+        xsection/ files and figures 13, 15 and 16."""
+        return xsection_files(self.var_ratio, self.kurt_tail, self.kurt_curve)
+
     def files(self) -> dict[str, bytes]:
         """Every bundle file except the manifest, as relpath -> bytes."""
         out: dict[str, bytes] = {}
@@ -537,8 +555,7 @@ class ReportBundle:
 
         out["metrics.csv"] = metrics_csv(self.metrics_rows).encode()
         out["regressions.json"] = dump_json(self.regressions)
-        for name, data in xsection_files(self.var_ratio, self.kurt_tail,
-                                         self.kurt_curve).items():
+        for name, data in self.xsection.items():
             out[f"xsection/{name}"] = data
         out["tests.json"] = dump_json(self.tests)
         for fig, data in self.figures.items():
@@ -866,6 +883,13 @@ def _cross_shapes_csv(bundle: ReportBundle) -> str:
          for s in sorted(conc)])
 
 
+def _xsection_csv(bundle: ReportBundle, name: str, series, what: str) -> str:
+    """The text of the bundle's xsection/<name>; MissingUpstream(what) when
+    the series it holds is absent."""
+    _need(series, what)
+    return bundle.xsection[name].decode()
+
+
 #: figure id -> emitter of its CSV text; an emitter raises MissingUpstream
 #: when the results it plots are absent
 _FIGURES = {
@@ -881,11 +905,13 @@ _FIGURES = {
     "fig10": lambda b: _wide_profile_csv(b, "kurtosis"),
     "fig11": _kurtosis_relaxation_csv,
     "fig12": lambda b: _scatter_csv(b.day_mean, "y_kurtosis_cross", "kurtosis"),
-    "fig13": lambda b: variance_ratio_csv(_need(b.var_ratio, "no variance-ratio series")),
+    "fig13": lambda b: _xsection_csv(b, "variance_ratio.csv", b.var_ratio,
+                                     "no variance-ratio series"),
     "fig14": _cross_shapes_csv,
-    "fig15": lambda b: kurtosis_tail_csv(_need(b.kurt_tail, "no kurtosis tail averages")),
-    "fig16": lambda b: kurtosis_curve_csv(
-        _need(b.kurt_curve, "no semester-averaged kurtosis curve")),
+    "fig15": lambda b: _xsection_csv(b, "kurtosis_tail.csv", b.kurt_tail,
+                                     "no kurtosis tail averages"),
+    "fig16": lambda b: _xsection_csv(b, "kurtosis_curve.csv", b.kurt_curve,
+                                     "no semester-averaged kurtosis curve"),
 }
 
 FIGURE_IDS = tuple(_FIGURES)

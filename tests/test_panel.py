@@ -3,8 +3,10 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import errno
 import io
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -436,16 +438,20 @@ class TestWriterBytes:
         panel, _ = generate_panel(spec)
         n_rows = int(panel.present().sum())
         path = tmp_path / "panel.csv"
+        answered = []
         tracemalloc.start()
         try:
-            write_panel_csv(panel, path)
+            with _counting_answers(answered):
+                write_panel_csv(panel, path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # five whole-panel float64 copies of the present values take
-        # 40 bytes a row; a chunk's values and text take about 0.5 MB
+        # 40 bytes a row; a chunk's values and text take about 0.5 MB,
+        # and the chunks formatted ahead of the file about 0.1 MB each
         assert n_rows > 100_000
         assert peak < 8 * n_rows, (peak, n_rows)
+        assert any(answered) == _HELPER_RUNS  # the helper's share is held too
 
     def test_ticker_needing_quotes(self, tmp_path):
         volume = np.full((2, 1, SESSION_MINUTES), np.nan)
@@ -763,12 +769,25 @@ def _assert_loaded(panel, report, bars, n_rows, skipped):
             [bar.volume, bar.open, bar.high, bar.low, bar.close]
 
 
-# --- parsing on two processes --------------------------------------------
+# --- parsing and writing on two processes --------------------------------
 
 _HELPER_RUNS = (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
                 and len(os.sched_getaffinity(0)) >= 2)
 needs_helper = pytest.mark.skipif(not _HELPER_RUNS,
                                   reason="the helper needs fork and a second CPU")
+
+
+def _counting_answers(answered: list):
+    """A _Helper.answer that appends to `answered` whether each call got
+    the helper's answer."""
+    real_answer = panel_mod._Helper.answer
+
+    def answer(helper, request):
+        got = real_answer(helper, request)
+        answered.append(got is not panel_mod._PENDING)
+        return got
+
+    return mock.patch.object(panel_mod._Helper, "answer", answer)
 
 
 def _serial_and_helped(paths, **kwargs):
@@ -778,15 +797,7 @@ def _serial_and_helped(paths, **kwargs):
     with mock.patch.object(panel_mod, "_HELPER_MIN_BYTES", 2 ** 62):
         serial = _outcome(load_minute_bars, paths, **kwargs)
     answered = []
-    real_answer = panel_mod._Helper.answer
-
-    def answer(helper, block):
-        parsed = real_answer(helper, block)
-        answered.append(parsed is not panel_mod._PENDING)
-        return parsed
-
-    with mock.patch.object(panel_mod, "_HELPER_MIN_BYTES", 0), \
-            mock.patch.object(panel_mod._Helper, "answer", answer):
+    with mock.patch.object(panel_mod, "_HELPER_MIN_BYTES", 0), _counting_answers(answered):
         helped = _outcome(load_minute_bars, paths, **kwargs)
     return serial, helped, sum(answered)
 
@@ -898,6 +909,99 @@ class TestHelper:
         with mock.patch.object(panel_mod._Helper, "__init__",
                                side_effect=AssertionError("forked")):
             load_minute_bars(path)
+
+
+def _gbm_panel(n_companies, n_days, seed=5):
+    spec = GeneratorSpec(n_companies=n_companies, n_days=n_days, seed=seed,
+                         price_model="gbm",
+                         intensity=IntensitySpec(opening_amplitude=2000.0,
+                                                 opening_exponent=0.29))
+    return generate_panel(spec)[0]
+
+
+class _FailingFile(io.BytesIO):
+    """A file whose third write fails as a full disk does."""
+
+    def write(self, data):
+        self.writes = getattr(self, "writes", 0) + 1
+        if self.writes == 3:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return super().write(data)
+
+
+@needs_helper
+class TestWriterHelper:
+    @given(writer_panel_strategy(), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_matches_the_reference_at_chunk_sizes(self, tmp_path_factory, panel, data):
+        path = tmp_path_factory.mktemp("wh") / "panel.csv"
+        want = _reference_csv_bytes(panel)
+        n_rows = int(panel.present().sum())
+        sizes = {1, 2, n_rows + 1, data.draw(st.integers(1, n_rows + 1))}
+        for rows in sorted(sizes):
+            answered = []
+            with mock.patch.object(panel_mod, "_WRITER_MIN_ROWS", 0), \
+                    mock.patch.object(panel_mod, "_WRITE_ROWS", rows), \
+                    _counting_answers(answered):
+                write_panel_csv(panel, path)
+            assert path.read_bytes() == want, rows
+            # the first chunk is always asked of the helper
+            assert n_rows == 0 or answered[0], rows
+
+    def test_writer_finishes_alone_when_the_helper_dies(self, tmp_path):
+        panel = _gbm_panel(2, 6)
+        path = tmp_path / "panel.csv"
+        real_answer = panel_mod._Helper.answer
+        answered = []
+
+        def answer(helper, request):
+            if len(answered) == 3:
+                os.kill(helper.pid, signal.SIGKILL)
+            got = real_answer(helper, request)
+            answered.append(got is not panel_mod._PENDING)
+            return got
+
+        with mock.patch.object(panel_mod, "_WRITE_ROWS", 100), \
+                mock.patch.object(panel_mod, "_WRITER_MIN_ROWS", 0), \
+                mock.patch.object(panel_mod._Helper, "answer", answer):
+            write_panel_csv(panel, path)
+        assert path.read_bytes() == _reference_csv_bytes(panel)
+        assert answered[:3] == [True] * 3
+        assert not any(answered[5:])  # at most the answers in the pipe when it died
+
+    def test_failed_write_leaves_no_child(self, tmp_path):
+        panel = _gbm_panel(2, 6)
+        answered = []
+        with mock.patch.object(panel_mod, "_WRITE_ROWS", 100), \
+                mock.patch.object(panel_mod, "_WRITER_MIN_ROWS", 0), \
+                mock.patch.object(panel_mod, "open", lambda path, mode: _FailingFile(),
+                                  create=True), \
+                _counting_answers(answered), \
+                pytest.raises(OSError, match="No space left"):
+            write_panel_csv(panel, tmp_path / "panel.csv")
+        assert answered and answered[0]
+        # the autouse no_child_process_left fixture checks that the helper was reaped
+
+    def test_no_file_or_pipe_left_open_in_either_process(self, tmp_path):
+        path = tmp_path / "panel.csv"
+        code = ("import sys\nfrom intradayvol import panel, synth\n"
+                "spec = synth.GeneratorSpec(n_companies=2, n_days=3, seed=5, price_model='gbm',"
+                " intensity=synth.IntensitySpec(opening_amplitude=2000.0,"
+                " opening_exponent=0.29))\n"
+                "panel._WRITER_MIN_ROWS, panel._WRITE_ROWS = 0, 100\n"
+                "panel.write_panel_csv(synth.generate_panel(spec)[0], sys.argv[1])\n")
+        done = subprocess.run([sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+                               "-c", code, str(path)], capture_output=True, text=True,
+                              timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert "ResourceWarning" not in done.stderr
+        assert path.read_bytes() == _reference_csv_bytes(_gbm_panel(2, 3))
+
+
+def test_no_writer_helper_below_the_size_threshold(tmp_path):
+    with mock.patch.object(panel_mod._Helper, "__init__",
+                           side_effect=AssertionError("forked")):
+        write_panel_csv(_gbm_panel(1, 2), tmp_path / "panel.csv")
 
 
 @pytest.mark.parametrize("text", [

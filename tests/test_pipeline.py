@@ -610,6 +610,16 @@ class TestCli:
         (["report", "--config", "c.json"], {"c.json": "[]"}, "must be a JSON object"),
         (["synth", "--spec", "missing.json"], {}, "spec file missing.json not found"),
         (["synth", "--spec", "s.json"], {"s.json": "{not json"}, "s.json is not valid JSON"),
+        (["synth", "--spec", "s.json"], {"s.json": "[]"}, "spec must be a JSON object"),
+        (["synth", "--spec", "s.json"], {"s.json": "{}"}, "spec needs n_companies"),
+        (["synth", "--spec", "s.json"], {"s.json": '{"n_companies": 2, "intensity": {"bogus": 1}}'},
+         "unknown spec intensity keys: ['bogus']"),
+        (["synth", "--spec", "s.json"], {"s.json": '{"n_companies": "2"}'},
+         "spec field n_companies must be an integer"),
+        (["validate", "--config", "c.json"], {"c.json": '{"min_day_coverage": 7}'},
+         "min_day_coverage 7 outside [0, 1]"),
+        (["validate", "--config", "c.json"], {"c.json": '{"min_day_coverage": NaN}'},
+         "min_day_coverage nan outside [0, 1]"),
         (["tests", "--sample-1", "@missing.txt", "--sample-2", "1,2"], {},
          "sample file missing.txt is not readable"),
         (["tests", "--sample-1", "1,2,3", "--sample-2", "4,5,6", "--confidence", "1.5"], {},
@@ -664,6 +674,27 @@ class TestCli:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert "alpha" in doc["coefficients"]
+
+    def test_synth_spec_file(self, capsys, tmp_path):
+        doc = {"n_companies": 2, "n_days": 4, "seed": 3, "n_semesters": 2,
+               "price_model": "gbm", "start_price": 50,
+               "intensity": {"opening_amplitude": 500.0, "opening_exponent": 0.3,
+                             "baseline": 10},
+               "noise": {"kind": "gamma", "shape": 4.0},
+               "overrides": {"2": {"opening_amplitude": 900.0, "baseline": 10}}}
+        (tmp_path / "s.json").write_text(json.dumps(doc))
+        assert main(["synth", "--spec", str(tmp_path / "s.json"),
+                     "--out", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        spec = GeneratorSpec(
+            n_companies=2, n_days=4, seed=3, n_semesters=2, price_model="gbm",
+            start_price=50,
+            intensity=IntensitySpec(opening_amplitude=500.0, opening_exponent=0.3, baseline=10),
+            noise=NoiseSpec(kind="gamma", shape=4.0),
+            overrides={2: IntensitySpec(opening_amplitude=900.0, baseline=10)})
+        write_panel_csv(generate_panel(spec)[0], tmp_path / "want.csv")
+        assert (tmp_path / "out" / "panel.csv").read_bytes() == \
+            (tmp_path / "want.csv").read_bytes()
 
     def test_validate_command(self, capsys, tmp_path):
         synth_dir = tmp_path / "synth"
