@@ -984,7 +984,9 @@ _WRITE_ROWS = 1024
 
 #: panels of at least this many present rows are written with a _Helper
 #: formatting a share of the chunks, where fork and a second CPU are
-#: available; on smaller ones the fork costs more than it saves.
+#: available; on smaller ones the fork costs more than it saves. On a
+#: 2-vCPU VM a 9,384-row write took as long either way, and an
+#: 18,768-row one 0.77 times as long with the helper.
 _WRITER_MIN_ROWS = 20_000
 
 #: chunks formatted and not yet written, at most: while the helper's
