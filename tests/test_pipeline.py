@@ -610,6 +610,13 @@ class TestCli:
         (["report", "--config", "c.json"], {"c.json": "[]"}, "must be a JSON object"),
         (["synth", "--spec", "missing.json"], {}, "spec file missing.json not found"),
         (["synth", "--spec", "s.json"], {"s.json": "{not json"}, "s.json is not valid JSON"),
+        (["tests", "--sample-1", "@missing.txt", "--sample-2", "1,2"], {},
+         "sample file missing.txt is not readable"),
+        (["tests", "--sample-1", "1,2,3", "--sample-2", "4,5,6", "--confidence", "1.5"], {},
+         "--confidence must be in (0, 1)"),
+        (["tests", "--sample-1", "1,2,3", "--sample-2", "4,5,6", "--confidence", "nan"], {},
+         "--confidence must be in (0, 1)"),
+        (["profile", "--day", "2004-13-45"], {}, "'2004-13-45' is not an ISO date"),
         (["synth", "--spec", "s.json"], {"s.json": "[]"}, "spec must be a JSON object"),
         (["synth", "--spec", "s.json"], {"s.json": "{}"}, "spec needs n_companies"),
         (["synth", "--spec", "s.json"], {"s.json": '{"n_companies": 2, "intensity": {"bogus": 1}}'},
@@ -620,13 +627,6 @@ class TestCli:
          "min_day_coverage 7 outside [0, 1]"),
         (["validate", "--config", "c.json"], {"c.json": '{"min_day_coverage": NaN}'},
          "min_day_coverage nan outside [0, 1]"),
-        (["tests", "--sample-1", "@missing.txt", "--sample-2", "1,2"], {},
-         "sample file missing.txt is not readable"),
-        (["tests", "--sample-1", "1,2,3", "--sample-2", "4,5,6", "--confidence", "1.5"], {},
-         "--confidence must be in (0, 1)"),
-        (["tests", "--sample-1", "1,2,3", "--sample-2", "4,5,6", "--confidence", "nan"], {},
-         "--confidence must be in (0, 1)"),
-        (["profile", "--day", "2004-13-45"], {}, "'2004-13-45' is not an ISO date"),
     ])
     def test_malformed_input_exits_2(self, capsys, tmp_path, monkeypatch, argv, files,
                                      message):
