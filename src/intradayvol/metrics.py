@@ -64,24 +64,15 @@ def activity(panel: MinutePanel, index: SemesterIndex, ticker: str, s: int) -> f
 
 def daily_ohlc(panel: MinutePanel, index: SemesterIndex, ticker: str, s: int) -> np.ndarray:
     """(n_days, 4) open/high/low/close per day, from the first and last
-    present minutes and the extreme prices between them. Days with no
-    present minutes are dropped."""
+    present minutes and the extreme prices between them (the panel's
+    daily_ohlc). Days with no present minutes are dropped."""
     require_included(index, ticker, s)
     i = panel.company_index(ticker)
-    day_idx = semester_day_indices(panel, index, s)
-    mask = np.isfinite(panel.volume[i, day_idx])
-    has_data = mask.any(axis=1)
-    if not has_data.any():
+    bars = panel.daily_ohlc[i, semester_day_indices(panel, index, s)]
+    bars = bars[~np.isnan(bars).all(axis=1)]
+    if not len(bars):
         raise NoData(f"({ticker}, semester {s}) has no days with data")
-    day_idx, mask = day_idx[has_data], mask[has_data]
-    first = mask.argmax(axis=1)
-    last = SESSION_MINUTES - 1 - mask[:, ::-1].argmax(axis=1)
-    return np.column_stack((
-        panel.open[i, day_idx, first],
-        np.where(mask, panel.high[i, day_idx], -np.inf).max(axis=1),
-        np.where(mask, panel.low[i, day_idx], np.inf).min(axis=1),
-        panel.close[i, day_idx, last],
-    ))
+    return bars
 
 
 def garman_klass_volatility(daily_bars, trading_days_per_year: float = 252.0) -> float:

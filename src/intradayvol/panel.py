@@ -1,10 +1,12 @@
 """Minute-bar panel construction and the trading-session calendar.
 
 The trading session is the 391 minutes from 09:30 (minute 0) to 16:00
-(minute 390). A panel is a dense (company, day, minute) array block with
-NaN marking absent cells; after construction it is immutable and safe to
-share across threads. Calendar days are grouped into contiguous
-half-year periods labelled 1..S, which all downstream statistics key on.
+(minute 390). A panel is a dense (company, day, minute) volume array with
+NaN marking absent cells, one open/high/low/close per (company, day) and,
+when the panel is to be written back to CSV, the four minute prices; after
+construction it is immutable and safe to share across threads. Calendar
+days are grouped into contiguous half-year periods labelled 1..S, which
+all downstream statistics key on.
 """
 from __future__ import annotations
 
@@ -117,21 +119,28 @@ class LoadReport:
 
 @dataclass(frozen=True)
 class MinutePanel:
-    """Dense (company, day, minute) store of volume and OHLC.
+    """Dense (company, day, minute) store of volume, with the open, high,
+    low and close of each (company, day).
 
     Arrays are float64 with NaN as the missing-cell marker; a cell is
-    present iff its volume entry is finite, and present cells always
-    carry a full OHLC quadruple. Axes are strictly sorted and
+    present iff its volume entry is finite. daily_ohlc[i, j] is the open
+    of the first present minute of company i on day j, the max high and
+    the min low over its present minutes and the close of the last one;
+    it is NaN on a day with no present minute. The four minute-price
+    arrays are either all given, or all None (a panel loaded for analysis
+    only, which cannot be written back to CSV). Without daily_ohlc, it is
+    computed once from the minute prices. Axes are strictly sorted and
     duplicate-free.
     """
 
     companies: tuple[str, ...]
     days: tuple[dt.date, ...]
     volume: np.ndarray
-    open: np.ndarray
-    high: np.ndarray
-    low: np.ndarray
-    close: np.ndarray
+    open: np.ndarray | None = None
+    high: np.ndarray | None = None
+    low: np.ndarray | None = None
+    close: np.ndarray | None = None
+    daily_ohlc: np.ndarray | None = None
 
     def __post_init__(self):
         if list(self.companies) != sorted(set(self.companies)):
@@ -139,11 +148,27 @@ class MinutePanel:
         if list(self.days) != sorted(set(self.days)):
             raise ValueError("day axis must be strictly sorted, duplicate-free")
         shape = (len(self.companies), len(self.days), SESSION_MINUTES)
-        for name in ("volume", "open", "high", "low", "close"):
+        prices = [getattr(self, name) for name in _PRICE_FIELDS]
+        given = sum(p is not None for p in prices)
+        if given not in (0, len(prices)):
+            raise ValueError("give all four minute-price arrays or none")
+        for name in _VALUE_FIELDS if given else _VALUE_FIELDS[:1]:
             arr = getattr(self, name)
             if arr.shape != shape:
                 raise ValueError(f"{name} array has shape {arr.shape}, want {shape}")
             arr.setflags(write=False)
+        if self.daily_ohlc is None:
+            if not self.has_minute_prices:
+                raise ValueError("a panel without minute prices needs daily_ohlc")
+            object.__setattr__(self, "daily_ohlc", _daily_ohlc(self.volume, *prices))
+        if self.daily_ohlc.shape != shape[:2] + (4,):
+            raise ValueError(f"daily_ohlc array has shape {self.daily_ohlc.shape}, "
+                             f"want {shape[:2] + (4,)}")
+        self.daily_ohlc.setflags(write=False)
+
+    @property
+    def has_minute_prices(self) -> bool:
+        return self.open is not None
 
     @property
     def n_companies(self) -> int:
@@ -171,22 +196,55 @@ class MinutePanel:
 
 
 _VALUE_FIELDS = ("volume", "open", "high", "low", "close")
+_PRICE_FIELDS = _VALUE_FIELDS[1:]
+
+
+def _daily_ohlc(volume, open_, high, low, close) -> np.ndarray:
+    """MinutePanel.daily_ohlc of the minute arrays, one company at a time."""
+    n_c, n_d, _ = volume.shape
+    out = np.full((n_c, n_d, 4), np.nan)
+    days = np.arange(n_d)
+    for i in range(n_c):
+        mask = np.isfinite(volume[i])
+        first = mask.argmax(axis=1)
+        last = SESSION_MINUTES - 1 - mask[:, ::-1].argmax(axis=1)
+        out[i] = np.column_stack((
+            open_[i, days, first],
+            np.where(mask, high[i], -np.inf).max(axis=1),
+            np.where(mask, low[i], np.inf).min(axis=1),
+            close[i, days, last],
+        ))
+        out[i, ~mask.any(axis=1)] = np.nan
+    return out
+
+
+#: a daily-price load's numbers per slab, by column: the first present
+#: minute and its open, the last present minute and its close, the max
+#: high and the min low; _NO_DAY holds them before the slab's first row
+_FIRST, _OPEN, _LAST, _CLOSE, _HIGH, _LOW = range(6)
+_NO_DAY = (np.inf, np.nan, -np.inf, np.nan, -np.inf, np.inf)
 
 
 class _Slabs:
     """The cells of a panel under construction: one 391-minute slab per
     (ticker code, day code) pair that holds a cell, numbered in first-seen
-    order, for each of the five value fields. A slab is NaN until its
-    cells are added, so a finite volume marks a taken cell.
+    order. A slab is NaN until its cells are added, so a finite volume
+    marks a taken cell.
 
-    Each field's slabs are one (capacity, 391) array that grows by a
-    quarter, one field at a time, so the store holds at most 1.25 times
-    its cells plus one field's copy while growing.
+    A load keeps the slabs of all five value fields, or, without minute
+    prices, the volume slabs and six numbers per slab (see _FIRST) that
+    each block's rows are folded into.
+
+    Each array of slabs is one (capacity, ...) array that grows by a
+    quarter with ndarray.resize, in place where the allocator can, so the
+    store holds about 1.25 times its slabs.
     """
 
-    def __init__(self):
+    def __init__(self, minute_prices: bool):
         self.number: dict[int, int] = {}     # ticker code << 32 | day code -> slab
-        self.fields = [np.empty((0, SESSION_MINUTES)) for _ in _VALUE_FIELDS]
+        n_fields = len(_VALUE_FIELDS) if minute_prices else 1
+        self.fields = [np.empty((0, SESSION_MINUTES)) for _ in range(n_fields)]
+        self.daily = None if minute_prices else np.empty((0, len(_NO_DAY)))
 
     def _slab(self, key: int) -> int:
         slab = self.number.get(key)
@@ -194,39 +252,67 @@ class _Slabs:
             slab = self.number[key] = len(self.number)
             if slab == len(self.fields[0]):
                 capacity = max(16, slab + slab // 4)
-                for f in range(len(self.fields)):
-                    grown = np.empty((capacity, SESSION_MINUTES))
-                    grown[:slab] = self.fields[f][:slab]
-                    self.fields[f] = grown
-            for arr in self.fields:
-                arr[slab] = np.nan
+                # no view of a slab array outlives the statement that makes it
+                for arr in self.fields:
+                    arr.resize((capacity, SESSION_MINUTES), refcheck=False)
+                    arr[slab:] = np.nan
+                if self.daily is not None:
+                    self.daily.resize((capacity, len(_NO_DAY)), refcheck=False)
+                    self.daily[slab:] = _NO_DAY
         return slab
 
     def add(self, t_code: np.ndarray, d_code: np.ndarray, minute: np.ndarray,
             values: Sequence[np.ndarray], duplicate) -> None:
-        """Put row k's five values[.][k] in cell (t_code[k], d_code[k],
-        minute[k]). A cell that is already taken, or that an earlier row
-        of this call repeats, raises DuplicateCell with the text
-        duplicate(k) of the first such row, before anything is stored."""
+        """Put row k's volume, open, high, low and close values[.][k] in
+        cell (t_code[k], d_code[k], minute[k]). A cell that is already
+        taken, or that an earlier row of this call repeats, raises
+        DuplicateCell with the text duplicate(k) of the first such row,
+        before anything is stored."""
         if not len(minute):
             return
         keys, inverse = np.unique((t_code.astype(np.int64) << 32) | d_code,
                                   return_inverse=True)
         slab = np.array([self._slab(k) for k in keys.tolist()], dtype=np.int64)[inverse]
         cell = slab * SESSION_MINUTES + minute
+        order = np.argsort(cell, kind="stable")
+        cells = cell[order]
+        later = np.zeros(cell.size, dtype=bool)
+        later[order[1:]] = cells[1:] == cells[:-1]
         repeat = np.isfinite(self.fields[0].reshape(-1)[cell])
-        _, first = np.unique(cell, return_index=True)
-        if first.size < cell.size or repeat.any():
-            later = np.ones(cell.size, dtype=bool)
-            later[first] = False
+        if later.any() or repeat.any():
             raise DuplicateCell(duplicate(int(np.argmax(repeat | later))))
-        for arr, column in zip(self.fields, values):
+        for arr, column in zip(self.fields, values):  # the volume alone, or all five
             arr.reshape(-1)[cell] = column
+        if self.daily is not None:
+            self._fold(cells, order, *values[1:])
+
+    def _fold(self, cells: np.ndarray, order: np.ndarray, open_: np.ndarray,
+              high: np.ndarray, low: np.ndarray, close: np.ndarray) -> None:
+        """Fold the prices of a block's rows into the daily numbers of the
+        slabs they fall in; cells are the rows' cells in increasing order,
+        the rows at positions order."""
+        slab, minute = np.divmod(cells, SESSION_MINUTES)
+        starts = np.flatnonzero(np.diff(slab, prepend=-1))
+        ends = np.append(starts[1:], len(cells)) - 1
+        slabs = slab[starts]
+        day = self.daily[slabs]
+        first, last = minute[starts], minute[ends]
+        earlier = first < day[:, _FIRST]
+        day[earlier, _FIRST] = first[earlier]
+        day[earlier, _OPEN] = open_[order[starts[earlier]]]
+        later = last > day[:, _LAST]
+        day[later, _LAST] = last[later]
+        day[later, _CLOSE] = close[order[ends[later]]]
+        day[:, _HIGH] = np.maximum(day[:, _HIGH], np.maximum.reduceat(high[order], starts))
+        day[:, _LOW] = np.minimum(day[:, _LOW], np.minimum.reduceat(low[order], starts))
+        self.daily[slabs] = day
 
     def panel(self, tickers: Sequence[str], days: Sequence[dt.date]) -> MinutePanel:
         """The sorted panel of the slabs, where code k labels tickers[k]
-        and days[k]. The axes hold only the labels that have a slab. Each
-        field's slabs are dropped once its panel array is filled."""
+        and days[k]. The axes hold only the labels that have a slab. Slabs
+        that are already the panel's blocks in order (a sorted file with
+        every (ticker, day) pair) become its array; otherwise each field's
+        slabs are dropped once its panel array is filled."""
         keys = np.fromiter(self.number, np.int64, len(self.number))
         axes = []
         ranks = []
@@ -239,13 +325,24 @@ class _Slabs:
         companies, panel_days = axes
         shape = (len(companies), len(panel_days), SESSION_MINUTES)
         dest = ranks[0] * shape[1] + ranks[1]
+        n = len(dest)
+        in_order = n == shape[0] * shape[1] and bool((dest == np.arange(n)).all())
         arrays = []
-        for f in range(len(self.fields)):
-            arr = np.full(shape, np.nan)
-            arr.reshape(-1, SESSION_MINUTES)[dest] = self.fields[f][:len(dest)]
+        for f, arr in enumerate(self.fields):
             self.fields[f] = None
-            arrays.append(arr)
-        return MinutePanel(companies, panel_days, *arrays)
+            if in_order:
+                arr.resize((n, SESSION_MINUTES), refcheck=False)  # the spare capacity
+                arrays.append(arr.reshape(shape))
+                continue
+            out = np.full(shape, np.nan)
+            out.reshape(-1, SESSION_MINUTES)[dest] = arr[:n]
+            arrays.append(out)
+        if self.daily is None:
+            return MinutePanel(companies, panel_days, *arrays)
+        ohlc = np.full(shape[:2] + (4,), np.nan)
+        ohlc.reshape(-1, 4)[dest] = self.daily[:n, [_OPEN, _HIGH, _LOW, _CLOSE]]
+        self.daily = None
+        return MinutePanel(companies, panel_days, *arrays, daily_ohlc=ohlc)
 
 
 def _parse_minute(value: str, time_format: str) -> int:
@@ -435,6 +532,8 @@ class _Layout:
 
     @staticmethod
     def from_header(p: Path, header: list[str], schema: Mapping[str, str]) -> "_Layout":
+        if header and header[0].startswith("\ufeff"):
+            header = [header[0][1:], *header[1:]]  # a UTF-8 byte-order mark
         header = [h.strip() for h in header]
         col = {}
         for fld in ("date", "time", *_VALUE_FIELDS):
@@ -820,7 +919,7 @@ class _ColumnLoader:
     occurs.
     """
 
-    def __init__(self, time_format: str, strict: bool):
+    def __init__(self, time_format: str, strict: bool, minute_prices: bool):
         self.time_format = time_format
         self.strict = strict
         self.report = LoadReport()
@@ -829,7 +928,7 @@ class _ColumnLoader:
         self.minute_codes = _Memo(self._minute_code)
         self.day_codes = _Memo(self._day_code)
         self.ticker_codes = _Memo(lambda s: self.tickers.setdefault(s.strip(), len(self.tickers)))
-        self.slabs = _Slabs()
+        self.slabs = _Slabs(minute_prices)
 
     def _minute_code(self, s: str) -> int:
         try:
@@ -950,6 +1049,7 @@ def load_minute_bars(
     *,
     time_format: str = "auto",
     strict: bool = False,
+    minute_prices: bool = True,
 ) -> tuple[MinutePanel, LoadReport]:
     """Load minute bars from one CSV, a list of CSVs, or a directory.
 
@@ -959,14 +1059,16 @@ def load_minute_bars(
     rows outside the 09:30-16:00 session are always skipped and counted.
     A repeated (ticker, date, minute) cell rejects the whole load.
     Inputs over _HELPER_MIN_BYTES are parsed on two processes, with the
-    same result.
+    same result. Without minute_prices the panel keeps only the minute
+    volume and the daily OHLC (see MinutePanel), folded in as rows are
+    read, which is all the analysis needs; it cannot be written to CSV.
     """
     schema = dict(DEFAULT_SCHEMA, **(schema or {}))
     if isinstance(path, (list, tuple)):
         paths = [q for p in path for q in _csv_paths(p)]
     else:
         paths = _csv_paths(path)
-    loader = _ColumnLoader(time_format, strict)
+    loader = _ColumnLoader(time_format, strict, minute_prices)
     loader.load(paths, schema)
     return loader.panel(), loader.report
 
@@ -1025,8 +1127,12 @@ def write_panel_csv(panel: MinutePanel, path) -> None:
     counts rows). The csv module quotes each ticker and date once; `%.17g`
     gives the same text as format(x, ".17g"). From _WRITER_MIN_ROWS
     present rows a _Helper formats a share of the chunks (see
-    _helped_chunks); the file is the same.
+    _helped_chunks); the file is the same. A panel without minute prices
+    raises DataError.
     """
+    if not panel.has_minute_prices:
+        raise DataError("the panel holds no minute prices (open, high, low, close) "
+                        "to write")
     n_days = len(panel.days)
     fields = [getattr(panel, name).reshape(-1, SESSION_MINUTES) for name in _VALUE_FIELDS]
     counts = np.zeros(len(fields[0]), dtype=np.int64)

@@ -286,18 +286,21 @@ class PreparedPanel:
     validation: ValidationReport
 
 
-def load_panel(config: PipelineConfig) -> tuple[MinutePanel, LoadReport]:
-    """Load config.input_paths with the config's schema and time format."""
+def load_panel(config: PipelineConfig,
+               minute_prices: bool = True) -> tuple[MinutePanel, LoadReport]:
+    """Load config.input_paths with the config's schema and time format;
+    without minute_prices the panel holds volume and daily OHLC only."""
     if not config.input_paths:
         raise DataError("no input: pass input paths or set input_paths in the config")
-    return load_minute_bars(
-        config.input_paths, config.schema or None, time_format=config.time_format)
+    return load_minute_bars(config.input_paths, config.schema or None,
+                            time_format=config.time_format, minute_prices=minute_prices)
 
 
 def prepare_panel(config: PipelineConfig) -> PreparedPanel:
-    """Load the panel, label its semesters, validate coverage and apply the
-    coverage and config exclusions."""
-    panel, load_report = load_panel(config)
+    """Load the panel (minute volume and daily OHLC: what the stages read),
+    label its semesters, validate coverage and apply the coverage and config
+    exclusions."""
+    panel, load_report = load_panel(config, minute_prices=False)
     if config.semester_boundaries is not None:
         boundaries = [(dt.date.fromisoformat(a), dt.date.fromisoformat(b))
                       for a, b in config.semester_boundaries]

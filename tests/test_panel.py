@@ -196,6 +196,16 @@ class TestLoader:
         with pytest.raises(DataError, match="header"):
             load_minute_bars(_write(tmp_path / "a.csv", ""))
 
+    def test_daily_price_load_cannot_be_written(self, tmp_path, small_panel):
+        path = tmp_path / "panel.csv"
+        write_panel_csv(small_panel, path)
+        loaded, _ = load_minute_bars(path, minute_prices=False)
+        assert not loaded.has_minute_prices
+        np.testing.assert_array_equal(loaded.daily_ohlc, small_panel.daily_ohlc)
+        with pytest.raises(DataError, match=r"no minute prices \(open, high, low, close\)"):
+            write_panel_csv(loaded, tmp_path / "out.csv")
+        assert not (tmp_path / "out.csv").exists()
+
 
 class TestMinutePanel:
     def test_axes_must_be_sorted_unique(self):
@@ -207,6 +217,21 @@ class TestMinutePanel:
     def test_arrays_immutable(self, small_panel):
         with pytest.raises(ValueError):
             small_panel.volume[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            small_panel.daily_ohlc[0, 0, 0] = 1.0
+
+    def test_minute_prices_all_or_none(self):
+        shape = (1, 1, SESSION_MINUTES)
+        volume, *prices = [np.full(shape, np.nan) for _ in range(5)]
+        days = (dt.date(2004, 1, 5),)
+        with pytest.raises(ValueError, match="all four"):
+            MinutePanel(("A",), days, volume, *prices[:3])
+        with pytest.raises(ValueError, match="needs daily_ohlc"):
+            MinutePanel(("A",), days, volume)
+        with pytest.raises(ValueError, match="daily_ohlc array has shape"):
+            MinutePanel(("A",), days, volume, daily_ohlc=np.full((1, 2, 4), np.nan))
+        panel = MinutePanel(("A",), days, volume, daily_ohlc=np.full((1, 1, 4), np.nan))
+        assert not panel.has_minute_prices
 
     def test_lookup_errors(self, small_panel):
         with pytest.raises(DataError, match="not in panel"):
@@ -651,10 +676,10 @@ def _csv_files(draw):
 
 class TestColumnarLoaderEquivalence:
     @given(_csv_files(), st.sampled_from([1, 2, 3, 7, 1024]),
-           st.one_of(st.integers(1, 80), st.just(100_000)))
+           st.one_of(st.integers(1, 80), st.just(100_000)), st.booleans())
     @settings(max_examples=250, deadline=None)
     def test_matches_row_at_a_time_rules(self, tmp_path_factory, drawn, block_rows,
-                                         block_chars):
+                                         block_chars, helper):
         files, _ = drawn
         root = tmp_path_factory.mktemp("eq")
         paths = []
@@ -662,7 +687,7 @@ class TestColumnarLoaderEquivalence:
             path = root / f"{stem}.csv"
             path.write_bytes(text.encode())
             paths.append(path)
-        _assert_matches_reference(paths, block_rows, block_chars)
+        _assert_matches_reference(paths, block_rows, block_chars, helper)
 
     @pytest.mark.parametrize("text", [
         # plain CRLF records, a blank line, no final line end
@@ -713,6 +738,31 @@ class TestColumnarLoaderEquivalence:
         # 10 bytes a character
         assert peak < 1.5 * panel_bytes + 16 * block_chars, (peak, panel_bytes)
 
+    def test_peak_memory_of_a_daily_price_load(self, tmp_path):
+        spec = GeneratorSpec(n_companies=6, n_days=30, seed=3, price_model="gbm",
+                             intensity=IntensitySpec(opening_amplitude=2000.0,
+                                                     opening_exponent=0.29))
+        panel, _ = generate_panel(spec)
+        path = tmp_path / "panel.csv"
+        write_panel_csv(panel, path)
+        block_chars = 20_000
+        # on one process, so that one block is parsed at a time (the
+        # helper's answers can be up to _READ_AHEAD blocks ahead)
+        with mock.patch.object(panel_mod, "_BLOCK_CHARS", block_chars), \
+                mock.patch.object(panel_mod, "_HELPER_MIN_BYTES", 2 ** 62):
+            tracemalloc.start()
+            try:
+                loaded, _ = load_minute_bars(path, minute_prices=False)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert loaded.volume.tobytes() == panel.volume.tobytes()
+        assert loaded.daily_ohlc.tobytes() == panel.daily_ohlc.tobytes()
+        # the volume slabs, grown in place by a quarter, six numbers per
+        # slab and one block: a quarter of the bound above at this size
+        bound = 1.5 * panel.volume.nbytes + panel.daily_ohlc.nbytes + 16 * block_chars
+        assert peak < bound, (peak, bound)
+
     def test_strict_reports_first_bad_row_message(self, tmp_path):
         text = HEADER + ("A,2004-01-05,09:30,1,10,10,10,10\n"
                          "A,2004-01-05,09:31,1,10,9,10,10\n"
@@ -742,17 +792,26 @@ class TestColumnarLoaderEquivalence:
                 load_minute_bars([first, later], strict=strict)
 
 
-def _assert_matches_reference(paths, block_rows, block_chars):
+def _assert_matches_reference(paths, block_rows, block_chars, helper=False):
+    """Both loads of paths, with minute prices and without, give the
+    reference's panel, report or error, with the helper (where it can
+    run) or without."""
     with mock.patch.object(panel_mod, "_BLOCK_ROWS", block_rows), \
-            mock.patch.object(panel_mod, "_BLOCK_CHARS", block_chars):
+            mock.patch.object(panel_mod, "_BLOCK_CHARS", block_chars), \
+            mock.patch.object(panel_mod, "_HELPER_MIN_BYTES", 0 if helper else 2 ** 62):
         for strict in (False, True):
             got = _outcome(load_minute_bars, [str(p) for p in paths], strict=strict)
+            daily = _outcome(load_minute_bars, [str(p) for p in paths], strict=strict,
+                             minute_prices=False)
             want = _outcome(_reference_load, paths, strict=strict)
             if want[0] != "ok":
                 assert got == want, block_chars
+                assert daily == want, block_chars
                 continue
             assert got[0] == "ok", (got, block_chars)
+            assert daily[0] == "ok", (daily, block_chars)
             _assert_loaded(*got[1], *want[1])
+            _assert_daily_loaded(*daily[1], *got[1], want[1][0])
 
 
 def _assert_loaded(panel, report, bars, n_rows, skipped):
@@ -767,6 +826,26 @@ def _assert_loaded(panel, report, bars, n_rows, skipped):
         assert [getattr(panel, name)[cell] for name in
                 ("volume", "open", "high", "low", "close")] == \
             [bar.volume, bar.open, bar.high, bar.low, bar.close]
+
+
+def _assert_daily_loaded(panel, report, full, full_report, bars):
+    """A daily-price load: the full load's volume and report, no minute
+    prices, and the first open, max high, min low and last close of the
+    reference bars of each (ticker, day), bit for bit."""
+    assert report == full_report
+    assert (panel.companies, panel.days) == (full.companies, full.days)
+    assert panel.volume.tobytes() == full.volume.tobytes()
+    assert (panel.open, panel.high, panel.low, panel.close) == (None,) * 4
+    by_day = {}
+    for (ticker, day, minute), bar in sorted(bars.items()):
+        by_day.setdefault((ticker, day), []).append(bar)
+    want = np.full(panel.daily_ohlc.shape, np.nan)
+    for (ticker, day), day_bars in by_day.items():
+        want[panel.companies.index(ticker), panel.days.index(day)] = (
+            day_bars[0].open, max(b.high for b in day_bars),
+            min(b.low for b in day_bars), day_bars[-1].close)
+    assert panel.daily_ohlc.tobytes() == want.tobytes()
+    assert full.daily_ohlc.tobytes() == want.tobytes()
 
 
 # --- parsing and writing on two processes --------------------------------
@@ -917,6 +996,26 @@ def _gbm_panel(n_companies, n_days, seed=5):
                          intensity=IntensitySpec(opening_amplitude=2000.0,
                                                  opening_exponent=0.29))
     return generate_panel(spec)[0]
+
+
+@pytest.mark.parametrize("helper", [False, pytest.param(True, marks=needs_helper)])
+@pytest.mark.parametrize("n_companies", [1, 3])
+def test_byte_order_mark_before_the_header(tmp_path, n_companies, helper):
+    # the mark must not hide the ticker column, or the file loads as a
+    # per-symbol file named after its stem: one ticker under the wrong
+    # name, or several that repeat each other's (day, minute) cells
+    panel = _gbm_panel(n_companies, 2)
+    path = tmp_path / "panel.csv"
+    write_panel_csv(panel, path)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    answered = []
+    with mock.patch.object(panel_mod, "_HELPER_MIN_BYTES", 0 if helper else 2 ** 62), \
+            mock.patch.object(panel_mod, "_BLOCK_CHARS", 2_000), _counting_answers(answered):
+        loaded, _ = load_minute_bars(path)
+    assert any(answered) == helper
+    assert loaded.companies == panel.companies
+    for name in ("volume", "open", "high", "low", "close"):
+        assert getattr(loaded, name).tobytes() == getattr(panel, name).tobytes()
 
 
 class _FailingFile(io.BytesIO):

@@ -295,6 +295,57 @@ class TestRunPipeline:
             b"C03,2,261374.875,0.14665339993307061,-4.705939377676903,"
             b"2942.7036208850254,-54.324156791860275\r\n")
 
+    def test_metrics_on_days_missing_their_ends(self, tmp_path):
+        # the report panel keeps one open, high, low and close per day:
+        # days that miss their first or last minutes take the first and
+        # last present ones, and wholly empty days (a semester's first
+        # or last day among them) are dropped. Bytes as the minute-price
+        # panel gave them.
+        panel, truth = generate_panel(GeneratorSpec(
+            n_companies=3, n_days=6, n_semesters=2, seed=11, price_model="gbm",
+            intensity=IntensitySpec(opening_amplitude=2000.0, opening_exponent=0.3,
+                                    closing_amplitude=1000.0, closing_exponent=0.4,
+                                    baseline=50.0)))
+        arrays = {name: getattr(panel, name).copy()
+                  for name in ("volume", "open", "high", "low", "close")}
+        absent = [(0, 0, slice(0, 25)), (0, 5, slice(350, None)), (0, 8, slice(0, 1)),
+                  (1, 2, slice(None)), (1, 3, slice(0, 100)), (1, 3, slice(200, None)),
+                  (1, 11, slice(None)), (1, 10, slice(390, None)),
+                  (2, 0, slice(None)), (2, 6, slice(0, 40)), (2, 9, slice(None)),
+                  (2, 11, slice(150, None))]
+        for i, j, minutes in absent:
+            for arr in arrays.values():
+                arr[i, j, minutes] = np.nan
+        write_panel_csv(MinutePanel(panel.companies, panel.days, **arrays),
+                        tmp_path / "panel.csv")
+        config = PipelineConfig(
+            input_paths=[str(tmp_path / "panel.csv")], min_day_coverage=0.0,
+            semester_boundaries=[(a.isoformat(), b.isoformat()) for a, b in truth.boundaries],
+            regime_boundary_semester=1, kurtosis_tail_excluded_semesters=[])
+        assert run_pipeline(config, write=False).files()["metrics.csv"] == (
+            b"ticker,semester,activity,volatility,price_variation,concavity,symmetry\r\n"
+            b"C00,1,263479.43333333335,0.13002230375828633,-0.083668522441046111,"
+            b"2601.0188942185573,-57.811194659948164\r\n"
+            b"C01,1,260248.64999999999,0.13817623956833036,1.9062514136575763,"
+            b"2885.7402008966974,-60.609751592672268\r\n"
+            b"C02,1,266778.59999999998,0.14227259136153142,-1.3112208661115556,"
+            b"2794.8054335588586,-64.802429947640093\r\n"
+            b"C00,2,263078.43333333335,0.16877309518285236,-0.36098016118714332,"
+            b"2604.634934019663,-62.427695816196902\r\n"
+            b"C01,2,262930.59999999998,0.1325744095744725,-0.73432046721720035,"
+            b"2754.9235256354896,-62.102077427487735\r\n"
+            b"C02,2,263919.54999999999,0.12812239766859923,-0.0016727961497613594,"
+            b"2712.0468753037894,-46.641876473415628\r\n")
+
+    def test_report_panel_keeps_no_minute_prices(self, base_config):
+        panel = pipeline_mod.prepare_panel(base_config).panel
+        assert not panel.has_minute_prices
+        assert (panel.open, panel.high, panel.low, panel.close) == (None,) * 4
+        full, _ = pipeline_mod.load_panel(base_config)
+        assert full.has_minute_prices
+        assert panel.volume.tobytes() == full.volume.tobytes()
+        assert panel.daily_ohlc.tobytes() == full.daily_ohlc.tobytes()
+
     def test_unexpected_stage_error_propagates(self, base_config, monkeypatch):
         # only DataError and NumericalError are per-slice failures; a bug
         # in a stage must surface rather than land in run_log
@@ -674,6 +725,19 @@ class TestCli:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert "alpha" in doc["coefficients"]
+
+    def test_ingest_reads_past_a_byte_order_mark(self, capsys, tmp_path):
+        # a one-ticker canonical file: with the mark hiding its ticker
+        # column it would load as a per-symbol file named after its stem
+        write_panel_csv(generate_panel(GeneratorSpec(
+            n_companies=1, n_days=3, seed=4, price_model="gbm",
+            intensity=IntensitySpec(opening_amplitude=2000.0, opening_exponent=0.3)))[0],
+            tmp_path / "want.csv")
+        want = (tmp_path / "want.csv").read_bytes()
+        (tmp_path / "panel.csv").write_bytes(b"\xef\xbb\xbf" + want)
+        assert main(["ingest", str(tmp_path / "panel.csv"), "--out", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        assert (tmp_path / "out" / "panel.csv").read_bytes() == want
 
     def test_synth_spec_file(self, capsys, tmp_path):
         doc = {"n_companies": 2, "n_days": 4, "seed": 3, "n_semesters": 2,
