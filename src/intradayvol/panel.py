@@ -20,8 +20,9 @@ import pickle
 import select
 from bisect import bisect_left, bisect_right
 from collections import deque
+from contextlib import closing, nullcontext
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain, groupby, islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -377,7 +378,7 @@ def _csv_paths(path) -> list[Path]:
 
 #: characters read per text block (then cut after the block's last line
 #: feed). The loader holds the text and arrays of a few blocks at a time
-#: (see _BlockReader), so this bounds its transient memory.
+#: (see _in_order), so this bounds its transient memory.
 _BLOCK_CHARS = 100_000
 
 #: csv records parsed per block on the csv-module path.
@@ -388,16 +389,18 @@ _BLOCK_ROWS = 1024
 #: on smaller ones the fork costs more than it saves.
 _HELPER_MIN_BYTES = 1_000_000
 
-#: blocks (or writer chunks) a _Helper is asked for ahead of its answers:
-#: one to work on and one queued, so that it does not wait between them.
+#: items (blocks or writer chunks) a _Helper is asked for ahead of its
+#: answers: one to work on and one queued, so that it does not wait
+#: between them.
 _HELPER_DEPTH = 2
 
 #: bytes of a _Helper's answer pipe, where the system lets it be set
 _PIPE_BYTES = 1 << 20
 
-#: blocks read and not yet applied, at most: while the helper's answer
-#: for the oldest is not back, the loader parses later blocks itself.
-_READ_AHEAD = 6
+#: items (blocks or writer chunks) worked on and not yet handed out, at
+#: most: while the helper's answer for the oldest is not back, _in_order
+#: works on later items itself.
+_AHEAD = 6
 
 # Minute codes of rows that do not give a session minute.
 _BAD_TIME = -2       # the time field is missing or does not parse
@@ -491,16 +494,6 @@ def _split_block(text: str, width: int) -> list[list[str]] | None:
     return columns
 
 
-def _csv_lines(text: str, fh) -> Iterable[str]:
-    """The lines of `text` and then of the rest of `fh`, split as a file
-    opened with newline="" splits them. `text` is the file's unparsed text
-    up to fh's position, so its last line may end in fh: that line is
-    completed from fh first, and a CR LF split between them stays one
-    line end."""
-    yield from io.StringIO(text + fh.readline(), newline="")
-    yield from fh
-
-
 def _valid_values(vol, o, h, lo, c) -> np.ndarray:
     """MinuteBar.__post_init__'s value rules, row-wise."""
     ok = np.isfinite(vol) & (vol >= 0) & (np.floor(vol) == vol)
@@ -589,66 +582,84 @@ def _parse_columns(columns: Sequence[Sequence[str]], layout: _Layout,
     return _Parsed(keys, values, blank)
 
 
-def _blocks(fh) -> Iterator[tuple[str, int]]:
-    """fh's text from its position in blocks of whole lines, as (rest,
-    cut) pairs: rest is the text read and not in an earlier block, and
-    rest[:cut] the block, cut after its last line feed or at the end of
-    the file. A block that holds no line feed has cut 0."""
-    tail = ""
-    while True:
-        chunk = fh.read(_BLOCK_CHARS)
-        rest = tail + chunk
-        if not rest:
-            return
-        cut = rest.rfind("\n") + 1 if chunk else len(rest)
-        yield rest, cut
-        tail = rest[cut:]
-
-
 class _Input:
-    """One input file, open past its header row, and its text blocks,
-    numbered from 0. Both the loader and its helper open each file."""
+    """One input file, its columns read from its header row. Once
+    _split_block declines a block of the file, declined is set: csv.reader
+    reads that block and the rest of the file."""
 
-    def __init__(self, number: int, path: Path, schema: Mapping[str, str]):
-        self.number = number
+    def __init__(self, path: Path, header: list[str], schema: Mapping[str, str]):
         self.source = str(path)
-        self.fh = open(path, newline="")
-        try:
-            try:
-                header = next(csv.reader(self.fh))
-            except StopIteration:
-                raise DataError(f"{path}: empty file (header row required)") from None
-            self.layout = _Layout.from_header(path, header, schema)
-        except BaseException:
-            self.fh.close()
-            raise
+        self.layout = _Layout.from_header(path, header, schema)
         self.fields = len(header)
-        self.blocks = enumerate(_blocks(self.fh))
-        self.done = False  # no more blocks are read from fh
-
-    def parse(self, rest: str, cut: int) -> _Parsed | None:
-        """The block rest[:cut], or None if csv.reader must read it."""
-        columns = _split_block(rest[:cut], self.fields)
-        if columns is None:
-            return None
-        return _parse_columns(columns, self.layout, lambda k: [c[k] for c in columns])
+        self.declined = False
 
 
-_PENDING = object()  # the parse of a block the helper was asked for
+class _Block(NamedTuple):
+    """Whole lines of a file's text, the last of it if last is set."""
 
-
-@dataclass(eq=False)
-class _Block:
     input: _Input
-    number: int
-    rest: str
-    cut: int
-    parsed: object = _PENDING  # _Parsed, or None for the csv path
+    text: str
+    last: bool
 
     def record(self, k: int) -> list[str]:
         """The fields of record k, from the text split again (only a
         strict-mode error needs them)."""
-        return [c[k] for c in _split_block(self.rest[:self.cut], self.input.fields)]
+        return [c[k] for c in _split_block(self.text, self.input.fields)]
+
+
+def _file_blocks(paths: Sequence[Path], schema: Mapping[str, str]) -> Iterator[_Block]:
+    """The text of each file past its header row, in file order, as
+    blocks of whole lines: _BLOCK_CHARS characters are read at a time and
+    cut after the last line feed, or at the end of the file, where the
+    block is the file's last (and may be empty); any other block that
+    holds no line feed is empty. A file is opened when its first block is
+    read. The loader and its helper each read the files through this,
+    because a forked child shares the file offsets of its parent's open
+    files."""
+    for path in paths:
+        with open(path, newline="") as fh:
+            try:
+                header = next(csv.reader(fh))
+            except StopIteration:
+                raise DataError(f"{path}: empty file (header row required)") from None
+            inp = _Input(path, header, schema)
+            tail = ""
+            while True:
+                text = tail + fh.read(_BLOCK_CHARS)
+                if len(text) - len(tail) < _BLOCK_CHARS:  # read() falls short only at the end
+                    yield _Block(inp, text, True)
+                    break
+                cut = text.rfind("\n") + 1
+                text, tail = text[:cut], text[cut:]
+                yield _Block(inp, text, False)
+
+
+def _parse(block: _Block) -> _Parsed | None:
+    """The block's records, or None if csv.reader must read it: it is the
+    first block of its file that _split_block declines, or a later one."""
+    inp = block.input
+    columns = None if inp.declined else _split_block(block.text, inp.fields)
+    if columns is None:
+        inp.declined = True
+        return None
+    return _parse_columns(columns, inp.layout, lambda k: [c[k] for c in columns])
+
+
+def _tail(block: _Block, later: Iterator[tuple[_Block, object]]) -> Iterator[io.StringIO]:
+    """The text of block and of its file's next blocks, taken from later
+    as they are needed, each read as a file opened with newline="" reads
+    it; chained, their lines are the file's lines from block on, because
+    only a file's last block may end without a line feed (so no CR LF is
+    split between blocks). Nothing is taken after the file's last block,
+    so that a later file is not read before this one is applied."""
+    while True:
+        yield io.StringIO(block.text, newline="")
+        if block.last:
+            return
+        block, _ = next(later)
+
+
+_PENDING = object()  # the answer to an item the helper was asked for
 
 
 def _read_exact(fd: int, n: int) -> bytearray:
@@ -683,42 +694,34 @@ def _requests(fd: int) -> Iterator:
             return
 
 
-def _parses(paths: Sequence[Path], schema: Mapping[str, str],
-            requests: Iterator[tuple[int, int]]) -> Iterator[_Parsed | None]:
-    """The loader's helper: Input.parse of each (file number, block
-    number) block asked for, the requests coming in file order. It opens
-    the files and cuts them into blocks itself, because a forked child
-    shares the file offsets of its parent's open files."""
-    inp = None
-    try:
-        for number, wanted in requests:
-            if inp is None or inp.number != number:
-                if inp is not None:
-                    inp.fh.close()
-                inp = _Input(number, paths[number], schema)
-            for k, (rest, cut) in inp.blocks:
-                if k == wanted:
-                    break
-            else:
-                return  # the file is shorter than the loader's: it parses the block itself
-            yield inp.parse(rest, cut)
-    finally:
-        if inp is not None:
-            inp.fh.close()
+def _answers(items: Iterable, work: Callable, positions: Iterator[int]) -> Iterator:
+    """work(item) of the item at each position asked for, the positions
+    increasing; it ends where the items do."""
+    items = iter(items)
+    taken = 0
+    for position in positions:
+        for item in islice(items, position - taken, None):
+            break
+        else:
+            return  # the items end before it: the parent works on it itself
+        taken = position + 1
+        yield work(item)
 
 
 class _Helper:
-    """A forked process that does a share of its parent's work: serve
-    maps the requests it reads, in order, to the answers it sends back.
+    """A forked process that works on a share of its parent's items: asked
+    for the item at a position, it sends back work(item) (see _in_order).
 
     Requests and answers are pickled through two pipes. A forked child
-    shares its parent's memory as it was at the fork, so requests can be
-    small (a block or chunk number) and only the answers are large. The
-    helper exits when its request pipe closes, when serve ends, or when it
-    writes an answer that no one will read.
+    shares its parent's memory as it was at the fork, so a request is just
+    a position and only the answers are large. The child takes the items
+    from its own copy of `items`, which the parent must not have started
+    before the fork. The helper exits when its request pipe closes, when
+    the items end, or when it writes an answer that no one will read; as a
+    context manager it is stopped and reaped on exit.
     """
 
-    def __init__(self, serve: Callable[[Iterator], Iterable]):
+    def __init__(self, items: Iterable, work: Callable):
         requests, self.requests = os.pipe()
         self.answers, answers = os.pipe()
         try:
@@ -740,7 +743,7 @@ class _Helper:
             try:
                 os.close(self.requests)
                 os.close(self.answers)
-                for answer in serve(_requests(requests)):
+                for answer in _answers(items, work, _requests(requests)):
                     _send(answers, answer)
                 code = 0
             finally:
@@ -753,9 +756,9 @@ class _Helper:
         self.poll.register(self.answers, select.POLLIN)
 
     @staticmethod
-    def start(serve: Callable[[Iterator], Iterable], size: Callable[[], int],
+    def start(items: Iterable, work: Callable, size: Callable[[], int],
               min_size: int) -> "_Helper | None":
-        """A helper running serve, or None where it would not pay: no
+        """A helper working on items, or None where it would not pay: no
         fork, one CPU, a job whose size() is under min_size, or no
         process to spare."""
         if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
@@ -764,9 +767,19 @@ class _Helper:
         try:
             if size() < min_size:
                 return None
-            return _Helper(serve)
+            return _Helper(items, work)
         except OSError:
             return None
+
+    def __enter__(self) -> "_Helper":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        """Stop and reap the helper: it sees its request pipe close, or
+        its next answer fail."""
+        self.stop()
+        os.close(self.answers)
+        os.waitpid(self.pid, 0)
 
     def ask(self, request) -> None:
         try:
@@ -800,114 +813,59 @@ class _Helper:
             os.close(self.requests)
             self.requests = None
 
-    def close(self) -> None:
-        """Stop and reap the helper: it sees its request pipe close, or
-        its next answer fail."""
-        self.stop()
-        os.close(self.answers)
-        os.waitpid(self.pid, 0)
 
+def _in_order(helper: _Helper | None, items: Iterable,
+              work: Callable) -> Iterator[tuple]:
+    """(item, work(item)) for each of items, in order.
 
-class _BlockReader:
-    """The text blocks of the input files in file order, each parsed.
-
-    Above _HELPER_MIN_BYTES a _Helper parses a share of the blocks: the
-    reader keeps it asked for the next _HELPER_DEPTH blocks, and while the
-    answer for the oldest block is not back it parses up to _READ_AHEAD
-    later blocks itself. Every block is still handed out in file order.
-    A file is opened when its first block is read, and an error opening
-    or reading it is raised once the blocks before it are handed out.
+    The helper, if any, is kept asked for the items at the next
+    _HELPER_DEPTH positions, and while its answer for the oldest is not
+    back this process works on later items itself, up to _AHEAD items in
+    all; it also works on the items of a helper that has exited. An error
+    reading the items (a file that cannot be opened, decoded or has no
+    usable header) is raised once the items before it are handed out.
     """
+    numbered = enumerate(items)
+    queue: deque[tuple] = deque()  # (position, item, work(item) or _PENDING), oldest first
+    failed = None
 
-    def __init__(self, paths: Sequence[Path], schema: Mapping[str, str]):
-        self.paths = iter(enumerate(paths))
-        self.schema = schema
-        self.inputs: deque[_Input] = deque()  # open, oldest first
-        self.queue: deque[_Block] = deque()   # read, not yet handed out
-        self.failed: Exception | None = None
-        self.helper = _Helper.start(lambda requests: _parses(paths, schema, requests),
-                                    lambda: sum(p.stat().st_size for p in paths),
-                                    _HELPER_MIN_BYTES)
-
-    def __enter__(self) -> "_BlockReader":
-        return self
-
-    def __exit__(self, *exc) -> None:
+    def take() -> tuple | None:
+        """The next (position, item); None after the last, or an error."""
+        nonlocal failed
         try:
-            for inp in self.inputs:
-                inp.fh.close()
-        finally:
-            if self.helper is not None:
-                self.helper.close()
+            taken = next(numbered, None)
+        except (DataError, OSError, ValueError, csv.Error) as exc:  # raised in its turn
+            failed, taken = exc, None
+        if taken is None and helper is not None:
+            helper.stop()  # so that it exits while the last items are handed out
+        return taken
 
-    def _read(self) -> _Block | None:
-        """The next block of the input files; None after the last, or
-        from a file that could not be opened or read."""
-        while self.failed is None:
-            inp = self.inputs[-1] if self.inputs else None
-            try:
-                if inp is not None and not inp.done:
-                    block = next(inp.blocks, None)
-                    if block is not None:
-                        number, (rest, cut) = block
-                        return _Block(inp, number, rest, cut)
-                    inp.done = True
-                    continue
-                number, path = next(self.paths, (None, None))
-                if path is None:
-                    break
-                self.inputs.append(_Input(number, path, self.schema))
-            except (DataError, OSError, ValueError, csv.Error) as exc:
-                self.failed = exc  # raised in its turn
-        if self.helper is not None:
-            self.helper.stop()  # so that it exits while the last blocks are applied
-        return None
-
-    def __iter__(self) -> Iterator[_Block]:
-        helper = self.helper
-        while True:
-            while (helper is not None and helper.alive
-                   and len(helper.asked) < _HELPER_DEPTH and (block := self._read())):
-                helper.ask((block.input.number, block.number))
-                self.queue.append(block)
-            head = self.queue[0] if self.queue else None
-            if head is None or (head.parsed is _PENDING and len(self.queue) < _READ_AHEAD
-                                and not helper.ready()):
-                block = self._read()
-                if block is not None:
-                    block.parsed = block.input.parse(block.rest, block.cut)
-                    self.queue.append(block)
-                    continue
-                if head is None:
-                    if self.failed is not None:
-                        raise self.failed
-                    return
-            self.queue.popleft()
-            if head.parsed is _PENDING:
-                head.parsed = helper.answer((head.input.number, head.number))
-            if head.parsed is _PENDING:  # the helper has exited
-                head.parsed = head.input.parse(head.rest, head.cut)
-            while self.inputs[0] is not head.input:
-                self.inputs.popleft().fh.close()
-            yield head
-
-    def rest_of(self, block: _Block) -> str:
-        """The text of block's file from block on that has been read, the
-        rest being in block.input.fh; no more blocks of it are read, and
-        those read already are dropped."""
-        block.input.done = True
-        last = block
-        text = []
-        while self.queue and self.queue[0].input is block.input:
-            text.append(last.rest[:last.cut])
-            last = self.queue.popleft()
-        return "".join(text) + last.rest
+    while True:
+        while (helper is not None and helper.alive and len(helper.asked) < _HELPER_DEPTH
+               and (taken := take())):
+            helper.ask(taken[0])
+            queue.append((*taken, _PENDING))
+        if not queue or (queue[0][2] is _PENDING and len(queue) < _AHEAD
+                         and not helper.ready()):
+            if taken := take():
+                queue.append((*taken, work(taken[1])))
+                continue
+            if not queue:
+                if failed is not None:
+                    raise failed
+                return
+        position, item, result = queue.popleft()
+        if result is _PENDING:
+            result = helper.answer(position)
+        if result is _PENDING:  # the helper has exited
+            result = work(item)
+        yield item, result
 
 
 class _ColumnLoader:
     """A load's kept rows, scattered block by block into a panel's slabs.
 
-    Each file is read in text blocks of whole lines (see _BlockReader). A
+    Each file is read in text blocks of whole lines (see _file_blocks). A
     block of plain records (see _split_block) is split into columns with
     str.split; the first block that is not, and the rest of its file, go
     through csv.reader instead. Tickers and days are interned to integer
@@ -946,20 +904,23 @@ class _ColumnLoader:
 
     def load(self, paths: Sequence[Path], schema: Mapping[str, str]) -> None:
         self.report.files = [str(p) for p in paths]
-        with _BlockReader(paths, schema) as reader:
-            current, start = None, 0
-            for block in reader:
-                inp = block.input
-                if inp is not current:
-                    current, start = inp, 0
-                if block.parsed is not None:
-                    self._load_block(inp, start, block.parsed, None, block.record)
-                    start += len(block.parsed.values[0])
-                    continue
-                records = csv.reader(_csv_lines(reader.rest_of(block), inp.fh))
-                while rows := list(islice(records, _BLOCK_ROWS)):
-                    self._load_rows(inp, start, rows)
-                    start += len(rows)
+        blocks = _file_blocks(paths, schema)
+        helper = _Helper.start(blocks, _parse, lambda: sum(p.stat().st_size for p in paths),
+                               _HELPER_MIN_BYTES)
+        with closing(blocks), helper or nullcontext():
+            for inp, group in groupby(_in_order(helper, blocks, _parse),
+                                      key=lambda pair: pair[0].input):
+                start = 0
+                for block, parsed in group:
+                    if parsed is not None:
+                        self._load_block(inp, start, parsed, None, block.record)
+                        start += len(parsed.values[0])
+                        continue
+                    # csv.reader reads this block and the file's later ones
+                    records = csv.reader(chain.from_iterable(_tail(block, group)))
+                    while rows := list(islice(records, _BLOCK_ROWS)):
+                        self._load_rows(inp, start, rows)
+                        start += len(rows)
 
     def _load_rows(self, inp: _Input, start: int, rows: list[list[str]]) -> None:
         """_load_block of csv.reader records, which may be short."""
@@ -1091,11 +1052,6 @@ _WRITE_ROWS = 1024
 #: 18,768-row one 0.77 times as long with the helper.
 _WRITER_MIN_ROWS = 20_000
 
-#: chunks formatted and not yet written, at most: while the helper's
-#: answer for the oldest is not back, the writer formats later chunks
-#: itself. Each holds about 0.1 MB of text.
-_WRITE_AHEAD = 4
-
 _MINUTE_TEXT = np.array([str(t) for t in range(SESSION_MINUTES)], dtype=object)
 
 
@@ -1127,7 +1083,7 @@ def write_panel_csv(panel: MinutePanel, path) -> None:
     counts rows). The csv module quotes each ticker and date once; `%.17g`
     gives the same text as format(x, ".17g"). From _WRITER_MIN_ROWS
     present rows a _Helper formats a share of the chunks (see
-    _helped_chunks); the file is the same. A panel without minute prices
+    _in_order); the file is the same. A panel without minute prices
     raises DataError.
     """
     if not panel.has_minute_prices:
@@ -1171,45 +1127,13 @@ def write_panel_csv(panel: MinutePanel, path) -> None:
             start = end
         return "".join(out).encode(encoding)
 
+    chunks = range(len(cuts))
     # forked before the file is opened, so that the child holds no buffer of it
-    helper = _Helper.start(lambda requests: map(chunk_text, requests), lambda: total,
-                           _WRITER_MIN_ROWS)
-    try:
-        with open(path, "wb") as fh:
-            fh.write((",".join(CANONICAL_COLUMNS) + "\r\n").encode(encoding))
-            for text in _helped_chunks(helper, len(cuts), chunk_text):
-                fh.write(text)
-    finally:
-        if helper is not None:
-            helper.close()
-
-
-def _helped_chunks(helper: _Helper | None, n: int,
-                   work: Callable[[int], bytes]) -> Iterator[bytes]:
-    """work(k) for k in 0..n-1, in order. The helper, if any, is kept
-    asked for the next _HELPER_DEPTH chunks, and while its answer for the
-    oldest is not back this process works on later chunks itself, up to
-    _WRITE_AHEAD in all; it also does the chunks of a helper that has
-    exited."""
-    queue: deque[tuple[int, object]] = deque()  # (k, work(k) or _PENDING), oldest first
-    k = 0
-    while k < n or queue:
-        while (helper is not None and helper.alive and len(helper.asked) < _HELPER_DEPTH
-               and k < n):
-            helper.ask(k)
-            queue.append((k, _PENDING))
-            k += 1
-        if k < n and (not queue or (queue[0][1] is _PENDING and len(queue) < _WRITE_AHEAD
-                                    and not helper.ready())):
-            queue.append((k, work(k)))
-            k += 1
-            continue
-        head, text = queue.popleft()
-        if text is _PENDING:
-            text = helper.answer(head)
-        if text is _PENDING:  # the helper has exited
-            text = work(head)
-        yield text
+    helper = _Helper.start(chunks, chunk_text, lambda: total, _WRITER_MIN_ROWS)
+    with helper or nullcontext(), open(path, "wb") as fh:
+        fh.write((",".join(CANONICAL_COLUMNS) + "\r\n").encode(encoding))
+        for _, text in _in_order(helper, chunks, chunk_text):
+            fh.write(text)
 
 
 @dataclass(frozen=True)

@@ -224,6 +224,11 @@ class PipelineConfig:
             lo, hi = getattr(self, name)
             if not (0 <= lo < hi <= 390):
                 raise DataError(f"{name} {(lo, hi)} outside the session or reversed")
+        if self.kurtosis_afternoon_window[0] <= 290:
+            raise DataError(f"kurtosis_afternoon_window {self.kurtosis_afternoon_window} "
+                            "must sit inside (290, 390]")
+        if not 0 <= self.kurtosis_tail_t_min <= 389:
+            raise DataError(f"kurtosis_tail_t_min {self.kurtosis_tail_t_min} outside 0..389")
         if self.jobs < 1:
             raise DataError("jobs must be >= 1")
         if not 0.0 < self.confidence < 1.0:

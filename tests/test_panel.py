@@ -55,6 +55,11 @@ def _write(path, text):
 
 HEADER = "ticker,date,minute,volume,open,high,low,close\n"
 
+_HELPER_RUNS = (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+                and len(os.sched_getaffinity(0)) >= 2)
+needs_helper = pytest.mark.skipif(not _HELPER_RUNS,
+                                  reason="the helper needs fork and a second CPU")
+
 
 class TestMinuteBar:
     def test_valid_bar(self):
@@ -735,7 +740,7 @@ class TestColumnarLoaderEquivalence:
                 tracemalloc.stop()
         np.testing.assert_array_equal(loaded.close, panel.close)
         # a block's text, its copies, its field strings and columns: about
-        # 10 bytes a character
+        # 19 bytes a character, as measured under tracemalloc
         assert peak < 1.5 * panel_bytes + 16 * block_chars, (peak, panel_bytes)
 
     def test_peak_memory_of_a_daily_price_load(self, tmp_path):
@@ -747,7 +752,7 @@ class TestColumnarLoaderEquivalence:
         write_panel_csv(panel, path)
         block_chars = 20_000
         # on one process, so that one block is parsed at a time (the
-        # helper's answers can be up to _READ_AHEAD blocks ahead)
+        # helper's answers can be up to _AHEAD blocks ahead)
         with mock.patch.object(panel_mod, "_BLOCK_CHARS", block_chars), \
                 mock.patch.object(panel_mod, "_HELPER_MIN_BYTES", 2 ** 62):
             tracemalloc.start()
@@ -782,14 +787,23 @@ class TestColumnarLoaderEquivalence:
         with pytest.raises(MalformedRow, match="a.csv:3: list index out of range"):
             load_minute_bars(path, strict=True)
 
-    def test_earlier_duplicate_wins_over_later_file_errors(self, tmp_path):
+    @pytest.mark.parametrize("helper", [False, pytest.param(True, marks=needs_helper)])
+    def test_earlier_duplicate_wins_over_later_file_errors(self, tmp_path, helper):
         first = _write(tmp_path / "a.csv", HEADER + "A,2004-01-05,09:30,1,10,10,10,10\n"
                                                     "A,2004-01-05,09:30,2,10,10,10,10\n")
+        # a quoted first record puts this file on the csv path, across many
+        # blocks; its last record repeats a cell
+        rows = "".join(f"A,2004-01-05,{t},1,10,10,10,10\n" for t in range(300))
+        tail = _write(tmp_path / "t.csv", HEADER + '"A",2004-01-05,400,1,10,10,10,10\n'
+                      + rows + "A,2004-01-05,299,1,10,10,10,10\n")
         malformed = _write(tmp_path / "b.csv", HEADER + "B,2004-01-05,junk,1,10,10,10,10\n")
         headless = _write(tmp_path / "c.csv", "ticker,date,minute\n")
-        for later, strict in ((malformed, True), (headless, False)):
-            with pytest.raises(DuplicateCell, match="a.csv:3: duplicate cell"):
-                load_minute_bars([first, later], strict=strict)
+        with mock.patch.object(panel_mod, "_HELPER_MIN_BYTES", 0 if helper else 2 ** 62), \
+                mock.patch.object(panel_mod, "_BLOCK_CHARS", 500):
+            for earlier, line in ((first, "a.csv:3"), (tail, "t.csv:303")):
+                for later, strict in ((malformed, True), (headless, False)):
+                    with pytest.raises(DuplicateCell, match=f"{line}: duplicate cell"):
+                        load_minute_bars([earlier, later], strict=strict)
 
 
 def _assert_matches_reference(paths, block_rows, block_chars, helper=False):
@@ -849,11 +863,6 @@ def _assert_daily_loaded(panel, report, full, full_report, bars):
 
 
 # --- parsing and writing on two processes --------------------------------
-
-_HELPER_RUNS = (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-                and len(os.sched_getaffinity(0)) >= 2)
-needs_helper = pytest.mark.skipif(not _HELPER_RUNS,
-                                  reason="the helper needs fork and a second CPU")
 
 
 def _counting_answers(answered: list):
@@ -982,6 +991,30 @@ class TestHelper:
                               timeout=60)
         assert done.returncode == 0, done.stderr
         assert "ResourceWarning" not in done.stderr
+
+    def test_loader_finishes_alone_when_the_helper_dies(self, tmp_path):
+        path = tmp_path / "panel.csv"
+        write_panel_csv(_gbm_panel(2, 6), path)
+        real_answer = panel_mod._Helper.answer
+        answered = []
+
+        def answer(helper, request):
+            if len(answered) == 3:
+                os.kill(helper.pid, signal.SIGKILL)
+            got = real_answer(helper, request)
+            answered.append(got is not panel_mod._PENDING)
+            return got
+
+        with mock.patch.object(panel_mod, "_BLOCK_CHARS", 2_000):
+            with mock.patch.object(panel_mod, "_HELPER_MIN_BYTES", 2 ** 62):
+                serial = _outcome(load_minute_bars, [path])
+            with mock.patch.object(panel_mod, "_HELPER_MIN_BYTES", 0), \
+                    mock.patch.object(panel_mod._Helper, "answer", answer):
+                helped = _outcome(load_minute_bars, [path])
+        assert serial[0] == "ok"
+        _assert_bit_equal(serial, helped)
+        assert answered[:3] == [True] * 3
+        assert not any(answered[5:])  # at most the answers in the pipe when it died
 
     def test_no_helper_below_the_size_threshold(self, tmp_path):
         path = _write(tmp_path / "a.csv", HEADER + _rows("A", "2004-01-05", range(10)))

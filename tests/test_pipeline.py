@@ -678,6 +678,11 @@ class TestCli:
          "min_day_coverage 7 outside [0, 1]"),
         (["validate", "--config", "c.json"], {"c.json": '{"min_day_coverage": NaN}'},
          "min_day_coverage nan outside [0, 1]"),
+        (["report", "--config", "c.json"], {"c.json": '{"kurtosis_tail_t_min": -5}'},
+         "kurtosis_tail_t_min -5 outside 0..389"),
+        (["report", "--config", "c.json"],
+         {"c.json": '{"kurtosis_afternoon_window": [100, 200]}'},
+         "kurtosis_afternoon_window (100, 200) must sit inside (290, 390]"),
     ])
     def test_malformed_input_exits_2(self, capsys, tmp_path, monkeypatch, argv, files,
                                      message):
