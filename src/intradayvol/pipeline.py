@@ -1,11 +1,12 @@
 """End-to-end orchestration: panel in, plot-ready report bundle out.
 
-The bundle is assembled fully in memory, written into a sibling
-temporary directory and renamed into place, so a failed run leaves the
-previous bundle (or nothing) and never a partial or mixed one; two runs
-with the same inputs and analysis config produce byte-identical
-directories. manifest.json lists a content hash for every other file plus
-the config hash, and `load_figure_csv` serves only files it lists.
+The bundle's files are formatted, hashed and written one at a time into
+a sibling temporary directory that is renamed into place, so a failed
+run leaves the previous bundle (or nothing) and never a partial or mixed
+one; two runs with the same inputs and analysis config produce
+byte-identical directories. manifest.json lists a content hash for every
+other file plus the config hash, and `load_figure_csv` serves only files
+it lists.
 
 Each stage has one implementation, a method of `Stages`; `run_pipeline`
 composes all of them and the single-stage CLI commands select from them.
@@ -13,7 +14,6 @@ composes all of them and the single-stage CLI commands select from them.
 from __future__ import annotations
 
 import datetime as dt
-import hashlib
 import json
 import math
 import os
@@ -68,6 +68,16 @@ from .panel import (
     validate_panel,
 )
 from .stats_tests import mww_test, welch_test
+
+# The interpreter's built-in SHA-256, as random.py takes _sha512: hashlib
+# loads OpenSSL's libcrypto, about 3.5 MB resident, for these few digests.
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
 
 #: the PipelineConfig fields that hold a (first, last) minute window
 WINDOW_FIELDS = ("opening_window", "closing_window", "kurtosis_morning_window",
@@ -224,6 +234,14 @@ class PipelineConfig:
             lo, hi = getattr(self, name)
             if not (0 <= lo < hi <= 390):
                 raise DataError(f"{name} {(lo, hi)} outside the session or reversed")
+        # the opening and morning-kurtosis fits take the log of the minute
+        if self.kurtosis_morning_window[0] == 0:
+            raise DataError(f"kurtosis_morning_window {self.kurtosis_morning_window} "
+                            "must start after minute 0")
+        if not (math.isfinite(self.opening_time_offset)
+                and self.opening_window[0] + self.opening_time_offset > 0):
+            raise DataError(f"opening_window {self.opening_window} with opening_time_offset "
+                            f"{self.opening_time_offset} must start after minute 0")
         if self.kurtosis_afternoon_window[0] <= 290:
             raise DataError(f"kurtosis_afternoon_window {self.kurtosis_afternoon_window} "
                             "must sit inside (290, 390]")
@@ -276,7 +294,7 @@ class PipelineConfig:
         return doc
 
     def config_hash(self) -> str:
-        return hashlib.sha256(
+        return sha256(
             json.dumps(self.analysis_json(), sort_keys=True).encode()).hexdigest()
 
 
@@ -535,12 +553,12 @@ class ReportBundle:
         xsection/ files and figures 13, 15 and 16."""
         return xsection_files(self.var_ratio, self.kurt_tail, self.kurt_curve)
 
-    def files(self) -> dict[str, bytes]:
-        """Every bundle file except the manifest, as relpath -> bytes."""
-        out: dict[str, bytes] = {}
-        out["config.json"] = dump_json(self.config.analysis_json())
-        out["load_report.json"] = dump_json(self.load_report)
-        out["validation.json"] = dump_json(self.validation)
+    def _emit(self):
+        """Every bundle file except the manifest, as (relpath, bytes) in
+        bundle order; each file is formatted when it is asked for."""
+        yield "config.json", dump_json(self.config.analysis_json())
+        yield "load_report.json", dump_json(self.load_report)
+        yield "validation.json", dump_json(self.validation)
 
         profile_index = []
         for s in self.semesters:
@@ -548,39 +566,43 @@ class ReportBundle:
                                    ("day_mean", self.day_mean)):
                 if s in profiles:
                     rel = f"profiles/s{s:02d}_{kind}.csv"
-                    out[rel] = profile_csv_bytes(profiles[s])
+                    yield rel, profile_csv_bytes(profiles[s])
                     profile_index.append({"file": rel, "semester": s, "kind": kind})
-        out["profiles/index.json"] = dump_json(
+        yield "profiles/index.json", dump_json(
             {"profiles": profile_index, "conventions": dict(CONVENTIONS)})
 
-        out["fits.json"] = dump_json({str(s): self.semester_fits[s] for s in self.semesters})
+        yield "fits.json", dump_json({str(s): self.semester_fits[s] for s in self.semesters})
         flat_rows = [_flat_fit_row(s, name, value) for s in self.semesters
                      for name, value in sorted(self.semester_fits[s].items())
                      if isinstance(value, FitResult)]
-        out["fits.csv"] = _csv_text(
+        yield "fits.csv", _csv_text(
             ["semester", "model", "fit", "primary_param", "primary_value",
              "primary_se", "r", "n_points"], flat_rows).encode()
 
-        out["metrics.csv"] = metrics_csv(self.metrics_rows).encode()
-        out["regressions.json"] = dump_json(self.regressions)
+        yield "metrics.csv", metrics_csv(self.metrics_rows).encode()
+        yield "regressions.json", dump_json(self.regressions)
         for name, data in self.xsection.items():
-            out[f"xsection/{name}"] = data
-        out["tests.json"] = dump_json(self.tests)
+            yield f"xsection/{name}", data
+        yield "tests.json", dump_json(self.tests)
         for fig, data in self.figures.items():
-            out[f"figures/{fig}.csv"] = data
-        out["run_log.json"] = dump_json({"events": self.run_log})
-        return out
+            yield f"figures/{fig}.csv", data
+        yield "run_log.json", dump_json({"events": self.run_log})
+
+    def files(self) -> dict[str, bytes]:
+        """Every bundle file except the manifest, as relpath -> bytes."""
+        return dict(self._emit())
 
     def write(self, out_dir) -> Path:
         """Write the bundle as out_dir, replacing a bundle already there
-        whole. The files go into a sibling directory that is renamed into
-        place; the old bundle is moved aside first and removed last. A
-        symlinked out_dir is followed, so its target is replaced. Only an
-        empty directory or one `_is_bundle` accepts is replaced; the
-        working directory, or one that holds it, never is. A run killed
-        between the two renames leaves the previous bundle in the hidden
-        sibling `.NAME.<pid>.old`, which a later write removes (see
-        _remove_stale_siblings)."""
+        whole. The files are formatted, written and hashed one at a time
+        into a sibling directory, manifest.json last, and that directory
+        is renamed into place; the old bundle is moved aside first and
+        removed last. A symlinked out_dir is followed, so its target is
+        replaced. Only an empty directory or one `_is_bundle` accepts is
+        replaced; the working directory, or one that holds it, never is.
+        A run killed between the two renames leaves the previous bundle
+        in the hidden sibling `.NAME.<pid>.old`, which a later write
+        removes (see _remove_stale_siblings)."""
         out_dir = Path(out_dir).resolve()
         if Path.cwd().resolve().is_relative_to(out_dir):
             raise DataError(f"{out_dir} holds the working directory; not replacing it")
@@ -588,23 +610,23 @@ class ReportBundle:
                 not any(out_dir.iterdir()) or _is_bundle(out_dir))):
             raise DataError(f"{out_dir} exists and is not a report bundle; "
                             "not replacing it")
-        files = self.files()
-        files["manifest.json"] = dump_json({
-            "config_hash": self.config.config_hash(),
-            "normalizers": self.normalizers,
-            "files": {rel: hashlib.sha256(data).hexdigest()
-                      for rel, data in sorted(files.items())},
-        })
         out_dir.parent.mkdir(parents=True, exist_ok=True)
         _remove_stale_siblings(out_dir)
         staging, aside = (out_dir.with_name(f".{out_dir.name}.{os.getpid()}.{end}")
                           for end in ("new", "old"))
         try:
             staging.mkdir()
-            for rel, data in files.items():
+            digests = {}
+            for rel, data in self._emit():
                 target = staging / rel
                 target.parent.mkdir(parents=True, exist_ok=True)
                 target.write_bytes(data)
+                digests[rel] = sha256(data).hexdigest()
+            (staging / "manifest.json").write_bytes(dump_json({
+                "config_hash": self.config.config_hash(),
+                "normalizers": self.normalizers,
+                "files": digests,
+            }))
             if out_dir.exists():
                 out_dir.rename(aside)
             try:
@@ -952,6 +974,6 @@ def load_figure_csv(report_dir, figure_id: str) -> bytes:
         data = path.read_bytes()
     except OSError as exc:
         raise CorruptBundle(f"{path}: listed in manifest.json but unreadable ({exc})") from None
-    if hashlib.sha256(data).hexdigest() != digest:
+    if sha256(data).hexdigest() != digest:
         raise CorruptBundle(f"{path}: SHA-256 does not match manifest.json")
     return data

@@ -7,6 +7,8 @@ import json
 import math
 import os
 import shutil
+import subprocess
+import sys
 import threading
 from pathlib import Path
 from unittest import mock
@@ -92,6 +94,13 @@ class TestConfig:
     def test_validation(self, kw):
         with pytest.raises(DataError):
             PipelineConfig(**kw)
+
+    def test_opening_offset_moves_the_window_off_minute_0(self):
+        config = PipelineConfig.from_json({"opening_window": [0, 100],
+                                           "opening_time_offset": 1.0})
+        assert config.opening_window == (0, 100)
+        assert PipelineConfig(opening_window=(2, 100),
+                              opening_time_offset=-1.5).opening_time_offset == -1.5
 
     def test_json_round_trip(self, base_config):
         doc = base_config.to_json()
@@ -538,6 +547,40 @@ class TestBundleDirectory:
         assert _tree(out) == before
         assert [p.name for p in tmp_path.iterdir()] == ["report"]
 
+    def test_written_files_are_files_plus_the_manifest(self, tmp_path, report):
+        bundle, _ = report
+        out = bundle.write(tmp_path / "report")
+        files = bundle.files()
+        on_disk = {rel: data for rel, (data, _) in _tree(out).items()}
+        manifest = json.loads(on_disk.pop("manifest.json"))
+        assert on_disk == files
+        assert manifest == {
+            "config_hash": bundle.config.config_hash(),
+            "normalizers": bundle.normalizers,
+            "files": {rel: hashlib.sha256(data).hexdigest() for rel, data in files.items()}}
+
+    def test_failed_formatting_leaves_the_previous_bundle(self, tmp_path, monkeypatch,
+                                                          report):
+        bundle, _ = report
+        out = tmp_path / "report"
+        bundle.write(out)
+        before = _tree(out)
+        real_format = pipeline_mod.profile_csv_bytes
+        calls = []
+
+        def profile_csv_bytes(profile):
+            calls.append(profile)
+            if len(calls) == 3:
+                raise RuntimeError("formatting failed")
+            return real_format(profile)
+
+        monkeypatch.setattr(pipeline_mod, "profile_csv_bytes", profile_csv_bytes)
+        with pytest.raises(RuntimeError, match="formatting failed"):
+            bundle.write(out)
+        assert len(calls) == 3
+        assert _tree(out) == before
+        assert [p.name for p in tmp_path.iterdir()] == ["report"]
+
     def test_directory_that_is_not_a_bundle_is_kept(self, tmp_path, report):
         (tmp_path / "panel.csv").write_text("x\n")
         with pytest.raises(DataError, match="not a report bundle"):
@@ -624,6 +667,42 @@ class TestBundleDirectory:
             load_figure_csv(out, "fig2")
 
 
+class TestLeanFloor:
+    """SHA-256 comes from the interpreter's own module, so a CLI process
+    never loads OpenSSL."""
+
+    # runs the CLI, then prints whether hashlib or libcrypto got loaded
+    _CHILD = ("import json, os, sys\n"
+              "from intradayvol.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "maps = '/proc/self/maps'\n"
+              "text = open(maps).read() if os.path.exists(maps) else ''\n"
+              "print(json.dumps({'code': code,\n"
+              "                  'modules': sorted({'hashlib', '_hashlib'} & set(sys.modules)),\n"
+              "                  'libcrypto': 'libcrypto' in text}))\n")
+
+    def test_sha256_matches_hashlib(self):
+        for data in (b"", b"\x00", bytes(range(256)) * 5000):
+            assert pipeline_mod.sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+
+    @pytest.mark.skipif(pipeline_mod.sha256.__module__ not in ("_sha2", "_sha256"),
+                        reason="this interpreter has no built-in SHA-256 module")
+    @pytest.mark.parametrize("command", ["report", "ingest"])
+    def test_cli_never_loads_openssl(self, tmp_path, panel_csv, command):
+        path, boundaries = panel_csv
+        argv = [command, str(path), "--out", str(tmp_path / "out")]
+        if command == "report":
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"semester_boundaries": boundaries,
+                                          "regime_boundary_semester": 2}))
+            argv += ["--config", str(config)]
+        done = subprocess.run([sys.executable, "-c", self._CHILD, *argv],
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        result = json.loads(done.stdout.splitlines()[-1])
+        assert result == {"code": 0, "modules": [], "libcrypto": False}
+
+
 class TestCli:
     def test_usage_errors_exit_1(self, capsys):
         assert main([]) == 1
@@ -683,6 +762,17 @@ class TestCli:
         (["report", "--config", "c.json"],
          {"c.json": '{"kurtosis_afternoon_window": [100, 200]}'},
          "kurtosis_afternoon_window (100, 200) must sit inside (290, 390]"),
+        (["report", "--config", "c.json"], {"c.json": '{"kurtosis_morning_window": [0, 99]}'},
+         "kurtosis_morning_window (0, 99) must start after minute 0"),
+        (["report", "--config", "c.json"], {"c.json": '{"opening_window": [0, 100]}'},
+         "opening_window (0, 100) with opening_time_offset 0.0 must start after minute 0"),
+        (["report", "--config", "c.json"],
+         {"c.json": '{"opening_window": [2, 100], "opening_time_offset": -2}'},
+         "opening_window (2, 100) with opening_time_offset -2 must start after minute 0"),
+        (["report", "--config", "c.json"], {"c.json": '{"opening_time_offset": NaN}'},
+         "with opening_time_offset nan must start after minute 0"),
+        (["validate", "--config", "c.json"], {"c.json": '{"opening_time_offset": Infinity}'},
+         "with opening_time_offset inf must start after minute 0"),
     ])
     def test_malformed_input_exits_2(self, capsys, tmp_path, monkeypatch, argv, files,
                                      message):
