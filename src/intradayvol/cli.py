@@ -21,7 +21,7 @@ from .errors import DataError, NumericalError
 from .fits import shape_functionals
 # load_minute_bars and validate_panel are not called here; perfbench/spans.py
 # wraps these names in this module to time the CLI's layers
-from .panel import load_minute_bars, validate_panel, write_panel_csv  # noqa: F401
+from .panel import TIME_FORMATS, load_minute_bars, validate_panel, write_panel_csv  # noqa: F401
 from .pipeline import (
     TICKER_MEAN_FITS,
     PipelineConfig,
@@ -305,7 +305,7 @@ def _build_parser() -> _Parser:
     shared = _Parser(add_help=False)
     shared.add_argument("--config", help="pipeline config JSON")
     shared.add_argument("--out", help="output directory")
-    shared.add_argument("--time-format", choices=["auto", "clock", "index"],
+    shared.add_argument("--time-format", choices=TIME_FORMATS,
                         help="time column format (HH:MM or minute index)")
     shared.add_argument("--jobs", type=int,
                         help="accepted for compatibility; stages run on one thread")

@@ -31,6 +31,9 @@ GK_DRIFT_WEIGHT = 2.0 * math.log(2.0) - 1.0
 #: per-minute profile into the units the quartic coefficients live in
 MINUTES_PER_RESCALED_UNIT = SESSION_MINUTES / 2.0
 
+#: the price-variation denominators semester_return accepts
+RETURN_CONVENTIONS = ("close-denominator", "open-denominator")
+
 
 @dataclass(frozen=True)
 class SemesterMetrics:

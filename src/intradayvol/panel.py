@@ -55,6 +55,10 @@ DEFAULT_SCHEMA = {
 
 CANONICAL_COLUMNS = ["ticker", "date", "minute", "volume", "open", "high", "low", "close"]
 
+#: the time column formats: HH:MM clock times, minute indices, or either
+#: told apart by a colon
+TIME_FORMATS = ("auto", "clock", "index")
+
 
 @dataclass(frozen=True)
 class MinuteBar:

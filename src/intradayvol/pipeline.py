@@ -20,7 +20,6 @@ import os
 import re
 import shutil
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
 from pathlib import Path
 from typing import Any
 
@@ -56,7 +55,9 @@ from .fits import (
     shape_functionals,
 )
 from .panel import (
+    DEFAULT_SCHEMA,
     SESSION_MINUTES,
+    TIME_FORMATS,
     LoadReport,
     MinutePanel,
     SemesterIndex,
@@ -253,6 +254,15 @@ class PipelineConfig:
             raise DataError("confidence must be in (0, 1)")
         if not 0.0 <= self.min_day_coverage <= 1.0:
             raise DataError(f"min_day_coverage {self.min_day_coverage} outside [0, 1]")
+        for name, allowed in (("time_format", TIME_FORMATS),
+                              ("return_convention", metrics_mod.RETURN_CONVENTIONS)):
+            if getattr(self, name) not in allowed:
+                raise DataError(f"{name} {getattr(self, name)!r} is not one of "
+                                f"{', '.join(allowed)}")
+        unknown = set(self.schema) - set(DEFAULT_SCHEMA)
+        if unknown:
+            raise DataError(f"unknown schema fields {sorted(unknown)}; "
+                            f"known: {', '.join(DEFAULT_SCHEMA)}")
 
     @classmethod
     def from_json(cls, doc: dict) -> "PipelineConfig":
@@ -525,8 +535,13 @@ class Stages:
         return doc
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReportBundle:
+    """The stage results of one run, as plain data. Every file of the
+    bundle is derived from them when `files()` or `write` asks for it.
+    `run_log` holds the stage events only; run_log.json lists them and
+    then the figures that were skipped, in FIGURE_IDS order."""
+
     config: PipelineConfig
     semesters: list[int]
     ticker_mean: dict[int, AggregatedProfile]
@@ -538,20 +553,18 @@ class ReportBundle:
     kurt_tail: dict[int, float]
     kurt_curve: np.ndarray | None
     tests: dict
-    normalizers: dict[str, int]
-    figures: dict[str, bytes]  # emitted figure id -> CSV bytes
     load_report: dict
     validation: dict
     run_log: list[str]
 
     def alpha_series(self) -> dict[int, float]:
-        return _semester_fit_series(self, "opening", "alpha")
+        return _semester_fit_series(self.semester_fits, "opening", "alpha")
 
-    @cached_property
-    def xsection(self) -> dict[str, bytes]:
-        """xsection_files of the bundle, formatted once for both the
-        xsection/ files and figures 13, 15 and 16."""
-        return xsection_files(self.var_ratio, self.kurt_tail, self.kurt_curve)
+    @property
+    def normalizers(self) -> dict[str, int]:
+        """Manifest normalizer key -> the first usable semester of its series."""
+        return {key: s0 for key, series in _NORMALIZED_SERIES.items()
+                if (s0 := _first_usable(series(self))) is not None}
 
     def _emit(self):
         """Every bundle file except the manifest, as (relpath, bytes) in
@@ -581,12 +594,19 @@ class ReportBundle:
 
         yield "metrics.csv", metrics_csv(self.metrics_rows).encode()
         yield "regressions.json", dump_json(self.regressions)
-        for name, data in self.xsection.items():
+        for name, data in xsection_files(self.var_ratio, self.kurt_tail,
+                                         self.kurt_curve).items():
             yield f"xsection/{name}", data
         yield "tests.json", dump_json(self.tests)
-        for fig, data in self.figures.items():
-            yield f"figures/{fig}.csv", data
-        yield "run_log.json", dump_json({"events": self.run_log})
+        skipped = []
+        for fig, emit in _FIGURES.items():
+            try:
+                text = emit(self)
+            except MissingUpstream as exc:
+                skipped.append(f"figure {fig} skipped: {exc}")
+            else:
+                yield f"figures/{fig}.csv", text.encode()
+        yield "run_log.json", dump_json({"events": self.run_log + skipped})
 
     def files(self) -> dict[str, bytes]:
         """Every bundle file except the manifest, as relpath -> bytes."""
@@ -747,9 +767,7 @@ def _flat_fit_row(s: int, fit_name: str, fit: FitResult) -> list:
 def run_pipeline(config: PipelineConfig, write: bool = True) -> ReportBundle:
     """Execute every stage and (by default) write the bundle to
     config.out_dir. Per-slice failures are logged and skipped; the run
-    fails outright only when nothing succeeds. The regime tests, the
-    figure series and their normalizer semesters are derived here, once;
-    figure skips are logged after every stage event, in FIGURE_IDS order."""
+    fails outright only when nothing succeeds."""
     prep = prepare_panel(config)
     if not 1 <= config.regime_boundary_semester <= prep.index.n_semesters:
         raise DataError(
@@ -766,22 +784,14 @@ def run_pipeline(config: PipelineConfig, write: bool = True) -> ReportBundle:
     semester_fits = stages.semester_fits(semesters, ticker_mean, day_mean)
     kurt_tail, kurt_curve = stages.kurtosis_tail(day_mean)
     regressions = stages.regressions(metrics_rows)
+    tests = stages.regime_tests(_semester_fit_series(semester_fits, "opening", "alpha"))
 
     bundle = ReportBundle(
         config=config, semesters=semesters, ticker_mean=ticker_mean,
         day_mean=day_mean, semester_fits=semester_fits, metrics_rows=metrics_rows,
         regressions=regressions, var_ratio=var_ratio, kurt_tail=kurt_tail,
-        kurt_curve=kurt_curve, tests={}, normalizers={}, figures={},
-        load_report=prep.load_report.to_json(),
+        kurt_curve=kurt_curve, tests=tests, load_report=prep.load_report.to_json(),
         validation=prep.validation.to_json(), run_log=stages.run_log)
-    bundle.tests = stages.regime_tests(bundle.alpha_series())
-    bundle.normalizers = {key: s0 for key, series in _NORMALIZED_SERIES.items()
-                          if (s0 := _first_usable(series(bundle))) is not None}
-    for fig, emit in _FIGURES.items():
-        try:
-            bundle.figures[fig] = emit(bundle).encode()
-        except MissingUpstream as exc:
-            bundle.run_log.append(f"figure {fig} skipped: {exc}")
     if write:
         bundle.write(config.out_dir)
     return bundle
@@ -802,13 +812,10 @@ def _wide_profile_csv(bundle: ReportBundle, attr: str) -> str:
     return _minute_csv(["t"] + [f"s{s:02d}" for s in profs], [(None, list(profs.values()))])
 
 
-def _semester_fit_series(bundle: ReportBundle, fit_name: str, coeff: str) -> dict[int, float]:
-    out = {}
-    for s in bundle.semesters:
-        fit = bundle.semester_fits.get(s, {}).get(fit_name)
-        if isinstance(fit, FitResult):
-            out[s] = fit.coefficients[coeff]
-    return out
+def _semester_fit_series(semester_fits: dict[int, dict[str, Any]], fit_name: str,
+                         coeff: str) -> dict[int, float]:
+    return {s: fit.coefficients[coeff] for s, entry in semester_fits.items()
+            if isinstance(fit := entry.get(fit_name), FitResult)}
 
 
 def _metric_means(bundle: ReportBundle, attr: str) -> dict[int, float]:
@@ -863,7 +870,7 @@ def _regime_alpha_csv(bundle: ReportBundle) -> str:
 
 
 def _closing_csv(bundle: ReportBundle) -> str:
-    series = _need(_semester_fit_series(bundle, "closing", "alpha_prime"),
+    series = _need(_semester_fit_series(bundle.semester_fits, "closing", "alpha_prime"),
                    "no closing power-law fits")
     return _csv_text(["semester", "alpha_prime"],
                      [[s, _fmt(series[s])] for s in sorted(series)])
@@ -893,8 +900,8 @@ def _scatter_csv(profiles: dict[int, AggregatedProfile], column: str, attr: str)
 
 
 def _kurtosis_relaxation_csv(bundle: ReportBundle) -> str:
-    bm = _semester_fit_series(bundle, "kurtosis_morning", "beta_m")
-    ba = _semester_fit_series(bundle, "kurtosis_afternoon", "beta_a")
+    bm = _semester_fit_series(bundle.semester_fits, "kurtosis_morning", "beta_m")
+    ba = _semester_fit_series(bundle.semester_fits, "kurtosis_afternoon", "beta_a")
     _need(bm or ba, "no kurtosis relaxation fits")
     nan = float("nan")
     return _csv_text(["semester", "beta_m", "beta_a"],
@@ -913,13 +920,6 @@ def _cross_shapes_csv(bundle: ReportBundle) -> str:
          for s in sorted(conc)])
 
 
-def _xsection_csv(bundle: ReportBundle, name: str, series, what: str) -> str:
-    """The text of the bundle's xsection/<name>; MissingUpstream(what) when
-    the series it holds is absent."""
-    _need(series, what)
-    return bundle.xsection[name].decode()
-
-
 #: figure id -> emitter of its CSV text; an emitter raises MissingUpstream
 #: when the results it plots are absent
 _FIGURES = {
@@ -935,13 +935,11 @@ _FIGURES = {
     "fig10": lambda b: _wide_profile_csv(b, "kurtosis"),
     "fig11": _kurtosis_relaxation_csv,
     "fig12": lambda b: _scatter_csv(b.day_mean, "y_kurtosis_cross", "kurtosis"),
-    "fig13": lambda b: _xsection_csv(b, "variance_ratio.csv", b.var_ratio,
-                                     "no variance-ratio series"),
+    "fig13": lambda b: variance_ratio_csv(_need(b.var_ratio, "no variance-ratio series")),
     "fig14": _cross_shapes_csv,
-    "fig15": lambda b: _xsection_csv(b, "kurtosis_tail.csv", b.kurt_tail,
-                                     "no kurtosis tail averages"),
-    "fig16": lambda b: _xsection_csv(b, "kurtosis_curve.csv", b.kurt_curve,
-                                     "no semester-averaged kurtosis curve"),
+    "fig15": lambda b: kurtosis_tail_csv(_need(b.kurt_tail, "no kurtosis tail averages")),
+    "fig16": lambda b: kurtosis_curve_csv(_need(b.kurt_curve,
+                                                "no semester-averaged kurtosis curve")),
 }
 
 FIGURE_IDS = tuple(_FIGURES)

@@ -271,7 +271,8 @@ class TestRunPipeline:
             semester_boundaries=[(a.isoformat(), b.isoformat()) for a, b in truth.boundaries],
             regime_boundary_semester=1, kurtosis_tail_excluded_semesters=[])
         bundle = run_pipeline(config, write=False)
-        assert bundle.run_log == [
+        # the figure skips follow the stage events in run_log.json only
+        assert json.loads(bundle.files()["run_log.json"])["events"] == [
             "C01 s=1 quartic: InsufficientSpan: present minutes must span both "
             "halves of the session",
             "C02 s=2 activity: NoData: (C02, semester 2) has no present minutes",
@@ -409,11 +410,39 @@ class TestPureEmission:
     def test_files_is_pure(self, base_config):
         bundle = run_pipeline(base_config, write=False)
         run_log, normalizers = list(bundle.run_log), dict(bundle.normalizers)
-        assert any(e.startswith("figure ") for e in run_log)  # a skip is logged
         first = bundle.files()
+        events = json.loads(first["run_log.json"])["events"]
+        assert any(e.startswith("figure ") for e in events)  # a skip is logged
         assert bundle.files() == first
         assert bundle.run_log == run_log
         assert bundle.normalizers == normalizers
+
+    def test_figures_are_formatted_when_the_files_are(self, base_config, monkeypatch):
+        calls = []
+        emit = pipeline_mod._FIGURES["fig1"]
+        monkeypatch.setitem(pipeline_mod._FIGURES, "fig1",
+                            lambda b: calls.append(b) or emit(b))
+        bundle = run_pipeline(base_config, write=False)
+        assert len(calls) == 0
+        assert "figures/fig1.csv" in bundle.files()
+        assert len(calls) == 1
+        bundle.files()
+        assert len(calls) == 2
+
+    def test_xsection_figures_equal_their_files(self, report):
+        bundle, _ = report
+        files = bundle.files()
+        for fig, name in (("fig13", "variance_ratio.csv"), ("fig15", "kurtosis_tail.csv"),
+                          ("fig16", "kurtosis_curve.csv")):
+            assert files[f"figures/{fig}.csv"] == files[f"xsection/{name}"], fig
+
+    def test_bundle_is_frozen(self, report):
+        bundle, _ = report
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            bundle.tests = {}
+        other = dataclasses.replace(bundle, run_log=["an event"])
+        assert other.run_log == ["an event"] and other.tests is bundle.tests
+        assert json.loads(other.files()["run_log.json"])["events"][0] == "an event"
 
     def test_unwritten_bundle_has_normalizers(self, report, base_config):
         _, out = report
@@ -773,6 +802,12 @@ class TestCli:
          "with opening_time_offset nan must start after minute 0"),
         (["validate", "--config", "c.json"], {"c.json": '{"opening_time_offset": Infinity}'},
          "with opening_time_offset inf must start after minute 0"),
+        (["report", "--config", "c.json"], {"c.json": '{"return_convention": "open"}'},
+         "return_convention 'open' is not one of close-denominator, open-denominator"),
+        (["report", "--config", "c.json"], {"c.json": '{"time_format": "clok"}'},
+         "time_format 'clok' is not one of auto, clock, index"),
+        (["report", "--config", "c.json"], {"c.json": '{"schema": {"tiker": "symbol"}}'},
+         "unknown schema fields ['tiker']; known: ticker, date, time, volume"),
     ])
     def test_malformed_input_exits_2(self, capsys, tmp_path, monkeypatch, argv, files,
                                      message):
