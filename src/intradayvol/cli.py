@@ -7,6 +7,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime as dt
+import math
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -195,9 +196,13 @@ def _parse_samples(text: str) -> list[float]:
     else:
         parts = [p for p in text.split(",") if p.strip()]
     try:
-        return [float(p) for p in parts]
+        values = [float(p) for p in parts]
     except ValueError as exc:
         raise DataError(f"could not parse sample values: {exc}") from None
+    bad = [v for v in values if not math.isfinite(v)]
+    if bad:
+        raise DataError(f"sample values must be finite, got {bad[0]}")
+    return values
 
 
 def _cmd_tests(args) -> int:

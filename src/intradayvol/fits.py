@@ -4,9 +4,11 @@ relaxation, and generic scatter-relation polynomials.
 
 All fitting is deterministic: power laws and polynomials go through
 ordinary least squares (log-log axes for the power laws), and the
-three-parameter afternoon kurtosis model runs a fixed multi-start grid
-refined by Gauss-Newton with step halving. Minute indices t run 0..390;
-the rescaled session variable is x = t/195 - 1 in [-1, 1].
+three-parameter afternoon kurtosis model y = A - B*u^beta, linear in
+(A, B) at a fixed beta, by variable projection: the least residual sum
+of squares over a fixed beta grid, refined by golden section. Minute
+indices t run 0..390; the rescaled session variable is x = t/195 - 1 in
+[-1, 1].
 """
 from __future__ import annotations
 
@@ -197,47 +199,44 @@ def shape_functionals(fit: FitResult) -> ShapeFunctionals:
     return ShapeFunctionals(concavity, symmetry, dict(fit.coefficients))
 
 
-def _gauss_newton_afternoon(u, y, start, max_iter=200):
-    """Refine (A, B, beta) for the model y = A - B*u^beta. Returns
-    (params, rss, converged). A start or step candidate whose residuals
-    overflow has a non-finite RSS and is rejected, so overflow is silenced."""
-    a, b, beta = start
-    with np.errstate(over="ignore", invalid="ignore"):
-        resid = (a - b * u ** beta) - y
-        rss = float((resid ** 2).sum())
-    converged = False
-    for _ in range(max_iter):
-        if not (math.isfinite(rss) and abs(beta) < 12.0):
-            break
-        ub = u ** beta
-        jac = np.column_stack([np.ones_like(u), -ub, -b * ub * np.log(u)])
-        try:
-            step = np.linalg.solve(jac.T @ jac, -jac.T @ resid)
-        except np.linalg.LinAlgError:
-            break
-        scale = 1.0
-        improved = False
-        for _ in range(30):
-            cand = (a + scale * step[0], b + scale * step[1], beta + scale * step[2])
-            with np.errstate(over="ignore", invalid="ignore"):
-                cand_resid = (cand[0] - cand[1] * u ** cand[2]) - y
-                cand_rss = float((cand_resid ** 2).sum())
-            if math.isfinite(cand_rss) and cand_rss <= rss:
-                improved = True
-                break
-            scale *= 0.5
-        if not improved:
-            converged = True  # step halving exhausted at a local optimum
-            break
-        a, b, beta = cand
-        resid, prev_rss, rss = cand_resid, rss, cand_rss
-        if prev_rss - rss <= 1e-10 * max(prev_rss, 1e-300):
-            converged = True
-            break
-    return (a, b, beta), rss, converged
+#: the afternoon exponent's search grid. Its point count is even, so
+#: beta = 0 is not on it: there u^beta is the constant column of A.
+_BETA_GRID = np.linspace(-12.0, 12.0, 480)
+_BETA_TOL = 1e-10
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-_AFTERNOON_BETA_GRID = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
+def _afternoon_linear(u: np.ndarray, y: np.ndarray, beta):
+    """For each exponent in beta: the least-squares (A, B) of
+    y = A - B*u^beta at that fixed exponent, and the residual sum of
+    squares. The RSS is summed from the residuals: the shortcut
+    Syy - Sxy^2/Sxx cancels to a few digits on a close fit."""
+    x = u ** np.asarray(beta, dtype=float)[..., None]
+    x_mean = x.mean(axis=-1, keepdims=True)
+    xc = x - x_mean
+    yc = y - y.mean()
+    slope = (xc @ yc) / (xc * xc).sum(axis=-1)
+    resid = yc - slope[..., None] * xc
+    return y.mean() - slope * x_mean[..., 0], -slope, (resid * resid).sum(axis=-1)
+
+
+def _afternoon_exponent(u: np.ndarray, y: np.ndarray) -> float:
+    """The exponent whose linear fit leaves the least RSS (variable
+    projection): the least point of _BETA_GRID, refined by golden section
+    between its two neighbours."""
+    rss = _afternoon_linear(u, y, _BETA_GRID)[2]
+    i = int(np.argmin(rss))
+    if i in (0, len(_BETA_GRID) - 1):
+        raise AfternoonNoConverge(
+            f"residuals least at the exponent bound beta = {_BETA_GRID[i]:+g}")
+    lo, hi = float(_BETA_GRID[i - 1]), float(_BETA_GRID[i + 1])
+    while hi - lo > _BETA_TOL:
+        c, d = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
+        if _afternoon_linear(u, y, c)[2] < _afternoon_linear(u, y, d)[2]:
+            hi = d
+        else:
+            lo = c
+    return 0.5 * (lo + hi)
 
 
 def fit_kurtosis_relaxation(kappa_profile,
@@ -245,7 +244,8 @@ def fit_kurtosis_relaxation(kappa_profile,
                             afternoon_window: tuple[int, int] = (291, 390),
                             ) -> tuple[FitResult, FitResult]:
     """Morning decay exponent via log-log OLS and afternoon drop
-    y = A - B*(t - 290)^beta via multi-start Gauss-Newton."""
+    y = A - B*(t - 290)^beta by variable projection over beta in
+    (-12, 12); a least RSS at either bound raises AfternoonNoConverge."""
     minutes_m = np.arange(morning_window[0], morning_window[1] + 1, dtype=float)
     morning = _loglog_fit(kappa_profile, morning_window, minutes_m,
                           model="kurtosis_morning", exponent_name="beta_m",
@@ -261,30 +261,14 @@ def fit_kurtosis_relaxation(kappa_profile,
         raise WindowTooSmall(f"{int(keep.sum())} usable afternoon points, need >= 8")
     u = (minutes[keep] - 290).astype(float)
     y = y_all[keep]
+    if np.all(y == y[0]):
+        raise AfternoonNoConverge("flat afternoon: no exponent to fit")
 
-    starts = []
-    for beta in _AFTERNOON_BETA_GRID:
-        design = np.column_stack([np.ones_like(u), -(u ** beta)])
-        ab, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
-        starts.append((float(ab[0]), float(ab[1]), beta))
-        starts.append((float(ab[0]), 0.5 * float(ab[1]), beta))
-
-    best = None
-    rss_list = []
-    for start in starts:
-        params, rss, converged = _gauss_newton_afternoon(u, y, start)
-        rss_list.append(f"{rss:.3g}")
-        if converged and (best is None or rss < best[1]):
-            best = (params, rss)
-    if best is None:
-        raise AfternoonNoConverge(
-            f"no start converged; best residuals per start: {rss_list}")
-
-    (a, b, beta), rss = best
+    beta = _afternoon_exponent(u, y)
+    a, b, rss = map(float, _afternoon_linear(u, y, beta))
     ub = u ** beta
     fitted = a - b * ub
-    with np.errstate(invalid="ignore"):
-        jac = np.column_stack([np.ones_like(u), -ub, -b * ub * np.log(u)])
+    jac = np.column_stack([np.ones_like(u), -ub, -b * ub * np.log(u)])
     dof_resid = len(u) - 3
     s2 = rss / dof_resid if dof_resid > 0 else 0.0
     try:

@@ -1008,6 +1008,17 @@ def _codes(memo: _Memo, keys: tuple[list[str], np.ndarray], dtype) -> np.ndarray
     return np.fromiter(map(memo.__getitem__, distinct), dtype, len(distinct))[position]
 
 
+def check_load_options(schema: Mapping[str, str], time_format: str) -> None:
+    """DataError unless time_format is one of TIME_FORMATS and every key
+    of schema is a DEFAULT_SCHEMA field."""
+    if time_format not in TIME_FORMATS:
+        raise DataError(f"time_format {time_format!r} is not one of {', '.join(TIME_FORMATS)}")
+    unknown = set(schema) - set(DEFAULT_SCHEMA)
+    if unknown:
+        raise DataError(f"unknown schema fields {sorted(unknown)}; "
+                        f"known: {', '.join(DEFAULT_SCHEMA)}")
+
+
 def load_minute_bars(
     path,
     schema: Mapping[str, str] | None = None,
@@ -1028,7 +1039,9 @@ def load_minute_bars(
     volume and the daily OHLC (see MinutePanel), folded in as rows are
     read, which is all the analysis needs; it cannot be written to CSV.
     """
-    schema = dict(DEFAULT_SCHEMA, **(schema or {}))
+    schema = schema or {}
+    check_load_options(schema, time_format)
+    schema = dict(DEFAULT_SCHEMA, **schema)
     if isinstance(path, (list, tuple)):
         paths = [q for p in path for q in _csv_paths(p)]
     else:

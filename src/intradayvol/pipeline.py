@@ -55,14 +55,13 @@ from .fits import (
     shape_functionals,
 )
 from .panel import (
-    DEFAULT_SCHEMA,
     SESSION_MINUTES,
-    TIME_FORMATS,
     LoadReport,
     MinutePanel,
     SemesterIndex,
     ValidationReport,
     assign_semesters,
+    check_load_options,
     default_semester_boundaries,
     load_minute_bars,
     semester_day_indices,
@@ -254,15 +253,10 @@ class PipelineConfig:
             raise DataError("confidence must be in (0, 1)")
         if not 0.0 <= self.min_day_coverage <= 1.0:
             raise DataError(f"min_day_coverage {self.min_day_coverage} outside [0, 1]")
-        for name, allowed in (("time_format", TIME_FORMATS),
-                              ("return_convention", metrics_mod.RETURN_CONVENTIONS)):
-            if getattr(self, name) not in allowed:
-                raise DataError(f"{name} {getattr(self, name)!r} is not one of "
-                                f"{', '.join(allowed)}")
-        unknown = set(self.schema) - set(DEFAULT_SCHEMA)
-        if unknown:
-            raise DataError(f"unknown schema fields {sorted(unknown)}; "
-                            f"known: {', '.join(DEFAULT_SCHEMA)}")
+        check_load_options(self.schema, self.time_format)
+        if self.return_convention not in metrics_mod.RETURN_CONVENTIONS:
+            raise DataError(f"return_convention {self.return_convention!r} is not one of "
+                            f"{', '.join(metrics_mod.RETURN_CONVENTIONS)}")
 
     @classmethod
     def from_json(cls, doc: dict) -> "PipelineConfig":

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +21,6 @@ from intradayvol.errors import (
     TooFewPoints,
     WindowTooSmall,
 )
-from intradayvol import fits as fits_mod
 from intradayvol.fits import (
     HALF_SESSION,
     fit_closing_powerlaw,
@@ -246,6 +244,16 @@ class TestShapeFunctionals:
             shape_functionals(fit)
 
 
+def _linear_fit_rss(u, y, betas):
+    """RSS of the least-squares (A, B) of y = A - B*u^beta at each fixed
+    beta, from a QR solve of the scaled design [1, u^beta / max u^beta]."""
+    x = u ** betas[:, None]
+    design = np.stack([np.ones_like(x), x / x.max(axis=1, keepdims=True)], axis=2)
+    q, _ = np.linalg.qr(design)
+    resid = y - (q @ (q.transpose(0, 2, 1) @ y[:, None]))[..., 0]
+    return (resid ** 2).sum(axis=1)
+
+
 class TestKurtosisRelaxation:
     def _kappa(self, beta_m=0.4, k0=5.0, a=2.0, b=0.031, beta_a=1.5):
         kappa = np.empty(SESSION_MINUTES)
@@ -307,21 +315,36 @@ class TestKurtosisRelaxation:
             except NumericalError:
                 pass  # whether it converges is not the point here
 
-    def test_no_converging_start_reports_each_start_once(self):
-        # an afternoon rising like exp(u/5): every Gauss-Newton start fails
+    def test_rising_exponential_fails_at_the_exponent_bound(self):
+        # an afternoon rising like exp(u/5): no power of u fits inside |beta| < 12
         kappa = self._kappa()
         kappa[291:] = 2.0 + np.exp((T[291:] - 290.0) / 5.0)
-        with mock.patch.object(fits_mod, "_gauss_newton_afternoon",
-                               wraps=fits_mod._gauss_newton_afternoon) as gauss_newton, \
-                warnings.catch_warnings():
+        with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(AfternoonNoConverge) as err:
+            with pytest.raises(AfternoonNoConverge, match=r"bound beta = \+12$"):
                 fit_kurtosis_relaxation(kappa)
-        assert str(err.value) == (
-            "no start converged; best residuals per start: ['4.48e+17', '7.07e+17', "
-            "'4.07e+17', '5.8e+17', '3.63e+17', '5.22e+17', '3.28e+17', '4.83e+17', "
-            "'2.95e+17', '4.51e+17', '2.68e+17', '4.21e+17']")
-        assert gauss_newton.call_count == 12
+
+    @pytest.mark.parametrize("level", [2.0, 4.13])
+    def test_flat_afternoon_fails(self, level):
+        # 4.13 has no exact mean over 100 minutes: the rounding alone
+        # would otherwise pick an exponent for B ~ 1e-30
+        kappa = self._kappa()
+        kappa[291:] = level
+        with pytest.raises(AfternoonNoConverge, match="flat"):
+            fit_kurtosis_relaxation(kappa)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("b, beta_a", [(0.031, 1.5), (0.3, 0.5), (-1.5, -0.7)])
+    def test_fit_is_the_dense_grid_profile_minimum(self, seed, b, beta_a):
+        kappa = self._kappa(b=b, beta_a=beta_a)
+        kappa[291:] += 0.05 * np.random.default_rng(seed).standard_normal(100)
+        _, afternoon = fit_kurtosis_relaxation(kappa)
+        u, y = T[291:] - 290.0, kappa[291:]
+        grid = np.linspace(-12.0, 12.0, 24_000)
+        rss = np.concatenate([_linear_fit_rss(u, y, part) for part in np.array_split(grid, 12)])
+        k = int(np.argmin(rss))
+        assert afternoon.residual_sum_squares <= rss[k] * (1 + 1e-9)
+        assert abs(afternoon.coefficients["beta_a"] - grid[k]) <= grid[1] - grid[0]
 
     def test_afternoon_handles_gaps(self):
         kappa = self._kappa(beta_a=0.8)

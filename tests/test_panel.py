@@ -166,6 +166,15 @@ class TestLoader:
         panel, _ = load_minute_bars(_write(tmp_path / "a.csv", text), schema)
         assert panel.volume[0, 0, 0] == 7
 
+    @pytest.mark.parametrize("schema, time_format, message", [
+        ({"tiker": "symbol"}, "auto", r"unknown schema fields \['tiker'\]; known: ticker, date"),
+        (None, "clok", "time_format 'clok' is not one of auto, clock, index"),
+    ])
+    def test_unknown_options_rejected(self, tmp_path, schema, time_format, message):
+        path = _write(tmp_path / "a.csv", HEADER + "A,2004-01-05,17,9,10,10,10,10\n")
+        with pytest.raises(DataError, match=message):
+            load_minute_bars([path], schema, time_format=time_format)
+
     def test_time_column_alternate_spelling(self, tmp_path):
         text = ("ticker,date,time,volume,open,high,low,close\n"
                 "A,2004-01-05,09:30,7,10,10,10,10\n")

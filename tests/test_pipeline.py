@@ -808,6 +808,10 @@ class TestCli:
          "time_format 'clok' is not one of auto, clock, index"),
         (["report", "--config", "c.json"], {"c.json": '{"schema": {"tiker": "symbol"}}'},
          "unknown schema fields ['tiker']; known: ticker, date, time, volume"),
+        (["tests", "--sample-1", "1,2,nan", "--sample-2", "3,4,5"], {},
+         "sample values must be finite, got nan"),
+        (["tests", "--sample-1", "1,2,3", "--sample-2", "@s.txt"], {"s.txt": "3 4\n-inf\n"},
+         "sample values must be finite, got -inf"),
     ])
     def test_malformed_input_exits_2(self, capsys, tmp_path, monkeypatch, argv, files,
                                      message):
