@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import datetime as dt
 import math
 import sys
 from contextlib import contextmanager
@@ -22,7 +21,13 @@ from .errors import DataError, NumericalError
 from .fits import shape_functionals
 # load_minute_bars and validate_panel are not called here; perfbench/spans.py
 # wraps these names in this module to time the CLI's layers
-from .panel import TIME_FORMATS, load_minute_bars, validate_panel, write_panel_csv  # noqa: F401
+from .panel import (  # noqa: F401
+    TIME_FORMATS,
+    load_minute_bars,
+    parse_date,
+    validate_panel,
+    write_panel_csv,
+)
 from .pipeline import (
     TICKER_MEAN_FITS,
     PipelineConfig,
@@ -117,7 +122,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_profile(args) -> int:
     try:
-        day = dt.date.fromisoformat(args.day) if args.day else None
+        day = parse_date(args.day) if args.day else None
     except ValueError:
         raise DataError(f"--day {args.day!r} is not an ISO date (YYYY-MM-DD)") from None
     with _stages(args) as st:

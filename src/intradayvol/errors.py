@@ -23,10 +23,6 @@ class MissingColumn(DataError):
     pass
 
 
-class MalformedRow(DataError):
-    pass
-
-
 class DuplicateCell(DataError):
     pass
 

@@ -17,6 +17,7 @@ import locale
 import math
 import os
 import pickle
+import re
 import select
 from bisect import bisect_left, bisect_right
 from collections import deque
@@ -32,7 +33,6 @@ from .errors import (
     DataError,
     DuplicateCell,
     ExcludedPair,
-    MalformedRow,
     MissingColumn,
     OverlappingRanges,
     UncoveredDate,
@@ -368,6 +368,18 @@ def _parse_minute(value: str, time_format: str) -> int:
     return int(value)
 
 
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+def parse_date(text: str) -> dt.date:
+    """The date of a YYYY-MM-DD string; ValueError for any other text.
+    date.fromisoformat alone also takes the ISO basic (20040105) and week
+    (2004-W02-1) forms, from Python 3.11 on."""
+    if not _ISO_DATE.fullmatch(text):
+        raise ValueError(f"{text!r} is not a YYYY-MM-DD date")
+    return dt.date.fromisoformat(text)
+
+
 def _csv_paths(path) -> list[Path]:
     p = Path(path)
     if p.is_dir():
@@ -546,20 +558,6 @@ class _Layout:
         return _Layout(col["time"], col["date"], ticker_col,
                        tuple(col[f] for f in _VALUE_FIELDS), p.stem)
 
-    def row_error(self, row: list[str], time_format: str) -> str:
-        """Why the scalar MinuteBar path rejects a row (strict mode's text)."""
-        try:
-            minute = _parse_minute(row[self.time], time_format)
-        except (ValueError, IndexError):
-            return "unparseable time field"
-        try:
-            ticker = row[self.ticker].strip() if self.ticker is not None else self.file_ticker
-            MinuteBar(ticker, dt.date.fromisoformat(row[self.date].strip()), minute,
-                      *(float(row[k]) for k in self.values))
-        except (ValueError, IndexError) as exc:
-            return str(exc)
-        raise AssertionError(f"row {row!r} passes MinuteBar but failed the column rules")
-
 
 class _Parsed(NamedTuple):
     """A block's records as arrays, ready to be checked and kept."""
@@ -604,11 +602,6 @@ class _Block(NamedTuple):
     input: _Input
     text: str
     last: bool
-
-    def record(self, k: int) -> list[str]:
-        """The fields of record k, from the text split again (only a
-        strict-mode error needs them)."""
-        return [c[k] for c in _split_block(self.text, self.input.fields)]
 
 
 def _file_blocks(paths: Sequence[Path], schema: Mapping[str, str]) -> Iterator[_Block]:
@@ -874,16 +867,16 @@ class _ColumnLoader:
     str.split; the first block that is not, and the rest of its file, go
     through csv.reader instead. Tickers and days are interned to integer
     codes in first-seen order, each distinct time, date and ticker string
-    is parsed once, and each distinct price string once per block. Skip
-    reasons, line numbers (record index + 2) and error precedence follow
-    the row-at-a-time MinuteBar rules: time first, then session range,
-    then every other field; a repeated cell raises in the block where it
-    occurs.
+    is parsed once, and each distinct price string once per block. Every
+    row that fails a rule is skipped and counted, by line number (record
+    index + 2), as the row-at-a-time MinuteBar rules order them: a row
+    whose time parses to a minute outside the session is out-of-session,
+    any other failing row is malformed. A repeated cell raises in the
+    block where it occurs.
     """
 
-    def __init__(self, time_format: str, strict: bool, minute_prices: bool):
+    def __init__(self, time_format: str, minute_prices: bool):
         self.time_format = time_format
-        self.strict = strict
         self.report = LoadReport()
         self.tickers: dict[str, int] = {}
         self.days: dict[dt.date, int] = {}
@@ -901,7 +894,7 @@ class _ColumnLoader:
 
     def _day_code(self, s: str) -> int:
         try:
-            day = dt.date.fromisoformat(s.strip())
+            day = parse_date(s.strip())
         except ValueError:
             return -1
         return self.days.setdefault(day, len(self.days))
@@ -917,7 +910,7 @@ class _ColumnLoader:
                 start = 0
                 for block, parsed in group:
                     if parsed is not None:
-                        self._load_block(inp, start, parsed, None, block.record)
+                        self._load_block(inp, start, parsed)
                         start += len(parsed.values[0])
                         continue
                     # csv.reader reads this block and the file's later ones
@@ -938,12 +931,12 @@ class _ColumnLoader:
             short = np.fromiter(map(width.__gt__, lens), bool, n)
             padded = [r + [""] * (width - k) if k < width else r for r, k in zip(rows, lens)]
         parsed = _parse_columns(list(zip(*padded)), inp.layout, rows.__getitem__)
-        self._load_block(inp, start, parsed, short, rows.__getitem__)
+        self._load_block(inp, start, parsed, short)
 
     def _load_block(self, inp: _Input, start: int, parsed: _Parsed,
-                    short: np.ndarray | None, record: Callable[[int], list[str]]) -> None:
-        """Check and keep the records of a block, whose record k has the
-        fields record(k)."""
+                    short: np.ndarray | None = None) -> None:
+        """Check the records of a block, keep those that pass and count
+        the others; the rows flagged in short lack a field."""
         source, layout, values = inp.source, inp.layout, parsed.values
         n = len(values[0])
         times, days, *tickers = parsed.keys
@@ -965,18 +958,9 @@ class _ColumnLoader:
         blank = set(parsed.blank)
         self.report.n_rows += n - len(blank)
         for k in np.flatnonzero(~ok).tolist():
-            if k in blank:
-                continue
-            line = start + k + 2
-            if minute[k] == _OFF_SESSION:
-                reason = "out-of-session"
-            elif self.strict:
-                self._keep(*block, np.flatnonzero(ok[:k]))
-                raise MalformedRow(
-                    f"{source}:{line}: {layout.row_error(record(k), self.time_format)}")
-            else:
-                reason = "malformed"
-            self.report.skipped.append(SkippedRow(source, line, reason))
+            if k not in blank:
+                reason = "out-of-session" if minute[k] == _OFF_SESSION else "malformed"
+                self.report.skipped.append(SkippedRow(source, start + k + 2, reason))
         self._keep(*block, np.flatnonzero(ok))
 
     def _keep(self, source: str, start: int, ticker: np.ndarray, day: np.ndarray,
@@ -1024,15 +1008,15 @@ def load_minute_bars(
     schema: Mapping[str, str] | None = None,
     *,
     time_format: str = "auto",
-    strict: bool = False,
     minute_prices: bool = True,
 ) -> tuple[MinutePanel, LoadReport]:
     """Load minute bars from one CSV, a list of CSVs, or a directory.
 
     Files with a ticker column hold any number of tickers; files without
     one are per-ticker files and the ticker is the filename stem.
-    Malformed rows are skipped and reported (or raised when strict);
-    rows outside the 09:30-16:00 session are always skipped and counted.
+    Dates are YYYY-MM-DD (see parse_date). A malformed row is always
+    skipped and counted in the report, with its file and line, as is a
+    row outside the 09:30-16:00 session.
     A repeated (ticker, date, minute) cell rejects the whole load.
     Inputs over _HELPER_MIN_BYTES are parsed on two processes, with the
     same result. Without minute_prices the panel keeps only the minute
@@ -1046,7 +1030,7 @@ def load_minute_bars(
         paths = [q for p in path for q in _csv_paths(p)]
     else:
         paths = _csv_paths(path)
-    loader = _ColumnLoader(time_format, strict, minute_prices)
+    loader = _ColumnLoader(time_format, minute_prices)
     loader.load(paths, schema)
     return loader.panel(), loader.report
 

@@ -13,7 +13,6 @@ composes all of them and the single-stage CLI commands select from them.
 """
 from __future__ import annotations
 
-import datetime as dt
 import json
 import math
 import os
@@ -64,6 +63,7 @@ from .panel import (
     check_load_options,
     default_semester_boundaries,
     load_minute_bars,
+    parse_date,
     semester_day_indices,
     validate_panel,
 )
@@ -156,7 +156,7 @@ def _is_str(value) -> bool:
 
 def _is_iso_date(value) -> bool:
     try:
-        dt.date.fromisoformat(value)
+        parse_date(value)
     except (TypeError, ValueError):
         return False
     return True
@@ -185,7 +185,7 @@ _JSON_TYPES = {
     "str | None": (lambda v: v is None or _is_str(v), "a string or null"),
     "list[tuple[str, str]] | None": (
         lambda v: v is None or _is_list_of(_is_list_of(_is_iso_date, 2))(v),
-        "null or a list of [first, last] ISO dates"),
+        "null or a list of [first, last] ISO dates (YYYY-MM-DD)"),
 }
 
 
@@ -329,8 +329,7 @@ def prepare_panel(config: PipelineConfig) -> PreparedPanel:
     exclusions."""
     panel, load_report = load_panel(config, minute_prices=False)
     if config.semester_boundaries is not None:
-        boundaries = [(dt.date.fromisoformat(a), dt.date.fromisoformat(b))
-                      for a, b in config.semester_boundaries]
+        boundaries = [(parse_date(a), parse_date(b)) for a, b in config.semester_boundaries]
     else:
         boundaries = default_semester_boundaries(panel.days[0], panel.days[-1])
     index = assign_semesters(panel, boundaries)

@@ -4,9 +4,11 @@ rank test, with no dependency beyond numpy.
 The Student-t critical value is obtained by numerically inverting the
 t CDF, itself evaluated through a continued-fraction regularized
 incomplete beta. The MWW critical value comes from an embedded exact
-two-tailed 95% table for n1, n2 <= 20 (regenerated by
-scripts/gen_mww_tables.py) and from the tie-corrected normal
-approximation with continuity correction beyond that range.
+two-tailed 95% table for n1, n2 <= 20 (a fixed constant, which
+TestMWW::test_embedded_table_matches_exhaustive_enumeration checks entry
+by entry against the U-statistic count recurrence) and from the
+tie-corrected normal approximation with continuity correction beyond
+that range.
 
 Verdict conventions, fixed by the downstream regime-shift protocol:
 Welch rejects when |t| exceeds the critical value; MWW rejects when
@@ -186,7 +188,9 @@ def welch_test(sample_1, sample_2, confidence: float = 0.95, tails: int = 2) -> 
 
 # Exact two-tailed 95% critical values: largest u with P(U <= u) <= 0.025
 # under the null; -1 marks sizes with no rejection region. Upper triangle,
-# key [min(n1,n2)][max(n1,n2)]. Regenerate with scripts/gen_mww_tables.py.
+# key [min(n1,n2)][max(n1,n2)]. tests/test_stats_tests.py::TestMWW::
+# test_embedded_table_matches_exhaustive_enumeration recomputes every entry
+# from the U-statistic count recurrence.
 _MWW_CRIT_95 = {
     1: {1: -1, 2: -1, 3: -1, 4: -1, 5: -1, 6: -1, 7: -1, 8: -1, 9: -1, 10: -1,
         11: -1, 12: -1, 13: -1, 14: -1, 15: -1, 16: -1, 17: -1, 18: -1, 19: -1, 20: -1},
@@ -256,7 +260,7 @@ def _mww_critical(n1: int, n2: int, merged: np.ndarray, confidence: float,
     if tails == 2 and confidence == 0.95 and n <= 20:
         entry = _MWW_CRIT_95[m][n]
         # -1 means no u satisfies the tail bound; critical 0 plus the
-        # strict < rule encodes "never reject" for such sizes
+        # rule U_min < critical encodes "never reject" for such sizes
         return (0.0 if entry < 0 else float(entry)), "exact-table"
     # normal approximation with tie-corrected variance and continuity
     # correction

@@ -296,9 +296,9 @@ class TestKurtosisRelaxation:
         with pytest.raises(WindowTooSmall):
             fit_kurtosis_relaxation(kappa)
 
-    def test_overflowing_candidates_emit_no_runtime_warning(self):
-        # a noisy ticker-mean kurtosis on which Gauss-Newton steps overshoot
-        # into residuals whose squares overflow
+    def test_synth_profile_fits_without_runtime_warning(self):
+        # a synth panel's noisy ticker-mean kurtosis goes through
+        # fit_kurtosis_relaxation with RuntimeWarning as an error
         panel, truth = generate_panel(GeneratorSpec(
             n_companies=8, n_days=60, n_semesters=1, seed=2,
             intensity=IntensitySpec(opening_amplitude=2000.0, opening_exponent=0.29,

@@ -20,7 +20,6 @@ from intradayvol.errors import (
     DataError,
     DuplicateCell,
     ExcludedPair,
-    MalformedRow,
     MissingColumn,
     OverlappingRanges,
     UncoveredDate,
@@ -130,17 +129,20 @@ class TestLoader:
         assert report.n_skipped_by_reason() == {"out-of-session": 2}
         assert panel.volume[0, 0, 30] == 5
 
-    def test_malformed_rows_lenient_vs_strict(self, tmp_path):
+    def test_malformed_rows_skipped(self, tmp_path):
+        # the last two rows give 2004-01-05 in the ISO basic and week
+        # forms, which date.fromisoformat takes from Python 3.11 on
         text = HEADER + ("A,2004-01-05,junk,1,10,10,10,10\n"
                          "A,not-a-date,09:30,1,10,10,10,10\n"
                          "A,2004-01-05,09:30,1,10,10,10\n"
-                         "A,2004-01-05,09:31,2,10,10,10,10\n")
+                         "A,2004-01-05,09:31,2,10,10,10,10\n"
+                         "A,20040105,09:31,3,10,10,10,10\n"
+                         "A,2004-W02-1,09:31,4,10,10,10,10\n")
         path = _write(tmp_path / "a.csv", text)
         panel, report = load_minute_bars(path)
-        assert report.n_skipped_by_reason() == {"malformed": 3}
+        assert report.n_skipped_by_reason() == {"malformed": 5}
+        assert panel.days == (dt.date(2004, 1, 5),)
         assert panel.volume[0, 0, 1] == 2
-        with pytest.raises(MalformedRow):
-            load_minute_bars(path, strict=True)
 
     def test_blank_lines_ignored(self, tmp_path):
         text = HEADER + "\nA,2004-01-05,09:30,1,10,10,10,10\n\n"
@@ -525,7 +527,7 @@ def _reference_csv_bytes(panel) -> bytes:
 
 # --- columnar loader against one MinuteBar per row -----------------------
 
-def _reference_load(paths, strict=False):
+def _reference_load(paths):
     """Row-at-a-time loading with one MinuteBar per row: the rules the
     columnar loader must reproduce. Returns (bars by cell, rows read,
     skipped (source, line, reason) triples)."""
@@ -544,8 +546,6 @@ def _reference_load(paths, strict=False):
                 try:
                     minute = _parse_minute(row[col["minute"]], "auto")
                 except (ValueError, IndexError):
-                    if strict:
-                        raise MalformedRow(f"{p}:{line}: unparseable time field")
                     skipped.append((str(p), line, "malformed"))
                     continue
                 if not 0 <= minute <= 390:
@@ -553,12 +553,13 @@ def _reference_load(paths, strict=False):
                     continue
                 try:
                     ticker = row[ticker_col].strip() if ticker_col is not None else p.stem
-                    bar = MinuteBar(ticker, dt.date.fromisoformat(row[col["date"]].strip()),
-                                    minute, *(float(row[col[name]]) for name in
-                                              ("volume", "open", "high", "low", "close")))
-                except (ValueError, IndexError) as exc:
-                    if strict:
-                        raise MalformedRow(f"{p}:{line}: {exc}")
+                    text = row[col["date"]].strip()
+                    date = dt.date.fromisoformat(text)
+                    if date.isoformat() != text:  # not YYYY-MM-DD
+                        raise ValueError(text)
+                    bar = MinuteBar(ticker, date, minute, *(
+                        float(row[col[name]]) for name in ("volume", "open", "high", "low", "close")))
+                except (ValueError, IndexError):
                     skipped.append((str(p), line, "malformed"))
                     continue
                 key = (bar.ticker, bar.date, bar.minute)
@@ -611,7 +612,8 @@ def _row(draw, minute, columns):
         name = draw(st.sampled_from(["volume", "open", "high", "low", "close"]))
         fields[name] = draw(st.sampled_from(["x", "", "1.2.3"]))
     elif kind == "bad_date":
-        fields["date"] = draw(st.sampled_from(["2004-13-01", "junk", ""]))
+        fields["date"] = draw(st.sampled_from(["2004-13-01", "junk", "", "20040105",
+                                               "2004-W02-1"]))
     elif kind == "bad_volume":
         fields["volume"] = draw(st.sampled_from(["-5", "2.5", "nan", "inf"]))
     elif kind == "ohlc":
@@ -777,15 +779,6 @@ class TestColumnarLoaderEquivalence:
         bound = 1.5 * panel.volume.nbytes + panel.daily_ohlc.nbytes + 16 * block_chars
         assert peak < bound, (peak, bound)
 
-    def test_strict_reports_first_bad_row_message(self, tmp_path):
-        text = HEADER + ("A,2004-01-05,09:30,1,10,10,10,10\n"
-                         "A,2004-01-05,09:31,1,10,9,10,10\n"
-                         "A,2004-01-05,junk,1,10,10,10,10\n")
-        path = _write(tmp_path / "a.csv", text)
-        with pytest.raises(MalformedRow) as err:
-            load_minute_bars(path, strict=True)
-        assert str(err.value) == f"{path}:3: OHLC ordering violated: (10.0, 9.0, 10.0, 10.0)"
-
     def test_row_missing_only_its_last_ticker_field(self, tmp_path):
         text = ("date,minute,volume,open,high,low,close,ticker\n"
                 "2004-01-05,09:30,1,10,10,10,10,A\n"
@@ -793,8 +786,6 @@ class TestColumnarLoaderEquivalence:
         path = _write(tmp_path / "a.csv", text)
         _, report = load_minute_bars(path)
         assert [(s.line, s.reason) for s in report.skipped] == [(3, "malformed")]
-        with pytest.raises(MalformedRow, match="a.csv:3: list index out of range"):
-            load_minute_bars(path, strict=True)
 
     @pytest.mark.parametrize("helper", [False, pytest.param(True, marks=needs_helper)])
     def test_earlier_duplicate_wins_over_later_file_errors(self, tmp_path, helper):
@@ -810,9 +801,9 @@ class TestColumnarLoaderEquivalence:
         with mock.patch.object(panel_mod, "_HELPER_MIN_BYTES", 0 if helper else 2 ** 62), \
                 mock.patch.object(panel_mod, "_BLOCK_CHARS", 500):
             for earlier, line in ((first, "a.csv:3"), (tail, "t.csv:303")):
-                for later, strict in ((malformed, True), (headless, False)):
+                for later in (malformed, headless):
                     with pytest.raises(DuplicateCell, match=f"{line}: duplicate cell"):
-                        load_minute_bars([earlier, later], strict=strict)
+                        load_minute_bars([earlier, later])
 
 
 def _assert_matches_reference(paths, block_rows, block_chars, helper=False):
@@ -822,19 +813,17 @@ def _assert_matches_reference(paths, block_rows, block_chars, helper=False):
     with mock.patch.object(panel_mod, "_BLOCK_ROWS", block_rows), \
             mock.patch.object(panel_mod, "_BLOCK_CHARS", block_chars), \
             mock.patch.object(panel_mod, "_HELPER_MIN_BYTES", 0 if helper else 2 ** 62):
-        for strict in (False, True):
-            got = _outcome(load_minute_bars, [str(p) for p in paths], strict=strict)
-            daily = _outcome(load_minute_bars, [str(p) for p in paths], strict=strict,
-                             minute_prices=False)
-            want = _outcome(_reference_load, paths, strict=strict)
-            if want[0] != "ok":
-                assert got == want, block_chars
-                assert daily == want, block_chars
-                continue
-            assert got[0] == "ok", (got, block_chars)
-            assert daily[0] == "ok", (daily, block_chars)
-            _assert_loaded(*got[1], *want[1])
-            _assert_daily_loaded(*daily[1], *got[1], want[1][0])
+        got = _outcome(load_minute_bars, [str(p) for p in paths])
+        daily = _outcome(load_minute_bars, [str(p) for p in paths], minute_prices=False)
+        want = _outcome(_reference_load, paths)
+    if want[0] != "ok":
+        assert got == want, block_chars
+        assert daily == want, block_chars
+        return
+    assert got[0] == "ok", (got, block_chars)
+    assert daily[0] == "ok", (daily, block_chars)
+    _assert_loaded(*got[1], *want[1])
+    _assert_daily_loaded(*daily[1], *got[1], want[1][0])
 
 
 def _assert_loaded(panel, report, bars, n_rows, skipped):
@@ -927,9 +916,8 @@ class TestHelper:
             paths.append(root / f"{stem}.csv")
             paths[-1].write_bytes(text.encode())
         with mock.patch.object(panel_mod, "_BLOCK_CHARS", block_chars):
-            for strict in (False, True):
-                serial, helped, _ = _serial_and_helped(paths, strict=strict)
-                _assert_bit_equal(serial, helped)
+            serial, helped, _ = _serial_and_helped(paths)
+        _assert_bit_equal(serial, helped)
 
     def test_files_with_a_csv_tail_and_skipped_rows(self, tmp_path):
         day, later = "2004-01-05", "2004-01-06"
@@ -958,10 +946,6 @@ class TestHelper:
                 (393, "out-of-session"), (22, "malformed"), (352, "malformed"),
                 (203, "malformed")]
             assert report.n_rows == 391 * 4 + 200 + 2  # not the blank record
-            serial, helped, _ = _serial_and_helped(paths, strict=True)
-            assert serial == (MalformedRow, f"{paths[1]}:22: OHLC ordering violated: "
-                                            "(10.5, 11.25, 12.0, 10.75)")
-            _assert_bit_equal(serial, helped)
 
     def test_errors_raised_with_blocks_in_flight(self, tmp_path):
         rows = _rows("A", "2004-01-05", range(391)).splitlines(keepends=True)
@@ -971,12 +955,10 @@ class TestHelper:
         duplicate = tmp_path / "duplicate.csv"
         duplicate.write_text(HEADER + "".join(rows[:40]) + rows[5] + "".join(rows[40:]))
         with mock.patch.object(panel_mod, "_BLOCK_CHARS", 500):
-            for paths, strict, error in (([malformed], True, MalformedRow),
-                                         ([duplicate, malformed], False, DuplicateCell)):
-                serial, helped, answered = _serial_and_helped(paths, strict=strict)
-                assert serial[0] is error
-                _assert_bit_equal(serial, helped)
-                assert answered >= 1
+            serial, helped, answered = _serial_and_helped([duplicate, malformed])
+        assert serial[0] is DuplicateCell
+        _assert_bit_equal(serial, helped)
+        assert answered >= 1
 
     def test_helper_cuts_blocks_of_the_patched_size(self, tmp_path):
         path = tmp_path / "a.csv"

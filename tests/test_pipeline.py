@@ -812,6 +812,10 @@ class TestCli:
          "sample values must be finite, got nan"),
         (["tests", "--sample-1", "1,2,3", "--sample-2", "@s.txt"], {"s.txt": "3 4\n-inf\n"},
          "sample values must be finite, got -inf"),
+        (["report", "--config", "c.json"],
+         {"c.json": '{"semester_boundaries": [["20040101", "20040630"]]}'},
+         "semester_boundaries must be null or a list of [first, last] ISO dates (YYYY-MM-DD)"),
+        (["profile", "--day", "20040105"], {}, "'20040105' is not an ISO date (YYYY-MM-DD)"),
     ])
     def test_malformed_input_exits_2(self, capsys, tmp_path, monkeypatch, argv, files,
                                      message):
