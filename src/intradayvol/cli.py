@@ -232,8 +232,8 @@ def _cmd_xsection(args) -> int:
     out = _out_dir(args)
     for s, prof in sorted(day_mean.items()):
         (out / f"s{s:02d}_day_mean.csv").write_bytes(profile_csv_bytes(prof))
-    for name, data in xsection_files(var_ratio, kurt_tail, kurt_curve).items():
-        (out / name).write_bytes(data)
+    for name, text in xsection_files(var_ratio, kurt_tail, kurt_curve).items():
+        (out / name).write_bytes(text().encode())
     print(f"{len(day_mean)} semesters -> {out}")
     return 0
 

@@ -1,12 +1,17 @@
 """End-to-end orchestration: panel in, plot-ready report bundle out.
 
-The bundle's files are formatted, hashed and written one at a time into
-a sibling temporary directory that is renamed into place, so a failed
-run leaves the previous bundle (or nothing) and never a partial or mixed
-one; two runs with the same inputs and analysis config produce
-byte-identical directories. manifest.json lists a content hash for every
-other file plus the config hash, and `load_figure_csv` serves only files
-it lists.
+The bundle is an ordered list of file jobs, each formatting one file's
+bytes (a figure that copies a cross-section file is written by that
+file's job). `ReportBundle.files` does them one after another in memory
+and is the byte reference. `ReportBundle.write` shares them with a forked
+helper through the loader's in-order queue (`panel._in_order`): each
+process formats, writes and hashes one file at a time into a sibling
+temporary directory, which is renamed into place once run_log.json and
+manifest.json are written. So a failed run leaves the previous bundle (or
+nothing) and never a partial or mixed one; two runs with the same inputs
+and analysis config produce byte-identical directories, with the helper
+or without. manifest.json lists a content hash for every other file plus
+the config hash, and `load_figure_csv` serves only files it lists.
 
 Each stage has one implementation, a method of `Stages`; `run_pipeline`
 composes all of them and the single-stage CLI commands select from them.
@@ -18,9 +23,11 @@ import math
 import os
 import re
 import shutil
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -59,6 +66,8 @@ from .panel import (
     MinutePanel,
     SemesterIndex,
     ValidationReport,
+    _Helper,
+    _in_order,
     assign_semesters,
     check_load_options,
     default_semester_boundaries,
@@ -559,63 +568,89 @@ class ReportBundle:
         return {key: s0 for key, series in _NORMALIZED_SERIES.items()
                 if (s0 := _first_usable(series(self))) is not None}
 
-    def _emit(self):
-        """Every bundle file except the manifest, as (relpath, bytes) in
-        bundle order; each file is formatted when it is asked for."""
-        yield "config.json", dump_json(self.config.analysis_json())
-        yield "load_report.json", dump_json(self.load_report)
-        yield "validation.json", dump_json(self.validation)
-
+    def _jobs(self) -> list[tuple[tuple[str, ...], Callable[[], bytes]]]:
+        """Every bundle file except run_log.json and the manifest, as
+        (relpaths, format) jobs in bundle order: format() gives the bytes
+        of each of relpaths, or raises MissingUpstream for a skipped
+        figure. A figure that is byte for byte a cross-section file (see
+        _XSECTION_FIGURES) is written by that file's job, unless it is
+        skipped."""
+        jobs = [(("config.json",), lambda: dump_json(self.config.analysis_json())),
+                (("load_report.json",), lambda: dump_json(self.load_report)),
+                (("validation.json",), lambda: dump_json(self.validation))]
         profile_index = []
         for s in self.semesters:
             for kind, profiles in (("ticker_mean", self.ticker_mean),
                                    ("day_mean", self.day_mean)):
                 if s in profiles:
                     rel = f"profiles/s{s:02d}_{kind}.csv"
-                    yield rel, profile_csv_bytes(profiles[s])
+                    jobs.append(((rel,), lambda p=profiles[s]: profile_csv_bytes(p)))
                     profile_index.append({"file": rel, "semester": s, "kind": kind})
-        yield "profiles/index.json", dump_json(
-            {"profiles": profile_index, "conventions": dict(CONVENTIONS)})
+        jobs += [
+            (("profiles/index.json",), lambda: dump_json(
+                {"profiles": profile_index, "conventions": dict(CONVENTIONS)})),
+            (("fits.json",), lambda: dump_json(
+                {str(s): self.semester_fits[s] for s in self.semesters})),
+            (("fits.csv",), self._fits_csv),
+            (("metrics.csv",), lambda: metrics_csv(self.metrics_rows).encode()),
+            (("regressions.json",), lambda: dump_json(self.regressions)),
+        ]
+        copies = {name: (f"figures/{fig}.csv",) for fig, (name, series)
+                  in _XSECTION_FIGURES.items() if not _missing(getattr(self, series))}
+        for name, text in xsection_files(self.var_ratio, self.kurt_tail,
+                                         self.kurt_curve).items():
+            jobs.append(((f"xsection/{name}", *copies.get(name, ())),
+                         lambda text=text: text().encode()))
+        jobs.append((("tests.json",), lambda: dump_json(self.tests)))
+        copied = {rel for rels in copies.values() for rel in rels}
+        jobs += [((rel,), lambda emit=emit: emit(self).encode())
+                 for fig, emit in _FIGURES.items()
+                 if (rel := f"figures/{fig}.csv") not in copied]
+        return jobs
 
-        yield "fits.json", dump_json({str(s): self.semester_fits[s] for s in self.semesters})
+    def _fits_csv(self) -> bytes:
+        """fits.csv: one row per successful fit of each semester."""
         flat_rows = [_flat_fit_row(s, name, value) for s in self.semesters
                      for name, value in sorted(self.semester_fits[s].items())
                      if isinstance(value, FitResult)]
-        yield "fits.csv", _csv_text(
-            ["semester", "model", "fit", "primary_param", "primary_value",
-             "primary_se", "r", "n_points"], flat_rows).encode()
+        return _csv_text(["semester", "model", "fit", "primary_param", "primary_value",
+                          "primary_se", "r", "n_points"], flat_rows).encode()
 
-        yield "metrics.csv", metrics_csv(self.metrics_rows).encode()
-        yield "regressions.json", dump_json(self.regressions)
-        for name, data in xsection_files(self.var_ratio, self.kurt_tail,
-                                         self.kurt_curve).items():
-            yield f"xsection/{name}", data
-        yield "tests.json", dump_json(self.tests)
-        skipped = []
-        for fig, emit in _FIGURES.items():
-            try:
-                text = emit(self)
-            except MissingUpstream as exc:
-                skipped.append(f"figure {fig} skipped: {exc}")
-            else:
-                yield f"figures/{fig}.csv", text.encode()
-        yield "run_log.json", dump_json({"events": self.run_log + skipped})
+    def _run_log(self, skipped: list[str]) -> bytes:
+        """run_log.json: the stage events, then the skipped-figure lines."""
+        return dump_json({"events": self.run_log + skipped})
 
     def files(self) -> dict[str, bytes]:
-        """Every bundle file except the manifest, as relpath -> bytes."""
-        return dict(self._emit())
+        """Every bundle file except the manifest, as relpath -> bytes: the
+        jobs done one after another in this process. `write` writes the
+        same bytes."""
+        out, skipped = {}, []
+        for job in self._jobs():
+            data = _formatted(job)
+            if isinstance(data, str):
+                skipped.append(data)
+            else:
+                out.update(dict.fromkeys(job[0], data))
+        out["run_log.json"] = self._run_log(skipped)
+        return out
 
     def write(self, out_dir) -> Path:
         """Write the bundle as out_dir, replacing a bundle already there
-        whole. The files are formatted, written and hashed one at a time
-        into a sibling directory, manifest.json last, and that directory
-        is renamed into place; the old bundle is moved aside first and
-        removed last. A symlinked out_dir is followed, so its target is
-        replaced. Only an empty directory or one `_is_bundle` accepts is
-        replaced; the working directory, or one that holds it, never is.
-        A run killed between the two renames leaves the previous bundle
-        in the hidden sibling `.NAME.<pid>.old`, which a later write
-        removes (see _remove_stale_siblings)."""
+        whole. The files are written and hashed into a sibling directory
+        and that directory is renamed into place; the old bundle is moved
+        aside first and removed last. Where fork and a second CPU are
+        available, a _Helper does a share of the jobs (see _in_order);
+        each process formats, writes and hashes one job's file at a time.
+        The helper has exited and been waited for before the rename, or
+        before a failed write removes the sibling. run_log.json and
+        manifest.json are written last, by this process, so the bytes
+        are those of `files()` whichever process did a job. A symlinked
+        out_dir is followed, so its target is replaced. Only an empty
+        directory or one `_is_bundle` accepts is replaced; the working
+        directory, or one that holds it, never is. A run killed between
+        the two renames leaves the previous bundle in the hidden sibling
+        `.NAME.<pid>.old`, which a later write removes (see
+        _remove_stale_siblings)."""
         out_dir = Path(out_dir).resolve()
         if Path.cwd().resolve().is_relative_to(out_dir):
             raise DataError(f"{out_dir} holds the working directory; not replacing it")
@@ -629,12 +664,26 @@ class ReportBundle:
                           for end in ("new", "old"))
         try:
             staging.mkdir()
-            digests = {}
-            for rel, data in self._emit():
-                target = staging / rel
-                target.parent.mkdir(parents=True, exist_ok=True)
-                target.write_bytes(data)
-                digests[rel] = sha256(data).hexdigest()
+            jobs = self._jobs()
+            # made before the fork, so that neither process makes them
+            folders = {(staging / rel).parent for rels, _ in jobs for rel in rels} - {staging}
+            for folder in folders:
+                folder.mkdir()
+            work = partial(_write_job, staging)
+            digests, skipped = {}, []
+            helper = _Helper.start(jobs, work, lambda: len(jobs), 1)
+            with helper or nullcontext():
+                for _, done in _in_order(helper, jobs, work):
+                    if isinstance(done, str):
+                        skipped.append(done)
+                    else:
+                        digests.update(done)
+            for folder in folders:
+                if not any(folder.iterdir()):  # figures/, when every figure is skipped
+                    folder.rmdir()
+            run_log = self._run_log(skipped)
+            (staging / "run_log.json").write_bytes(run_log)
+            digests["run_log.json"] = sha256(run_log).hexdigest()
             (staging / "manifest.json").write_bytes(dump_json({
                 "config_hash": self.config.config_hash(),
                 "normalizers": self.normalizers,
@@ -652,6 +701,27 @@ class ReportBundle:
             shutil.rmtree(staging, ignore_errors=True)
         shutil.rmtree(aside, ignore_errors=True)
         return out_dir
+
+
+def _formatted(job) -> bytes | str:
+    """The bytes of a bundle job, or the run_log.json line of its skipped
+    figure."""
+    relpaths, format = job
+    try:
+        return format()
+    except MissingUpstream as exc:
+        return f"figure {Path(relpaths[0]).stem} skipped: {exc}"
+
+
+def _write_job(staging: Path, job) -> dict[str, str] | str:
+    """Do a bundle job into staging: {relpath: SHA-256} of the files it
+    wrote, or the run_log.json line of its skipped figure."""
+    data = _formatted(job)
+    if isinstance(data, str):
+        return data
+    for rel in job[0]:
+        (staging / rel).write_bytes(data)
+    return dict.fromkeys(job[0], sha256(data).hexdigest())
 
 
 def _remove_stale_siblings(out_dir: Path) -> None:
@@ -729,13 +799,14 @@ def kurtosis_curve_csv(curve: np.ndarray) -> str:
 
 
 def xsection_files(var_ratio: dict[int, np.ndarray], kurt_tail: dict[int, float],
-                   kurt_curve: np.ndarray | None) -> dict[str, bytes]:
-    """The cross-section files, name -> bytes: the variance ratio, the
-    kurtosis tail means and, when there is one, the kurtosis curve."""
-    out = {"variance_ratio.csv": variance_ratio_csv(var_ratio).encode(),
-           "kurtosis_tail.csv": kurtosis_tail_csv(kurt_tail).encode()}
+                   kurt_curve: np.ndarray | None) -> dict[str, Callable[[], str]]:
+    """The cross-section files, name -> the function that formats its
+    text: the variance ratio, the kurtosis tail means and, when there is
+    one, the kurtosis curve."""
+    out = {"variance_ratio.csv": partial(variance_ratio_csv, var_ratio),
+           "kurtosis_tail.csv": partial(kurtosis_tail_csv, kurt_tail)}
     if kurt_curve is not None:
-        out["kurtosis_curve.csv"] = kurtosis_curve_csv(kurt_curve).encode()
+        out["kurtosis_curve.csv"] = partial(kurtosis_curve_csv, kurt_curve)
     return out
 
 
@@ -785,6 +856,9 @@ def run_pipeline(config: PipelineConfig, write: bool = True) -> ReportBundle:
         regressions=regressions, var_ratio=var_ratio, kurt_tail=kurt_tail,
         kurt_curve=kurt_curve, tests=tests, load_report=prep.load_report.to_json(),
         validation=prep.validation.to_json(), run_log=stages.run_log)
+    # the panel is not part of the bundle: freed, so that the writer's
+    # forked helper does not map it
+    del prep, stages
     if write:
         bundle.write(config.out_dir)
     return bundle
@@ -792,9 +866,14 @@ def run_pipeline(config: PipelineConfig, write: bool = True) -> ReportBundle:
 
 # --- figure series -------------------------------------------------------
 
+def _missing(value) -> bool:
+    """Whether a figure's upstream value is None or empty."""
+    return value is None or (not isinstance(value, np.ndarray) and not value)
+
+
 def _need(value, what: str):
-    """value, or MissingUpstream(what) when it is None or empty."""
-    if value is None or (not isinstance(value, np.ndarray) and not value):
+    """value, or MissingUpstream(what) when it is _missing."""
+    if _missing(value):
         raise MissingUpstream(what)
     return value
 
@@ -936,6 +1015,15 @@ _FIGURES = {
 }
 
 FIGURE_IDS = tuple(_FIGURES)
+
+#: figure id -> (the cross-section file it copies byte for byte, the
+#: ReportBundle field both format); the figure is skipped when that field
+#: is _missing, while the file is written as xsection_files says
+_XSECTION_FIGURES = {
+    "fig13": ("variance_ratio.csv", "var_ratio"),
+    "fig15": ("kurtosis_tail.csv", "kurt_tail"),
+    "fig16": ("kurtosis_curve.csv", "kurt_curve"),
+}
 
 
 def emit_figure_series(bundle: ReportBundle, figure_id: str) -> str:

@@ -7,10 +7,12 @@ from __future__ import annotations
 
 import datetime as dt
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from intradayvol import panel as panel_mod
 from intradayvol.panel import (
     SESSION_MINUTES,
     MinutePanel,
@@ -19,6 +21,24 @@ from intradayvol.panel import (
 )
 
 FIRST_DAY = dt.date(2004, 1, 5)  # a Monday
+
+HELPER_RUNS = (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+               and len(os.sched_getaffinity(0)) >= 2)
+needs_helper = pytest.mark.skipif(not HELPER_RUNS,
+                                  reason="the helper needs fork and a second CPU")
+
+
+def counting_answers(answered: list):
+    """A _Helper.answer that appends to `answered` whether each call got
+    the helper's answer."""
+    real_answer = panel_mod._Helper.answer
+
+    def answer(helper, request):
+        got = real_answer(helper, request)
+        answered.append(got is not panel_mod._PENDING)
+        return got
+
+    return mock.patch.object(panel_mod._Helper, "answer", answer)
 
 
 def weekdays(count: int, start: dt.date = FIRST_DAY) -> list[dt.date]:

@@ -44,7 +44,14 @@ from intradayvol.panel import (
 
 from intradayvol.synth import GeneratorSpec, IntensitySpec, generate_panel
 
-from conftest import build_panel, contiguous_semesters, weekdays
+from conftest import (
+    HELPER_RUNS,
+    build_panel,
+    contiguous_semesters,
+    counting_answers,
+    needs_helper,
+    weekdays,
+)
 
 
 def _write(path, text):
@@ -53,12 +60,6 @@ def _write(path, text):
 
 
 HEADER = "ticker,date,minute,volume,open,high,low,close\n"
-
-_HELPER_RUNS = (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-                and len(os.sched_getaffinity(0)) >= 2)
-needs_helper = pytest.mark.skipif(not _HELPER_RUNS,
-                                  reason="the helper needs fork and a second CPU")
-
 
 class TestMinuteBar:
     def test_valid_bar(self):
@@ -482,7 +483,7 @@ class TestWriterBytes:
         answered = []
         tracemalloc.start()
         try:
-            with _counting_answers(answered):
+            with counting_answers(answered):
                 write_panel_csv(panel, path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -492,7 +493,7 @@ class TestWriterBytes:
         # and the chunks formatted ahead of the file about 0.1 MB each
         assert n_rows > 100_000
         assert peak < 8 * n_rows, (peak, n_rows)
-        assert any(answered) == _HELPER_RUNS  # the helper's share is held too
+        assert any(answered) == HELPER_RUNS  # the helper's share is held too
 
     def test_ticker_needing_quotes(self, tmp_path):
         volume = np.full((2, 1, SESSION_MINUTES), np.nan)
@@ -863,19 +864,6 @@ def _assert_daily_loaded(panel, report, full, full_report, bars):
 # --- parsing and writing on two processes --------------------------------
 
 
-def _counting_answers(answered: list):
-    """A _Helper.answer that appends to `answered` whether each call got
-    the helper's answer."""
-    real_answer = panel_mod._Helper.answer
-
-    def answer(helper, request):
-        got = real_answer(helper, request)
-        answered.append(got is not panel_mod._PENDING)
-        return got
-
-    return mock.patch.object(panel_mod._Helper, "answer", answer)
-
-
 def _serial_and_helped(paths, **kwargs):
     """The outcome of loading paths on one process, the outcome through
     the helper whatever the input size, and the number of blocks the
@@ -883,7 +871,7 @@ def _serial_and_helped(paths, **kwargs):
     with mock.patch.object(panel_mod, "_HELPER_MIN_BYTES", 2 ** 62):
         serial = _outcome(load_minute_bars, paths, **kwargs)
     answered = []
-    with mock.patch.object(panel_mod, "_HELPER_MIN_BYTES", 0), _counting_answers(answered):
+    with mock.patch.object(panel_mod, "_HELPER_MIN_BYTES", 0), counting_answers(answered):
         helped = _outcome(load_minute_bars, paths, **kwargs)
     return serial, helped, sum(answered)
 
@@ -1034,7 +1022,7 @@ def test_byte_order_mark_before_the_header(tmp_path, n_companies, helper):
     path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
     answered = []
     with mock.patch.object(panel_mod, "_HELPER_MIN_BYTES", 0 if helper else 2 ** 62), \
-            mock.patch.object(panel_mod, "_BLOCK_CHARS", 2_000), _counting_answers(answered):
+            mock.patch.object(panel_mod, "_BLOCK_CHARS", 2_000), counting_answers(answered):
         loaded, _ = load_minute_bars(path)
     assert any(answered) == helper
     assert loaded.companies == panel.companies
@@ -1065,7 +1053,7 @@ class TestWriterHelper:
             answered = []
             with mock.patch.object(panel_mod, "_WRITER_MIN_ROWS", 0), \
                     mock.patch.object(panel_mod, "_WRITE_ROWS", rows), \
-                    _counting_answers(answered):
+                    counting_answers(answered):
                 write_panel_csv(panel, path)
             assert path.read_bytes() == want, rows
             # the first chunk is always asked of the helper
@@ -1099,7 +1087,7 @@ class TestWriterHelper:
                 mock.patch.object(panel_mod, "_WRITER_MIN_ROWS", 0), \
                 mock.patch.object(panel_mod, "open", lambda path, mode: _FailingFile(),
                                   create=True), \
-                _counting_answers(answered), \
+                counting_answers(answered), \
                 pytest.raises(OSError, match="No space left"):
             write_panel_csv(panel, tmp_path / "panel.csv")
         assert answered and answered[0]

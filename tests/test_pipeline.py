@@ -2,21 +2,27 @@
 from __future__ import annotations
 
 import dataclasses
+import errno
 import hashlib
 import json
 import math
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import threading
+import weakref
+from contextlib import nullcontext
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
+from conftest import HELPER_RUNS, counting_answers, needs_helper
 from intradayvol import metrics as metrics_mod
+from intradayvol import panel as panel_mod
 from intradayvol import pipeline as pipeline_mod
 from intradayvol.cli import main
 from intradayvol.errors import CorruptBundle, DataError, MissingUpstream, UnknownFigure
@@ -356,6 +362,27 @@ class TestRunPipeline:
         assert panel.volume.tobytes() == full.volume.tobytes()
         assert panel.daily_ohlc.tobytes() == full.daily_ohlc.tobytes()
 
+    def test_panel_is_freed_before_the_write(self, tmp_path, base_config, monkeypatch):
+        # else the write's forked helper would map the whole volume array
+        real_prepare, real_write = pipeline_mod.prepare_panel, pipeline_mod.ReportBundle.write
+        panels, alive = [], []
+
+        def prepare_panel(config):
+            prep = real_prepare(config)
+            panels.append(weakref.ref(prep.panel))
+            return prep
+
+        def write(bundle, out_dir):
+            alive.append(panels[0]() is not None)
+            return real_write(bundle, out_dir)
+
+        monkeypatch.setattr(pipeline_mod, "prepare_panel", prepare_panel)
+        monkeypatch.setattr(pipeline_mod.ReportBundle, "write", write)
+        config = PipelineConfig.from_json(base_config.to_json())
+        config.out_dir = str(tmp_path / "report")
+        run_pipeline(config)
+        assert alive == [False]
+
     def test_unexpected_stage_error_propagates(self, base_config, monkeypatch):
         # only DataError and NumericalError are per-slice failures; a bug
         # in a stage must surface rather than land in run_log
@@ -435,6 +462,8 @@ class TestPureEmission:
         for fig, name in (("fig13", "variance_ratio.csv"), ("fig15", "kurtosis_tail.csv"),
                           ("fig16", "kurtosis_curve.csv")):
             assert files[f"figures/{fig}.csv"] == files[f"xsection/{name}"], fig
+            # the figure's own emitter, which files() does not call for it
+            assert emit_figure_series(bundle, fig).encode() == files[f"xsection/{name}"], fig
 
     def test_bundle_is_frozen(self, report):
         bundle, _ = report
@@ -694,6 +723,115 @@ class TestBundleDirectory:
         (out / "manifest.json").write_text("{")
         with pytest.raises(CorruptBundle, match="manifest.json"):
             load_figure_csv(out, "fig2")
+
+
+def _bundle_variant(bundle, variant: str):
+    """The module's bundle (it skips a figure), or a copy of it without
+    the cross-section series or without anything a figure plots."""
+    if variant == "empty_xsection":
+        return dataclasses.replace(bundle, var_ratio={}, kurt_tail={}, kurt_curve=None)
+    if variant == "no_figures":
+        return dataclasses.replace(
+            bundle, ticker_mean={}, day_mean={}, metrics_rows=[], var_ratio={},
+            kurt_tail={}, kurt_curve=None,
+            semester_fits={s: {} for s in bundle.semesters})
+    return bundle
+
+
+def _skipped(files) -> list[str]:
+    return [e.split()[1] for e in json.loads(files["run_log.json"])["events"]
+            if e.startswith("figure ")]
+
+
+class TestBundleHelper:
+    """ReportBundle.write with and without the helper that does a share of
+    its jobs (the autouse no_child_process_left fixture checks that the
+    helper was reaped)."""
+
+    @staticmethod
+    def _written(out: Path) -> dict[str, bytes]:
+        return {rel: data for rel, (data, _) in _tree(out).items()}
+
+    @pytest.mark.parametrize("variant", ["report", "empty_xsection", "no_figures"])
+    @pytest.mark.parametrize("helper", [False, pytest.param(True, marks=needs_helper)])
+    def test_tree_is_files_plus_the_manifest(self, tmp_path, report, variant, helper):
+        bundle = _bundle_variant(report[0], variant)
+        answered = []
+        with (nullcontext() if helper else
+              mock.patch.object(panel_mod._Helper, "start", return_value=None)), \
+                counting_answers(answered):
+            out = bundle.write(tmp_path / "report")
+        assert any(answered) == helper
+        files = bundle.files()
+        on_disk = self._written(out)
+        manifest = json.loads(on_disk.pop("manifest.json"))
+        assert on_disk == files
+        assert manifest["files"] == {rel: hashlib.sha256(data).hexdigest()
+                                     for rel, data in files.items()}
+        skipped = _skipped(files)
+        assert skipped == [fig for fig in FIGURE_IDS if f"figures/{fig}.csv" not in files]
+        if variant == "empty_xsection":
+            assert skipped[-3:] == ["fig13", "fig15", "fig16"]
+            assert files["xsection/variance_ratio.csv"] == b"semester,t,variance_ratio\r\n"
+        if variant == "no_figures":
+            assert skipped == list(FIGURE_IDS)
+            assert sorted(p.name for p in out.iterdir() if p.is_dir()) == [
+                "profiles", "xsection"]
+
+    def test_bundle_is_whole_when_the_helper_dies(self, tmp_path, report):
+        bundle, _ = report
+        real_answer = panel_mod._Helper.answer
+        answered = []
+
+        def answer(helper, request):
+            if len(answered) == 3:
+                os.kill(helper.pid, signal.SIGKILL)
+            got = real_answer(helper, request)
+            answered.append(got is not panel_mod._PENDING)
+            return got
+
+        with mock.patch.object(panel_mod._Helper, "answer", answer):
+            out = bundle.write(tmp_path / "report")
+        if HELPER_RUNS:
+            assert answered[:3] == [True] * 3
+            assert not any(answered[5:])  # at most the answers in the pipe when it died
+        on_disk = self._written(out)
+        on_disk.pop("manifest.json")
+        assert on_disk == bundle.files()
+        assert self._written(out) == self._written(report[1])
+
+    def test_failed_job_leaves_the_previous_bundle(self, tmp_path, report):
+        bundle, _ = report
+        out = bundle.write(tmp_path / "report")
+        before = _tree(out)
+        real_write = Path.write_bytes
+
+        def write_bytes(path, data):
+            if path.name == "fig3.csv":
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real_write(path, data)
+
+        answered = []
+        with mock.patch.object(Path, "write_bytes", write_bytes), \
+                counting_answers(answered), pytest.raises(OSError, match="No space left"):
+            bundle.write(out)
+        assert any(answered) == HELPER_RUNS
+        assert _tree(out) == before
+        assert [p.name for p in tmp_path.iterdir()] == ["report"]
+
+    def test_no_file_or_pipe_left_open_in_either_process(self, tmp_path, report,
+                                                          base_config):
+        doc = base_config.to_json()
+        doc["out_dir"] = str(tmp_path / "report")
+        code = ("import json, sys\n"
+                "from intradayvol.pipeline import PipelineConfig, run_pipeline\n"
+                "run_pipeline(PipelineConfig.from_json(json.loads(sys.argv[1])))\n")
+        done = subprocess.run([sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+                               "-c", code, json.dumps(doc)], capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert "ResourceWarning" not in done.stderr
+        assert self._written(tmp_path / "report") == self._written(report[1])
 
 
 class TestLeanFloor:
