@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import math
 import sys
 from contextlib import contextmanager
@@ -389,6 +390,15 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    """Run one command; argv defaults to sys.argv[1:].
+
+    With argv None, `python -m intradayvol.cli` or the console script owns
+    the interpreter, so the heap built by imports lives until exit.
+    gc.freeze() moves it to the permanent generation: the collections run
+    at interpreter exit and in the forked helpers then skip it. A caller
+    that passes argv keeps its heap collectable."""
+    if argv is None:
+        gc.freeze()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -184,6 +184,11 @@ def fit_quartic(profile) -> FitResult:
                           window=(int(minutes.min()), int(minutes.max())))
 
 
+#: x, x**2, x**3 and x**4 on the session's rescaled minutes
+_SESSION_X = rescaled_time(np.arange(SESSION_MINUTES))
+_SESSION_X_POWERS = (_SESSION_X, _SESSION_X ** 2, _SESSION_X ** 3, _SESSION_X ** 4)
+
+
 def shape_functionals(fit: FitResult) -> ShapeFunctionals:
     """Discrete concavity (session mean of the fitted second derivative in
     rescaled time) and symmetry (mean fitted-value gap between the two
@@ -191,9 +196,9 @@ def shape_functionals(fit: FitResult) -> ShapeFunctionals:
     if fit.model != "quartic":
         raise ValueError(f"shape functionals need a quartic fit, got {fit.model!r}")
     c = [fit.coefficients[f"c{k}"] for k in range(5)]
-    x = rescaled_time(np.arange(SESSION_MINUTES))
-    second = 2.0 * c[2] + 6.0 * c[3] * x + 12.0 * c[4] * x ** 2
-    fitted = c[0] + c[1] * x + c[2] * x ** 2 + c[3] * x ** 3 + c[4] * x ** 4
+    x, x2, x3, x4 = _SESSION_X_POWERS
+    second = 2.0 * c[2] + 6.0 * c[3] * x + 12.0 * c[4] * x2
+    fitted = c[0] + c[1] * x + c[2] * x2 + c[3] * x3 + c[4] * x4
     concavity = float(second.mean())
     symmetry = float((fitted[HALF_SESSION:].sum() - fitted[:HALF_SESSION].sum()) / SESSION_MINUTES)
     return ShapeFunctionals(concavity, symmetry, dict(fit.coefficients))

@@ -1038,9 +1038,13 @@ def load_figure_csv(report_dir, figure_id: str) -> bytes:
     that the bundle's manifest.json lists, and only with the listed hash."""
     if figure_id not in FIGURE_IDS:
         raise UnknownFigure(f"{figure_id!r}; known ids: {', '.join(FIGURE_IDS)}")
+    report_dir = Path(report_dir)
+    if not report_dir.is_dir():
+        state = "not a directory" if report_dir.exists() else "missing"
+        raise DataError(f"report bundle {report_dir} is {state}")
     rel = f"figures/{figure_id}.csv"
-    path = Path(report_dir) / rel
-    manifest = Path(report_dir) / "manifest.json"
+    path = report_dir / rel
+    manifest = report_dir / "manifest.json"
     try:
         digest = json.loads(manifest.read_bytes())["files"].get(rel) \
             if manifest.exists() else None

@@ -229,6 +229,23 @@ class TestShapeFunctionals:
         want_sym = (y[HALF_SESSION:].sum() - y[:HALF_SESSION].sum()) / SESSION_MINUTES
         assert sf.symmetry == pytest.approx(want_sym, rel=1e-9)
 
+    def test_bit_identical_to_powers_taken_per_call(self):
+        # the module's precomputed grid powers keep the bytes of a
+        # bundle's shapes: each expression's operation order is unchanged
+        rng = np.random.default_rng(17)
+        for _ in range(50):
+            c = rng.normal(size=5) * 10.0 ** rng.uniform(-3.0, 3.0, size=5)
+            fit = polynomial_fit(rescaled_time(T), np.polyval(c[::-1], rescaled_time(T)),
+                                 4, model="quartic", window=(0, 390))
+            c = [fit.coefficients[f"c{k}"] for k in range(5)]
+            x = rescaled_time(np.arange(SESSION_MINUTES))
+            second = 2.0 * c[2] + 6.0 * c[3] * x + 12.0 * c[4] * x ** 2
+            fitted = c[0] + c[1] * x + c[2] * x ** 2 + c[3] * x ** 3 + c[4] * x ** 4
+            sf = shape_functionals(fit)
+            assert sf.concavity == float(second.mean())
+            assert sf.symmetry == float(
+                (fitted[HALF_SESSION:].sum() - fitted[:HALF_SESSION].sum()) / SESSION_MINUTES)
+
     def test_even_profile_symmetry_is_midpoint_share(self):
         x = rescaled_time(T)
         sf = shape_functionals(fit_quartic(50.0 + 30.0 * x ** 2))

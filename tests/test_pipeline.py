@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import errno
+import gc
 import hashlib
 import json
 import math
@@ -542,6 +543,17 @@ class TestFigures:
         with pytest.raises(MissingUpstream, match="run_log"):
             load_figure_csv(tmp_path, "fig1")
 
+    @pytest.mark.parametrize("kind, state", [("absent", "missing"),
+                                             ("file", "not a directory")])
+    def test_report_path_not_a_bundle_directory(self, tmp_path, capsys, kind, state):
+        path = tmp_path / "report"
+        if kind == "file":
+            path.write_text("not a bundle\n")
+        assert main(["figure", "--report", str(path), "--id", "fig1"]) == 2
+        err = capsys.readouterr().err
+        assert f"report bundle {path} is {state}" in err
+        assert "run_log" not in err
+
     def test_all_emitted_figures_listed_in_manifest(self, report):
         _, out = report
         manifest = json.loads((out / "manifest.json").read_text())
@@ -834,6 +846,19 @@ class TestBundleHelper:
         assert self._written(tmp_path / "report") == self._written(report[1])
 
 
+def _cli_argv(tmp_path: Path, panel_csv, command: str, out: Path) -> list[str]:
+    """The argv of `report` (with the panel's semester config) or `ingest`
+    on the module's panel, writing to out."""
+    path, boundaries = panel_csv
+    argv = [command, str(path), "--out", str(out)]
+    if command == "report":
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"semester_boundaries": boundaries,
+                                      "regime_boundary_semester": 2}))
+        argv += ["--config", str(config)]
+    return argv
+
+
 class TestLeanFloor:
     """SHA-256 comes from the interpreter's own module, so a CLI process
     never loads OpenSSL."""
@@ -856,18 +881,55 @@ class TestLeanFloor:
                         reason="this interpreter has no built-in SHA-256 module")
     @pytest.mark.parametrize("command", ["report", "ingest"])
     def test_cli_never_loads_openssl(self, tmp_path, panel_csv, command):
-        path, boundaries = panel_csv
-        argv = [command, str(path), "--out", str(tmp_path / "out")]
-        if command == "report":
-            config = tmp_path / "config.json"
-            config.write_text(json.dumps({"semester_boundaries": boundaries,
-                                          "regime_boundary_semester": 2}))
-            argv += ["--config", str(config)]
+        argv = _cli_argv(tmp_path, panel_csv, command, tmp_path / "out")
         done = subprocess.run([sys.executable, "-c", self._CHILD, *argv],
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         result = json.loads(done.stdout.splitlines()[-1])
         assert result == {"code": 0, "modules": [], "libcrypto": False}
+
+
+class TestHeapFreeze:
+    """Only the process entry, main() with no argv, freezes the heap; a
+    caller that passes argv keeps its heap collectable."""
+
+    # registers an exit hook that prints the freeze count, then runs the
+    # CLI by sys.argv[1] entry ("module": as __main__ with no argv,
+    # "argv": main(argv) in process) on the rest of sys.argv
+    _CHILD = ("import atexit, gc, runpy, sys\n"
+              "atexit.register(lambda: print('frozen', gc.get_freeze_count()))\n"
+              "entry, sys.argv = sys.argv[1], ['intradayvol', *sys.argv[2:]]\n"
+              "if entry == 'module':\n"
+              "    runpy.run_module('intradayvol.cli', run_name='__main__')\n"
+              "else:\n"
+              "    from intradayvol.cli import main\n"
+              "    sys.exit(main(sys.argv[1:]))\n")
+
+    @pytest.mark.parametrize("entry, frozen", [("module", True), ("argv", False)])
+    def test_only_the_process_entry_freezes(self, entry, frozen):
+        argv = ["tests", "--sample-1", "1,2,3", "--sample-2", "4,5,7"]
+        done = subprocess.run([sys.executable, "-c", self._CHILD, entry, *argv],
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert '"welch"' in done.stdout
+        count = int(done.stdout.splitlines()[-1].removeprefix("frozen "))
+        assert (count > 0) == frozen
+
+    @pytest.mark.parametrize("command", ["report", "ingest"])
+    def test_frozen_process_writes_the_in_process_bytes(self, tmp_path, panel_csv,
+                                                        capsys, command):
+        before = gc.get_freeze_count()
+        assert main(_cli_argv(tmp_path, panel_csv, command, tmp_path / "in")) == 0
+        assert gc.get_freeze_count() == before
+        capsys.readouterr()
+        argv = _cli_argv(tmp_path, panel_csv, command, tmp_path / "cli")
+        done = subprocess.run([sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+                               "-m", "intradayvol.cli", *argv],
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert "ResourceWarning" not in done.stderr
+        written = TestBundleHelper._written
+        assert written(tmp_path / "cli") == written(tmp_path / "in")
 
 
 class TestCli:
