@@ -15,13 +15,9 @@ import datetime as dt
 import io
 import locale
 import math
-import os
-import pickle
 import re
-import select
 from bisect import bisect_left, bisect_right
-from collections import deque
-from contextlib import closing, nullcontext
+from contextlib import closing
 from dataclasses import dataclass, field
 from itertools import chain, groupby, islice
 from pathlib import Path
@@ -37,6 +33,7 @@ from .errors import (
     OverlappingRanges,
     UncoveredDate,
 )
+from .helper import in_order
 
 SESSION_MINUTES = 391
 SESSION_OPEN = 9 * 60 + 30  # 09:30 as minutes past midnight
@@ -394,29 +391,16 @@ def _csv_paths(path) -> list[Path]:
 
 #: characters read per text block (then cut after the block's last line
 #: feed). The loader holds the text and arrays of a few blocks at a time
-#: (see _in_order), so this bounds its transient memory.
+#: (see helper.in_order), so this bounds its transient memory.
 _BLOCK_CHARS = 100_000
 
 #: csv records parsed per block on the csv-module path.
 _BLOCK_ROWS = 1024
 
 #: inputs of at least this many bytes, all files together, are parsed on
-#: two processes where fork and a second CPU are available (see _Helper);
-#: on smaller ones the fork costs more than it saves.
+#: two processes where fork and a second CPU are available (see
+#: helper.in_order); on smaller ones the fork costs more than it saves.
 _HELPER_MIN_BYTES = 1_000_000
-
-#: items (blocks or writer chunks) a _Helper is asked for ahead of its
-#: answers: one to work on and one queued, so that it does not wait
-#: between them.
-_HELPER_DEPTH = 2
-
-#: bytes of a _Helper's answer pipe, where the system lets it be set
-_PIPE_BYTES = 1 << 20
-
-#: items (blocks or writer chunks) worked on and not yet handed out, at
-#: most: while the helper's answer for the oldest is not back, _in_order
-#: works on later items itself.
-_AHEAD = 6
 
 # Minute codes of rows that do not give a session minute.
 _BAD_TIME = -2       # the time field is missing or does not parse
@@ -656,209 +640,6 @@ def _tail(block: _Block, later: Iterator[tuple[_Block, object]]) -> Iterator[io.
         block, _ = next(later)
 
 
-_PENDING = object()  # the answer to an item the helper was asked for
-
-
-def _read_exact(fd: int, n: int) -> bytearray:
-    data = bytearray()
-    while len(data) < n:
-        chunk = os.read(fd, n - len(data))
-        if not chunk:
-            raise EOFError
-        data += chunk
-    return data
-
-
-def _send(fd: int, obj) -> None:
-    """Write obj to a pipe, pickled after its length."""
-    data = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
-    view = memoryview(len(data).to_bytes(8, "little") + data)
-    while view:
-        view = view[os.write(fd, view):]
-
-
-def _receive(fd: int):
-    """The next object _send wrote to the pipe; EOFError once it is closed."""
-    return pickle.loads(_read_exact(fd, int.from_bytes(_read_exact(fd, 8), "little")))
-
-
-def _requests(fd: int) -> Iterator:
-    """The objects _send writes to the pipe, until it is closed."""
-    while True:
-        try:
-            yield _receive(fd)
-        except EOFError:
-            return
-
-
-def _answers(items: Iterable, work: Callable, positions: Iterator[int]) -> Iterator:
-    """work(item) of the item at each position asked for, the positions
-    increasing; it ends where the items do."""
-    items = iter(items)
-    taken = 0
-    for position in positions:
-        for item in islice(items, position - taken, None):
-            break
-        else:
-            return  # the items end before it: the parent works on it itself
-        taken = position + 1
-        yield work(item)
-
-
-class _Helper:
-    """A forked process that works on a share of its parent's items: asked
-    for the item at a position, it sends back work(item) (see _in_order).
-
-    Requests and answers are pickled through two pipes. A forked child
-    shares its parent's memory as it was at the fork, so a request is just
-    a position and only the answers are large. The child takes the items
-    from its own copy of `items`, which the parent must not have started
-    before the fork. The helper exits when its request pipe closes, when
-    the items end, or when it writes an answer that no one will read; as a
-    context manager it is stopped and reaped on exit.
-    """
-
-    def __init__(self, items: Iterable, work: Callable):
-        requests, self.requests = os.pipe()
-        self.answers, answers = os.pipe()
-        try:
-            import fcntl  # POSIX, as fork is
-
-            # room for a few answers: a helper blocked on a full pipe waits
-            # for its parent instead of working on its next request
-            fcntl.fcntl(answers, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
-        except (AttributeError, OSError):
-            pass  # not Linux, or over the system's limit: the default size
-        try:
-            self.pid = os.fork()
-        except OSError:
-            for fd in (requests, self.requests, self.answers, answers):
-                os.close(fd)
-            raise
-        if self.pid == 0:
-            code = 1
-            try:
-                os.close(self.requests)
-                os.close(self.answers)
-                for answer in _answers(items, work, _requests(requests)):
-                    _send(answers, answer)
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(requests)
-        os.close(answers)
-        self.asked: deque = deque()  # requests not yet answered, oldest first
-        self.alive = True
-        self.poll = select.poll()
-        self.poll.register(self.answers, select.POLLIN)
-
-    @staticmethod
-    def start(items: Iterable, work: Callable, size: Callable[[], int],
-              min_size: int) -> "_Helper | None":
-        """A helper working on items, or None where it would not pay: no
-        fork, one CPU, a job whose size() is under min_size, or no
-        process to spare."""
-        if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-                and len(os.sched_getaffinity(0)) >= 2):
-            return None
-        try:
-            if size() < min_size:
-                return None
-            return _Helper(items, work)
-        except OSError:
-            return None
-
-    def __enter__(self) -> "_Helper":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        """Stop and reap the helper: it sees its request pipe close, or
-        its next answer fail."""
-        self.stop()
-        os.close(self.answers)
-        os.waitpid(self.pid, 0)
-
-    def ask(self, request) -> None:
-        try:
-            _send(self.requests, request)
-        except BrokenPipeError:
-            self.alive = False
-            return
-        self.asked.append(request)
-
-    def ready(self) -> bool:
-        """Whether the oldest answer, or the helper's exit, can be read."""
-        return bool(self.poll.poll(0))
-
-    def answer(self, request):
-        """The answer to request, dropping the answers to those asked for
-        before it; _PENDING if the helper has exited."""
-        while self.asked:
-            asked = self.asked.popleft()
-            try:
-                answer = _receive(self.answers)
-            except EOFError:
-                self.alive = False
-                break
-            if asked == request:
-                return answer
-        return _PENDING
-
-    def stop(self) -> None:
-        """Ask for nothing more: the helper exits after its last answer."""
-        if self.requests is not None:
-            os.close(self.requests)
-            self.requests = None
-
-
-def _in_order(helper: _Helper | None, items: Iterable,
-              work: Callable) -> Iterator[tuple]:
-    """(item, work(item)) for each of items, in order.
-
-    The helper, if any, is kept asked for the items at the next
-    _HELPER_DEPTH positions, and while its answer for the oldest is not
-    back this process works on later items itself, up to _AHEAD items in
-    all; it also works on the items of a helper that has exited. An error
-    reading the items (a file that cannot be opened, decoded or has no
-    usable header) is raised once the items before it are handed out.
-    """
-    numbered = enumerate(items)
-    queue: deque[tuple] = deque()  # (position, item, work(item) or _PENDING), oldest first
-    failed = None
-
-    def take() -> tuple | None:
-        """The next (position, item); None after the last, or an error."""
-        nonlocal failed
-        try:
-            taken = next(numbered, None)
-        except (DataError, OSError, ValueError, csv.Error) as exc:  # raised in its turn
-            failed, taken = exc, None
-        if taken is None and helper is not None:
-            helper.stop()  # so that it exits while the last items are handed out
-        return taken
-
-    while True:
-        while (helper is not None and helper.alive and len(helper.asked) < _HELPER_DEPTH
-               and (taken := take())):
-            helper.ask(taken[0])
-            queue.append((*taken, _PENDING))
-        if not queue or (queue[0][2] is _PENDING and len(queue) < _AHEAD
-                         and not helper.ready()):
-            if taken := take():
-                queue.append((*taken, work(taken[1])))
-                continue
-            if not queue:
-                if failed is not None:
-                    raise failed
-                return
-        position, item, result = queue.popleft()
-        if result is _PENDING:
-            result = helper.answer(position)
-        if result is _PENDING:  # the helper has exited
-            result = work(item)
-        yield item, result
-
-
 class _ColumnLoader:
     """A load's kept rows, scattered block by block into a panel's slabs.
 
@@ -902,11 +683,9 @@ class _ColumnLoader:
     def load(self, paths: Sequence[Path], schema: Mapping[str, str]) -> None:
         self.report.files = [str(p) for p in paths]
         blocks = _file_blocks(paths, schema)
-        helper = _Helper.start(blocks, _parse, lambda: sum(p.stat().st_size for p in paths),
-                               _HELPER_MIN_BYTES)
-        with closing(blocks), helper or nullcontext():
-            for inp, group in groupby(_in_order(helper, blocks, _parse),
-                                      key=lambda pair: pair[0].input):
+        with closing(blocks), in_order(blocks, _parse, lambda: sum(
+                p.stat().st_size for p in paths) >= _HELPER_MIN_BYTES) as parsed:
+            for inp, group in groupby(parsed, key=lambda pair: pair[0].input):
                 start = 0
                 for block, parsed in group:
                     if parsed is not None:
@@ -1018,8 +797,8 @@ def load_minute_bars(
     skipped and counted in the report, with its file and line, as is a
     row outside the 09:30-16:00 session.
     A repeated (ticker, date, minute) cell rejects the whole load.
-    Inputs over _HELPER_MIN_BYTES are parsed on two processes, with the
-    same result. Without minute_prices the panel keeps only the minute
+    From _HELPER_MIN_BYTES of input a forked helper parses a share of the
+    blocks (see helper.in_order), with the same result. Without minute_prices the panel keeps only the minute
     volume and the daily OHLC (see MinutePanel), folded in as rows are
     read, which is all the analysis needs; it cannot be written to CSV.
     """
@@ -1046,8 +825,8 @@ def _csv_prefix(fields: Sequence[str]) -> str:
 #: blocks; a chunk's arrays and strings bound the writer's memory.
 _WRITE_ROWS = 1024
 
-#: panels of at least this many present rows are written with a _Helper
-#: formatting a share of the chunks, where fork and a second CPU are
+#: panels of at least this many present rows are written with a forked
+#: helper formatting a share of the chunks, where fork and a second CPU are
 #: available; on smaller ones the fork costs more than it saves. On a
 #: 2-vCPU VM a 9,384-row write took as long either way, and an
 #: 18,768-row one 0.77 times as long with the helper.
@@ -1083,9 +862,9 @@ def write_panel_csv(panel: MinutePanel, path) -> None:
     chunks' values and text (plus one company's day x minute mask while it
     counts rows). The csv module quotes each ticker and date once; `%.17g`
     gives the same text as format(x, ".17g"). From _WRITER_MIN_ROWS
-    present rows a _Helper formats a share of the chunks (see
-    _in_order); the file is the same. A panel without minute prices
-    raises DataError.
+    present rows a forked helper formats a share of the chunks (see
+    helper.in_order); the file is the same. A panel without minute
+    prices raises DataError.
     """
     if not panel.has_minute_prices:
         raise DataError("the panel holds no minute prices (open, high, low, close) "
@@ -1128,12 +907,11 @@ def write_panel_csv(panel: MinutePanel, path) -> None:
             start = end
         return "".join(out).encode(encoding)
 
-    chunks = range(len(cuts))
     # forked before the file is opened, so that the child holds no buffer of it
-    helper = _Helper.start(chunks, chunk_text, lambda: total, _WRITER_MIN_ROWS)
-    with helper or nullcontext(), open(path, "wb") as fh:
+    with in_order(range(len(cuts)), chunk_text, lambda: total >= _WRITER_MIN_ROWS) as texts, \
+            open(path, "wb") as fh:
         fh.write((",".join(CANONICAL_COLUMNS) + "\r\n").encode(encoding))
-        for _, text in _in_order(helper, chunks, chunk_text):
+        for _, text in texts:
             fh.write(text)
 
 

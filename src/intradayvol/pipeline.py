@@ -4,7 +4,7 @@ The bundle is an ordered list of file jobs, each formatting one file's
 bytes (a figure that copies a cross-section file is written by that
 file's job). `ReportBundle.files` does them one after another in memory
 and is the byte reference. `ReportBundle.write` shares them with a forked
-helper through the loader's in-order queue (`panel._in_order`): each
+helper through the shared in-order queue (`helper.in_order`): each
 process formats, writes and hashes one file at a time into a sibling
 temporary directory, which is renamed into place once run_log.json and
 manifest.json are written. So a failed run leaves the previous bundle (or
@@ -18,12 +18,13 @@ composes all of them and the single-stage CLI commands select from them.
 """
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import os
 import re
 import shutil
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
@@ -66,8 +67,6 @@ from .panel import (
     MinutePanel,
     SemesterIndex,
     ValidationReport,
-    _Helper,
-    _in_order,
     assign_semesters,
     check_load_options,
     default_semester_boundaries,
@@ -76,6 +75,7 @@ from .panel import (
     semester_day_indices,
     validate_panel,
 )
+from .helper import in_order
 from .stats_tests import mww_test, welch_test
 
 # The interpreter's built-in SHA-256, as random.py takes _sha512: hashlib
@@ -136,10 +136,10 @@ def read_json(path, what: str):
 
 
 def _csv_text(header: list[str], rows) -> str:
-    """The bundle's CSV encoding: comma-joined cells, CRLF line endings."""
-    lines = [",".join(header)]
-    lines += [",".join(map(str, row)) for row in rows]
-    return "\r\n".join(lines) + "\r\n"
+    """The bundle's CSV encoding: the csv module's, as in the canonical CSV."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows([header, *rows])
+    return buf.getvalue()
 
 
 def _minute_csv(header: list[str], blocks) -> str:
@@ -639,7 +639,7 @@ class ReportBundle:
         whole. The files are written and hashed into a sibling directory
         and that directory is renamed into place; the old bundle is moved
         aside first and removed last. Where fork and a second CPU are
-        available, a _Helper does a share of the jobs (see _in_order);
+        available, a helper does a share of the jobs (see helper.in_order);
         each process formats, writes and hashes one job's file at a time.
         The helper has exited and been waited for before the rename, or
         before a failed write removes the sibling. run_log.json and
@@ -671,9 +671,8 @@ class ReportBundle:
                 folder.mkdir()
             work = partial(_write_job, staging)
             digests, skipped = {}, []
-            helper = _Helper.start(jobs, work, lambda: len(jobs), 1)
-            with helper or nullcontext():
-                for _, done in _in_order(helper, jobs, work):
+            with in_order(jobs, work, lambda: True) as results:
+                for _, done in results:
                     if isinstance(done, str):
                         skipped.append(done)
                     else:
@@ -831,7 +830,8 @@ def _flat_fit_row(s: int, fit_name: str, fit: FitResult) -> list:
 def run_pipeline(config: PipelineConfig, write: bool = True) -> ReportBundle:
     """Execute every stage and (by default) write the bundle to
     config.out_dir. Per-slice failures are logged and skipped; the run
-    fails outright only when nothing succeeds."""
+    fails outright, writing nothing, only when no (ticker, semester) pair
+    yields a day-axis profile."""
     prep = prepare_panel(config)
     if not 1 <= config.regime_boundary_semester <= prep.index.n_semesters:
         raise DataError(
@@ -840,10 +840,10 @@ def run_pipeline(config: PipelineConfig, write: bool = True) -> ReportBundle:
     stages = Stages(config, prep)
     semesters = prep.semesters
     profiles = stages.day_axis_profiles(semesters)
+    if not profiles:
+        raise DataError("every (ticker, semester) computation failed")
     ticker_mean, day_mean, var_ratio = stages.aggregates(semesters, profiles)
     metrics_rows = stages.metrics_rows(profiles)
-    if profiles and not metrics_rows and not ticker_mean:
-        raise DataError("every (ticker, semester) computation failed")
     del profiles  # not part of the bundle: freed before the bundle is encoded
     semester_fits = stages.semester_fits(semesters, ticker_mean, day_mean)
     kurt_tail, kurt_curve = stages.kurtosis_tail(day_mean)

@@ -7,12 +7,13 @@ from __future__ import annotations
 
 import datetime as dt
 import os
+import signal
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from intradayvol import panel as panel_mod
+from intradayvol import helper as helper_mod
 from intradayvol.panel import (
     SESSION_MINUTES,
     MinutePanel,
@@ -28,17 +29,26 @@ needs_helper = pytest.mark.skipif(not HELPER_RUNS,
                                   reason="the helper needs fork and a second CPU")
 
 
-def counting_answers(answered: list):
+def counting_answers(answered: list, kill_after: int | None = None):
     """A _Helper.answer that appends to `answered` whether each call got
-    the helper's answer."""
-    real_answer = panel_mod._Helper.answer
+    the helper's answer; with kill_after, the helper is killed with
+    SIGKILL when that many calls have been made."""
+    real_answer = helper_mod._Helper.answer
 
     def answer(helper, request):
+        if len(answered) == kill_after:
+            os.kill(helper.pid, signal.SIGKILL)
         got = real_answer(helper, request)
-        answered.append(got is not panel_mod._PENDING)
+        answered.append(got is not helper_mod._PENDING)
         return got
 
-    return mock.patch.object(panel_mod._Helper, "answer", answer)
+    return mock.patch.object(helper_mod._Helper, "answer", answer)
+
+
+def one_cpu():
+    """Patch the process's CPU set to one CPU, so that in_order forks no
+    helper."""
+    return mock.patch.object(os, "sched_getaffinity", return_value={0}, create=True)
 
 
 def weekdays(count: int, start: dt.date = FIRST_DAY) -> list[dt.date]:

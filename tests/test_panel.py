@@ -5,8 +5,6 @@ import csv
 import datetime as dt
 import errno
 import io
-import os
-import signal
 import subprocess
 import sys
 import tracemalloc
@@ -24,6 +22,7 @@ from intradayvol.errors import (
     OverlappingRanges,
     UncoveredDate,
 )
+from intradayvol import helper as helper_mod
 from intradayvol import panel as panel_mod
 from intradayvol.panel import (
     CANONICAL_COLUMNS,
@@ -974,21 +973,12 @@ class TestHelper:
     def test_loader_finishes_alone_when_the_helper_dies(self, tmp_path):
         path = tmp_path / "panel.csv"
         write_panel_csv(_gbm_panel(2, 6), path)
-        real_answer = panel_mod._Helper.answer
         answered = []
-
-        def answer(helper, request):
-            if len(answered) == 3:
-                os.kill(helper.pid, signal.SIGKILL)
-            got = real_answer(helper, request)
-            answered.append(got is not panel_mod._PENDING)
-            return got
-
         with mock.patch.object(panel_mod, "_BLOCK_CHARS", 2_000):
             with mock.patch.object(panel_mod, "_HELPER_MIN_BYTES", 2 ** 62):
                 serial = _outcome(load_minute_bars, [path])
             with mock.patch.object(panel_mod, "_HELPER_MIN_BYTES", 0), \
-                    mock.patch.object(panel_mod._Helper, "answer", answer):
+                    counting_answers(answered, kill_after=3):
                 helped = _outcome(load_minute_bars, [path])
         assert serial[0] == "ok"
         _assert_bit_equal(serial, helped)
@@ -997,7 +987,7 @@ class TestHelper:
 
     def test_no_helper_below_the_size_threshold(self, tmp_path):
         path = _write(tmp_path / "a.csv", HEADER + _rows("A", "2004-01-05", range(10)))
-        with mock.patch.object(panel_mod._Helper, "__init__",
+        with mock.patch.object(helper_mod._Helper, "__init__",
                                side_effect=AssertionError("forked")):
             load_minute_bars(path)
 
@@ -1062,19 +1052,10 @@ class TestWriterHelper:
     def test_writer_finishes_alone_when_the_helper_dies(self, tmp_path):
         panel = _gbm_panel(2, 6)
         path = tmp_path / "panel.csv"
-        real_answer = panel_mod._Helper.answer
         answered = []
-
-        def answer(helper, request):
-            if len(answered) == 3:
-                os.kill(helper.pid, signal.SIGKILL)
-            got = real_answer(helper, request)
-            answered.append(got is not panel_mod._PENDING)
-            return got
-
         with mock.patch.object(panel_mod, "_WRITE_ROWS", 100), \
                 mock.patch.object(panel_mod, "_WRITER_MIN_ROWS", 0), \
-                mock.patch.object(panel_mod._Helper, "answer", answer):
+                counting_answers(answered, kill_after=3):
             write_panel_csv(panel, path)
         assert path.read_bytes() == _reference_csv_bytes(panel)
         assert answered[:3] == [True] * 3
@@ -1110,7 +1091,7 @@ class TestWriterHelper:
 
 
 def test_no_writer_helper_below_the_size_threshold(tmp_path):
-    with mock.patch.object(panel_mod._Helper, "__init__",
+    with mock.patch.object(helper_mod._Helper, "__init__",
                            side_effect=AssertionError("forked")):
         write_panel_csv(_gbm_panel(1, 2), tmp_path / "panel.csv")
 

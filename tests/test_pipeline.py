@@ -1,6 +1,7 @@
 """End-to-end pipeline, report bundle, figure series, and CLI exit codes."""
 from __future__ import annotations
 
+import csv
 import dataclasses
 import errno
 import gc
@@ -9,7 +10,6 @@ import json
 import math
 import os
 import shutil
-import signal
 import subprocess
 import sys
 import threading
@@ -21,19 +21,32 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from conftest import HELPER_RUNS, counting_answers, needs_helper
+from conftest import HELPER_RUNS, counting_answers, needs_helper, one_cpu
 from intradayvol import metrics as metrics_mod
-from intradayvol import panel as panel_mod
 from intradayvol import pipeline as pipeline_mod
 from intradayvol.cli import main
+from intradayvol.cumulants import (
+    cumulants_over_companies,
+    cumulants_over_days,
+    profile_csv_bytes,
+    profile_metadata,
+)
 from intradayvol.errors import CorruptBundle, DataError, MissingUpstream, UnknownFigure
-from intradayvol.panel import SESSION_MINUTES, MinutePanel, write_panel_csv
+from intradayvol.panel import (
+    SESSION_MINUTES,
+    MinutePanel,
+    semester_day_indices,
+    write_panel_csv,
+)
+from intradayvol.fits import fit_kurtosis_relaxation
 from intradayvol.pipeline import (
     FIGURE_IDS,
     PipelineConfig,
     _jsonify,
+    dump_json,
     emit_figure_series,
     load_figure_csv,
+    prepare_panel,
     run_pipeline,
 )
 from intradayvol.synth import GeneratorSpec, IntensitySpec, NoiseSpec, generate_panel
@@ -769,9 +782,7 @@ class TestBundleHelper:
     def test_tree_is_files_plus_the_manifest(self, tmp_path, report, variant, helper):
         bundle = _bundle_variant(report[0], variant)
         answered = []
-        with (nullcontext() if helper else
-              mock.patch.object(panel_mod._Helper, "start", return_value=None)), \
-                counting_answers(answered):
+        with (nullcontext() if helper else one_cpu()), counting_answers(answered):
             out = bundle.write(tmp_path / "report")
         assert any(answered) == helper
         files = bundle.files()
@@ -792,17 +803,8 @@ class TestBundleHelper:
 
     def test_bundle_is_whole_when_the_helper_dies(self, tmp_path, report):
         bundle, _ = report
-        real_answer = panel_mod._Helper.answer
         answered = []
-
-        def answer(helper, request):
-            if len(answered) == 3:
-                os.kill(helper.pid, signal.SIGKILL)
-            got = real_answer(helper, request)
-            answered.append(got is not panel_mod._PENDING)
-            return got
-
-        with mock.patch.object(panel_mod._Helper, "answer", answer):
+        with counting_answers(answered, kill_after=3):
             out = bundle.write(tmp_path / "report")
         if HELPER_RUNS:
             assert answered[:3] == [True] * 3
@@ -946,6 +948,18 @@ class TestCli:
     def test_unreadable_path_exits_2(self, capsys, tmp_path):
         assert main(["ingest", str(tmp_path / "absent.csv")]) == 2
         capsys.readouterr()
+
+    def test_report_with_every_pair_excluded_exits_2(self, capsys, tmp_path, base_config):
+        # no (ticker, semester) pair yields a profile: the run fails whole
+        doc = base_config.to_json()
+        doc["ticker_exclusions"] = {str(s): ["C00", "C01", "C02"] for s in range(1, 5)}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "report"
+        assert main(["report", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            "data error: every (ticker, semester) computation failed\n"
+        assert not out.exists()
 
     def test_numerical_failure_exits_3(self, capsys):
         code = main(["tests", "--sample-1", "1,1,1", "--sample-2", "1,1,1",
@@ -1209,6 +1223,25 @@ class TestStageCommands:
         assert (tmp_path / f"profile_{name}").read_bytes() == \
             (bundle_dir / "profiles" / name).read_bytes()
 
+    @pytest.mark.parametrize("kind", ["day", "ticker"])
+    def test_slice_profile(self, capsys, tmp_path, base_config, config_file, kind):
+        # the command's files are the library's profile of the slice
+        prep = prepare_panel(base_config)
+        if kind == "day":  # the semester is the day's
+            day = prep.panel.days[semester_day_indices(prep.panel, prep.index, 3)[0]]
+            flags = ["--day", day.isoformat()]
+            name = f"profile_s03_day_{day.isoformat()}"
+            want = cumulants_over_companies(prep.panel, prep.index, day, 3)
+        else:
+            flags = ["--ticker", "C01", "--semester", "2"]
+            name = "profile_s02_C01"
+            want = cumulants_over_days(prep.panel, prep.index, "C01", 2)
+        assert main(["profile", "--config", str(config_file), *flags,
+                     "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.strip() == str(tmp_path / f"{name}.csv")
+        assert (tmp_path / f"{name}.csv").read_bytes() == profile_csv_bytes(want)
+        assert (tmp_path / f"{name}.json").read_bytes() == dump_json(profile_metadata(want))
+
     @pytest.mark.parametrize("model", ["opening", "closing", "quartic"])
     def test_fit(self, capsys, report, config_file, model):
         _, bundle_dir = report
@@ -1272,3 +1305,71 @@ class TestStageCommands:
         assert not thin["included"]
         assert all(p["included"] for key, p in pairs.items()
                    if key != (panel.companies[0], 2))
+
+
+class TestKurtosisFit:
+    """A panel whose semester 1 reaches the kurtosis relaxation fits, while
+    semester 2's afternoon fit fails."""
+
+    @pytest.fixture(scope="class")
+    def kurtosis_report(self, tmp_path_factory):
+        path, boundaries = synth_csv(tmp_path_factory, name="kurtosis", n_days=24,
+                                     n_semesters=2, seed=5, noise=NoiseSpec(sigma_l=0.6))
+        config = PipelineConfig(
+            input_paths=[str(path)], semester_boundaries=boundaries,
+            regime_boundary_semester=1, kurtosis_tail_excluded_semesters=[],
+            out_dir=str(tmp_path_factory.mktemp("kurtosis_report")))
+        config_file = path.with_name("config.json")
+        config_file.write_text(json.dumps(config.to_json()))
+        return run_pipeline(config), config_file
+
+    def test_fit_command(self, capsys, kurtosis_report):
+        bundle, config_file = kurtosis_report
+        morning, afternoon = fit_kurtosis_relaxation(
+            bundle.ticker_mean[1].kurtosis, bundle.config.kurtosis_morning_window,
+            bundle.config.kurtosis_afternoon_window)
+        assert main(["fit", "--config", str(config_file), "--semester", "1",
+                     "--model", "kurtosis"]) == 0
+        assert json.loads(capsys.readouterr().out) == \
+            json.loads(dump_json({"morning": morning, "afternoon": afternoon}))
+
+    def test_fig11_rows(self, kurtosis_report):
+        bundle, _ = kurtosis_report
+        fits = bundle.semester_fits
+        assert "error" in fits[2]["kurtosis_morning"]  # no row for semester 2
+        beta_m = fits[1]["kurtosis_morning"].coefficients["beta_m"]
+        beta_a = fits[1]["kurtosis_afternoon"].coefficients["beta_a"]
+        assert emit_figure_series(bundle, "fig11") == \
+            f"semester,beta_m,beta_a\r\n1,{beta_m:.17g},{beta_a:.17g}\r\n"
+
+    def test_figure_out_writes_the_bundle_file(self, capsys, tmp_path, kurtosis_report):
+        bundle, _ = kurtosis_report
+        out = tmp_path / "figures"
+        assert main(["figure", "--report", bundle.config.out_dir, "--id", "fig11",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().out.strip() == str(out / "fig11.csv")
+        assert (out / "fig11.csv").read_bytes() == \
+            emit_figure_series(bundle, "fig11").encode() == \
+            load_figure_csv(bundle.config.out_dir, "fig11")
+
+
+def test_bundle_csvs_quote_tickers(capsys, tmp_path, panel_csv):
+    # the canonical writer quotes these tickers, and the loader reads them
+    path, boundaries = panel_csv
+    quoted = tmp_path / "panel.csv"
+    quoted.write_bytes(path.read_bytes().replace(b"\nC00,", b'\n"A""B",')
+                       .replace(b"\nC01,", b'\n"BRK,A",'))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"semester_boundaries": boundaries,
+                                  "regime_boundary_semester": 2}))
+    out = tmp_path / "report"
+    assert main(["report", str(quoted), "--config", str(config), "--out", str(out)]) == 0
+    capsys.readouterr()
+    for name in sorted(out.rglob("*.csv")):
+        with open(name, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert all(len(row) == len(header) for row in rows), name
+    tickers = {'A"B', "BRK,A", "C02"}
+    for name in ("metrics.csv", "figures/fig6.csv"):
+        with open(out / name, newline="") as fh:
+            assert {row["ticker"] for row in csv.DictReader(fh)} == tickers, name
