@@ -3,120 +3,56 @@
 Minute-bar panels, robust cumulant profiles, power-law edge fits,
 profile-shape functionals, and nonstationarity tests, with a synthetic
 panel generator for end-to-end checks.
+
+The names below are exported lazily: `import intradayvol` loads no
+submodule, and the first use of a name imports the module that defines
+it, so a program (the CLI among them) pays only for what it uses.
 """
 from __future__ import annotations
 
-from .cumulants import (
-    AggregatedProfile,
-    CumulantProfile,
-    aggregate_day_profiles,
-    aggregate_ticker_profiles,
-    cumulants_over_companies,
-    cumulants_over_days,
-    mean_kurtosis_tail,
-    minute_sample_stats,
-    sample_cumulants,
-    variance_ratio,
-)
-from .errors import DataError, NumericalError
-from .fits import (
-    FitResult,
-    ShapeFunctionals,
-    fit_closing_powerlaw,
-    fit_kurtosis_relaxation,
-    fit_opening_powerlaw,
-    fit_quartic,
-    half_volume_time,
-    polynomial_fit,
-    rescaled_time,
-    scatter_relation,
-    shape_functionals,
-)
-from .metrics import (
-    SemesterMetrics,
-    activity,
-    concavity_activity_regression,
-    daily_ohlc,
-    garman_klass_volatility,
-    semester_endpoint_prices,
-    semester_return,
-)
-from .panel import (
-    SESSION_MINUTES,
-    LoadReport,
-    MinuteBar,
-    MinutePanel,
-    SemesterIndex,
-    ValidationReport,
-    assign_semesters,
-    default_semester_boundaries,
-    load_minute_bars,
-    semester_day_indices,
-    validate_panel,
-    write_panel_csv,
-)
-from .pipeline import PipelineConfig, ReportBundle, emit_figure_series, run_pipeline
-from .stats_tests import TestResult, mww_test, mww_u_statistics, welch_test, welch_test_from_moments
-from .synth import GeneratorSpec, GroundTruth, IntensitySpec, NoiseSpec, analytic_profile, generate_panel
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AggregatedProfile",
-    "CumulantProfile",
-    "DataError",
-    "FitResult",
-    "GeneratorSpec",
-    "GroundTruth",
-    "IntensitySpec",
-    "LoadReport",
-    "MinuteBar",
-    "MinutePanel",
-    "NoiseSpec",
-    "NumericalError",
-    "PipelineConfig",
-    "ReportBundle",
-    "SESSION_MINUTES",
-    "SemesterIndex",
-    "SemesterMetrics",
-    "ShapeFunctionals",
-    "TestResult",
-    "ValidationReport",
-    "activity",
-    "aggregate_day_profiles",
-    "aggregate_ticker_profiles",
-    "analytic_profile",
-    "assign_semesters",
-    "concavity_activity_regression",
-    "cumulants_over_companies",
-    "cumulants_over_days",
-    "daily_ohlc",
-    "default_semester_boundaries",
-    "emit_figure_series",
-    "fit_closing_powerlaw",
-    "fit_kurtosis_relaxation",
-    "fit_opening_powerlaw",
-    "fit_quartic",
-    "garman_klass_volatility",
-    "generate_panel",
-    "half_volume_time",
-    "load_minute_bars",
-    "mean_kurtosis_tail",
-    "minute_sample_stats",
-    "mww_test",
-    "mww_u_statistics",
-    "polynomial_fit",
-    "rescaled_time",
-    "run_pipeline",
-    "sample_cumulants",
-    "scatter_relation",
-    "semester_day_indices",
-    "semester_endpoint_prices",
-    "semester_return",
-    "shape_functionals",
-    "validate_panel",
-    "variance_ratio",
-    "welch_test",
-    "welch_test_from_moments",
-    "write_panel_csv",
-]
+#: submodule -> the public names it defines
+_EXPORTS = {
+    "config": ("PipelineConfig",),
+    "cumulants": ("AggregatedProfile", "CumulantProfile", "aggregate_day_profiles",
+                  "aggregate_ticker_profiles", "cumulants_over_companies",
+                  "cumulants_over_days", "mean_kurtosis_tail", "minute_sample_stats",
+                  "sample_cumulants", "variance_ratio"),
+    "errors": ("DataError", "NumericalError"),
+    "fits": ("FitResult", "ShapeFunctionals", "fit_closing_powerlaw",
+             "fit_kurtosis_relaxation", "fit_opening_powerlaw", "fit_quartic",
+             "half_volume_time", "polynomial_fit", "rescaled_time", "scatter_relation",
+             "shape_functionals"),
+    "metrics": ("SemesterMetrics", "activity", "concavity_activity_regression",
+                "daily_ohlc", "garman_klass_volatility", "semester_endpoint_prices",
+                "semester_return"),
+    "panel": ("LoadReport", "MinuteBar", "MinutePanel", "SESSION_MINUTES",
+              "SemesterIndex", "ValidationReport", "assign_semesters",
+              "default_semester_boundaries", "load_minute_bars", "semester_day_indices",
+              "validate_panel", "write_panel_csv"),
+    "pipeline": ("ReportBundle", "emit_figure_series", "run_pipeline"),
+    "stats_tests": ("TestResult", "mww_test", "mww_u_statistics", "welch_test",
+                    "welch_test_from_moments"),
+    "synth": ("GeneratorSpec", "GroundTruth", "IntensitySpec", "NoiseSpec",
+              "analytic_profile", "generate_panel"),
+}
+
+#: public name -> the submodule that defines it
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{module}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -10,18 +10,14 @@ import gc
 import math
 import sys
 from contextlib import contextmanager
+from importlib import import_module
 from pathlib import Path
 
-from .cumulants import (
-    cumulants_over_companies,
-    cumulants_over_days,
-    profile_csv_bytes,
-    profile_metadata,
-)
+from .config import PipelineConfig, dump_json, json_fields, read_json
 from .errors import DataError, NumericalError
-from .fits import shape_functionals
-# load_minute_bars and validate_panel are not called here; perfbench/spans.py
-# wraps these names in this module to time the CLI's layers
+# `ingest` loads through load_minute_bars here and `report` through
+# pipeline's; validate_panel is not called here. perfbench/spans.py wraps
+# these names in this module to time the CLI's layers.
 from .panel import (  # noqa: F401
     TIME_FORMATS,
     load_minute_bars,
@@ -29,22 +25,36 @@ from .panel import (  # noqa: F401
     validate_panel,
     write_panel_csv,
 )
-from .pipeline import (
-    TICKER_MEAN_FITS,
-    PipelineConfig,
-    Stages,
-    dump_json,
-    json_fields,
-    load_figure_csv,
-    load_panel,
-    metrics_csv,
-    prepare_panel,
-    read_json,
-    run_pipeline,
-    xsection_files,
-)
-from .stats_tests import mww_test, welch_test
-from .synth import GeneratorSpec, IntensitySpec, NoiseSpec, generate_panel
+
+#: the analysis names the commands call -> their module. A command's
+#: modules are imported, and their names bound here, only when it runs
+#: (`_bind`); an attribute lookup from outside binds one on first use.
+_LAZY = {
+    **dict.fromkeys(("cumulants_over_companies", "cumulants_over_days",
+                     "profile_csv_bytes", "profile_metadata"), "cumulants"),
+    "shape_functionals": "fits",
+    **dict.fromkeys(("TICKER_MEAN_FITS", "Stages", "load_figure_csv", "metrics_csv",
+                     "prepare_panel", "run_pipeline", "xsection_files"), "pipeline"),
+    **dict.fromkeys(("mww_test", "welch_test"), "stats_tests"),
+    **dict.fromkeys(("GeneratorSpec", "IntensitySpec", "NoiseSpec", "generate_panel"),
+                    "synth"),
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{module}", __package__), name)
+    return value
+
+
+def _bind(modules) -> None:
+    """Import the given modules and bind their _LAZY names here. A name that
+    is bound already keeps its value, which may be a wrapper."""
+    for name, module in _LAZY.items():
+        if module in modules and name not in globals():
+            __getattr__(name)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -102,7 +112,7 @@ def _out_dir(args, default="out") -> Path:
 
 
 def _cmd_ingest(args) -> int:
-    panel, report = load_panel(_config_from_args(args))
+    panel, report = load_minute_bars(**_config_from_args(args).load_options())
     out = _out_dir(args)
     write_panel_csv(panel, out / "panel.csv")
     (out / "load_report.json").write_bytes(dump_json(report.to_json()))
@@ -122,6 +132,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_profile(args) -> int:
+    from urllib.parse import quote  # only this command needs it
+
     try:
         day = parse_date(args.day) if args.day else None
     except ValueError:
@@ -138,7 +150,8 @@ def _cmd_profile(args) -> int:
                 raise DataError("--ticker needs --semester")
             prof = cumulants_over_days(panel, index, args.ticker, args.semester,
                                        literal_kurtosis=lk)
-            name = f"profile_s{args.semester:02d}_{args.ticker}.csv"
+            # percent-encoded, so that a ticker such as BRK/A names a file in --out
+            name = f"profile_s{args.semester:02d}_{quote(args.ticker, safe='')}.csv"
         else:
             if not args.semester:
                 raise DataError("aggregate profiles need --semester")
@@ -325,45 +338,53 @@ def _build_parser() -> _Parser:
                      description="Intraday volume profile analytics")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_, inputs=True):
+    def add(name, func, help_, modules, inputs=True):
+        """A subcommand that runs func after importing the analysis modules
+        it calls."""
         p = sub.add_parser(name, parents=[shared], help=help_)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, modules=modules)
         if inputs:
             p.add_argument("input", nargs="*", help="CSV files or directories")
         return p
 
-    add("ingest", _cmd_ingest, "load CSVs and write the canonical panel")
+    add("ingest", _cmd_ingest, "load CSVs and write the canonical panel", ())
 
-    p = add("validate", _cmd_validate, "coverage report per (ticker, semester)")
+    p = add("validate", _cmd_validate, "coverage report per (ticker, semester)",
+            ("pipeline",))
     p.add_argument("--min-day-coverage", type=float, default=None)
 
-    p = add("profile", _cmd_profile, "cumulant profile CSV for one slice")
+    p = add("profile", _cmd_profile, "cumulant profile CSV for one slice",
+            ("cumulants", "pipeline"))
     p.add_argument("--ticker")
     p.add_argument("--semester", type=int)
     p.add_argument("--day", help="ISO date: cross-sectional profile for that day")
     p.add_argument("--kind", choices=["ticker-mean", "day-mean"], default="ticker-mean")
 
-    p = add("fit", _cmd_fit, "fit the semester's aggregated profile")
+    p = add("fit", _cmd_fit, "fit the semester's aggregated profile", ("pipeline",))
     p.add_argument("--model", choices=["opening", "closing", "quartic", "kurtosis"],
                    required=True)
     p.add_argument("--semester", type=int, required=True)
 
-    p = add("shapes", _cmd_shapes, "quartic fit plus concavity/symmetry")
+    p = add("shapes", _cmd_shapes, "quartic fit plus concavity/symmetry",
+            ("fits", "pipeline"))
     p.add_argument("--semester", type=int, required=True)
 
-    p = add("metrics", _cmd_metrics, "per-(ticker, semester) scalar metrics CSV")
+    p = add("metrics", _cmd_metrics, "per-(ticker, semester) scalar metrics CSV",
+            ("pipeline",))
     p.add_argument("--ticker")
 
-    p = add("tests", _cmd_tests, "two-sample location tests", inputs=False)
+    p = add("tests", _cmd_tests, "two-sample location tests", ("stats_tests",),
+            inputs=False)
     p.add_argument("--sample-1", required=True, help="comma-separated values or @file")
     p.add_argument("--sample-2", required=True)
     p.add_argument("--test", choices=["welch", "mww", "both"], default="both")
     p.add_argument("--confidence", type=float, default=0.95)
     p.add_argument("--tails", type=int, choices=[1, 2], default=2)
 
-    add("xsection", _cmd_xsection, "cross-sectional profiles, variance ratio, kurtosis tail")
+    add("xsection", _cmd_xsection, "cross-sectional profiles, variance ratio, kurtosis tail",
+        ("cumulants", "pipeline"))
 
-    p = add("synth", _cmd_synth, "generate a synthetic panel", inputs=False)
+    p = add("synth", _cmd_synth, "generate a synthetic panel", ("synth",), inputs=False)
     p.add_argument("--spec", help="generator spec JSON")
     p.add_argument("--companies", type=int, default=30)
     p.add_argument("--days", type=int, default=126)
@@ -379,10 +400,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--baseline", type=float, default=50.0)
     p.add_argument("--prices", action="store_true", help="geometric random-walk prices")
 
-    add("report", _cmd_report, "run the full pipeline", inputs=True)
+    add("report", _cmd_report, "run the full pipeline", ("pipeline",))
 
     p = add("figure", _cmd_figure, "extract a figure data series from a report",
-            inputs=False)
+            ("pipeline",), inputs=False)
     p.add_argument("--report", required=True, help="report bundle directory")
     p.add_argument("--id", required=True, help="fig1 .. fig16")
 
@@ -395,13 +416,17 @@ def main(argv=None) -> int:
     With argv None, `python -m intradayvol.cli` or the console script owns
     the interpreter, so the heap built by imports lives until exit.
     gc.freeze() moves it to the permanent generation: the collections run
-    at interpreter exit and in the forked helpers then skip it. A caller
-    that passes argv keeps its heap collectable."""
+    at interpreter exit and in the forked helpers then skip it. It is
+    called again once the command's modules are imported, so their heap is
+    frozen too. A caller that passes argv keeps its heap collectable."""
     if argv is None:
         gc.freeze()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        _bind(args.modules)
+        if argv is None:
+            gc.freeze()
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 0

@@ -15,6 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# defined in .config, where PipelineConfig checks it without importing this
+# module and fits; re-exported here
+from .config import RETURN_CONVENTIONS  # noqa: F401
 from .errors import NegativeVariance, NoData, NonPositivePrice, TooFewPoints
 from .fits import FitResult, polynomial_fit
 from .panel import (
@@ -30,9 +33,6 @@ GK_DRIFT_WEIGHT = 2.0 * math.log(2.0) - 1.0
 #: one rescaled-session unit equals this many minutes; converts a summed
 #: per-minute profile into the units the quartic coefficients live in
 MINUTES_PER_RESCALED_UNIT = SESSION_MINUTES / 2.0
-
-#: the price-variation denominators semester_return accepts
-RETURN_CONVENTIONS = ("close-denominator", "open-denominator")
 
 
 @dataclass(frozen=True)

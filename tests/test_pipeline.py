@@ -1373,3 +1373,26 @@ def test_bundle_csvs_quote_tickers(capsys, tmp_path, panel_csv):
     for name in ("metrics.csv", "figures/fig6.csv"):
         with open(out / name, newline="") as fh:
             assert {row["ticker"] for row in csv.DictReader(fh)} == tickers, name
+
+
+@pytest.mark.parametrize("ticker, name", [("BRK/A", "profile_s01_BRK%2FA"),
+                                          ("../up", "profile_s01_..%2Fup"),
+                                          ("C02", "profile_s01_C02")])
+def test_profile_file_name_escapes_the_ticker(capsys, tmp_path, panel_csv, ticker, name):
+    # the loader takes these tickers; the profile's file name percent-encodes
+    # them, so it stays one file inside --out
+    path, boundaries = panel_csv
+    panel = tmp_path / "in" / "panel.csv"
+    panel.parent.mkdir()
+    panel.write_bytes(path.read_bytes().replace(b"\nC00,", b"\nBRK/A,")
+                      .replace(b"\nC01,", b"\n../up,"))
+    config = tmp_path / "in" / "config.json"
+    config.write_text(json.dumps({"semester_boundaries": boundaries}))
+    out = tmp_path / "a" / "out"
+    assert main(["profile", str(panel), "--config", str(config), "--ticker", ticker,
+                 "--semester", "1", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.strip() == str(out / f"{name}.csv")
+    written = {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file()}
+    assert written == {"in/panel.csv", "in/config.json",
+                       f"a/out/{name}.csv", f"a/out/{name}.json"}
+    assert (out / f"{name}.csv").read_bytes().startswith(b"t,")
