@@ -117,7 +117,7 @@ def _cmd_ingest(args) -> int:
     write_panel_csv(panel, out / "panel.csv")
     (out / "load_report.json").write_bytes(dump_json(report.to_json()))
     print(f"loaded {report.n_loaded} rows "
-          f"({len(report.skipped)} skipped) -> {out / 'panel.csv'}")
+          f"({report.n_skipped} skipped) -> {out / 'panel.csv'}")
     return 0
 
 

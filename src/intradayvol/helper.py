@@ -1,7 +1,12 @@
-"""The forked helper that the loader, the canonical writer and the bundle
-writer share: `in_order` hands out (item, work(item)) for each item in
-order, while a forked copy of the process may work on a share of them,
-with the results and errors of one process."""
+"""The forked helpers that the loader, the canonical writer and the bundle
+writer share, with the results and errors of one process.
+
+`in_order`, which the loader and the canonical writer call, hands out
+(item, work(item)) for each item in order, while a forked copy of the
+process works on a share of them. `in_any_order`, which the bundle writer
+calls, starts a forked copy on the items at once and lets the caller run
+other work before it joins in; the results come back in item order.
+"""
 from __future__ import annotations
 
 import csv
@@ -11,7 +16,7 @@ import select
 from collections import deque
 from contextlib import contextmanager
 from itertools import islice
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import DataError
 
@@ -19,7 +24,7 @@ from .errors import DataError
 #: one queued, so that it does not wait between them.
 _HELPER_DEPTH = 2
 
-#: bytes of a _Helper's answer pipe, where the system lets it be set
+#: bytes of a helper's answer pipe, where the system lets it be set
 _PIPE_BYTES = 1 << 20
 
 #: items worked on and not yet handed out, at most: while the helper's
@@ -27,7 +32,12 @@ _PIPE_BYTES = 1 << 20
 #: itself.
 _AHEAD = 6
 
+#: bytes of an item number in in_any_order's pipe
+_NUMBER_BYTES = 4
+
 _PENDING = object()  # the answer to an item the helper was asked for
+
+_T = TypeVar("_T")
 
 
 def _read_exact(fd: int, n: int) -> bytearray:
@@ -51,6 +61,58 @@ def _send(fd: int, obj) -> None:
 def _receive(fd: int):
     """The next object _send wrote to the pipe; EOFError once it is closed."""
     return pickle.loads(_read_exact(fd, int.from_bytes(_read_exact(fd, 8), "little")))
+
+
+def _answer_pipe() -> tuple[int, int]:
+    """A pipe for a helper's answers, with room for a few of them where
+    the system lets it be set: a helper blocked on a full pipe waits for
+    its parent instead of working on."""
+    read, write = os.pipe()
+    try:
+        import fcntl  # POSIX, as fork is
+
+        fcntl.fcntl(write, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+    except (AttributeError, OSError):
+        pass  # not Linux, or over the system's limit: the default size
+    return read, write
+
+
+def _fork(child: Callable[[], None], own: tuple[int, ...], theirs: tuple[int, ...]) -> int:
+    """The pid of a forked process that closes `own`, this process's ends
+    of their pipes, runs child() and exits, with status 0 if it returned;
+    this process closes `theirs`, the child's ends. Where the fork raises
+    OSError, both are closed."""
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in own + theirs:
+            os.close(fd)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            for fd in own:
+                os.close(fd)
+            child()
+            code = 0
+        finally:
+            os._exit(code)
+    for fd in theirs:
+        os.close(fd)
+    return pid
+
+
+def _started(start: Callable[[], _T], fork: Callable[[], bool]) -> _T | None:
+    """start(), which forks a helper, where os.fork exists, the process may
+    run on two or more CPUs and fork() says the job is big enough; None
+    where not, or where fork() or start() raises OSError."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2):
+        return None
+    try:
+        return start() if fork() else None
+    except OSError:
+        return None  # no process to spare
 
 
 def _answers(items: Iterable, work: Callable, fd: int) -> Iterator:
@@ -85,33 +147,13 @@ class _Helper:
 
     def __init__(self, items: Iterable, work: Callable):
         requests, self.requests = os.pipe()
-        self.answers, answers = os.pipe()
-        try:
-            import fcntl  # POSIX, as fork is
+        self.answers, answers = _answer_pipe()
 
-            # room for a few answers: a helper blocked on a full pipe waits
-            # for its parent instead of working on its next request
-            fcntl.fcntl(answers, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
-        except (AttributeError, OSError):
-            pass  # not Linux, or over the system's limit: the default size
-        try:
-            self.pid = os.fork()
-        except OSError:
-            for fd in (requests, self.requests, self.answers, answers):
-                os.close(fd)
-            raise
-        if self.pid == 0:
-            code = 1
-            try:
-                os.close(self.requests)
-                os.close(self.answers)
-                for answer in _answers(items, work, requests):
-                    _send(answers, answer)
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(requests)
-        os.close(answers)
+        def serve() -> None:
+            for answer in _answers(items, work, requests):
+                _send(answers, answer)
+
+        self.pid = _fork(serve, (self.requests, self.answers), (requests, answers))
         self.asked: deque = deque()  # requests not yet answered, oldest first
         self.alive = True
         self.poll = select.poll()
@@ -167,13 +209,7 @@ def in_order(items: Iterable, work: Callable,
     (a file that cannot be opened, decoded or has no usable header) is
     raised once the items before it are handed out.
     """
-    helper = None
-    if (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) >= 2):
-        try:
-            helper = _Helper(items, work) if fork() else None
-        except OSError:
-            pass  # no process to spare
+    helper = _started(lambda: _Helper(items, work), fork)
     try:
         yield _queue(helper, items, work)
     finally:
@@ -219,3 +255,94 @@ def _queue(helper: _Helper | None, items: Iterable, work: Callable) -> Iterator[
         if result is _PENDING:  # the helper has exited
             result = work(item)
         yield item, result
+
+
+def _take(fd: int) -> int | None:
+    """The next item number in in_any_order's pipe; None once it is empty.
+    Every number is in the pipe before anyone reads it, and each read takes
+    one whole number, so a read never returns part of one."""
+    data = os.read(fd, _NUMBER_BYTES)
+    return int.from_bytes(data, "little") if data else None
+
+
+class _Taker:
+    """A forked process that takes item numbers from in_any_order's pipe
+    until it is empty, and sends back (number, work(item)) for each. It
+    exits when the pipe is empty, or when it writes an answer that no one
+    will read."""
+
+    def __init__(self, items: Sequence, work: Callable, numbers: int):
+        self.answers, answers = _answer_pipe()
+
+        def serve() -> None:
+            while (number := _take(numbers)) is not None:
+                _send(answers, (number, work(items[number])))
+
+        self.pid = _fork(serve, (self.answers,), (answers,))
+
+    def answer(self) -> tuple | None:
+        """The helper's next (number, work(item)); None once it has exited."""
+        try:
+            return _receive(self.answers)
+        except EOFError:
+            return None
+
+    def close(self) -> None:
+        """Reap the helper: it has taken its last number, or its next
+        answer fails."""
+        os.close(self.answers)
+        os.waitpid(self.pid, 0)
+
+
+@contextmanager
+def in_any_order(items: Sequence, work: Callable,
+                 fork: Callable[[], bool]) -> Iterator[Callable[[], list]]:
+    """Start work on items in a forked helper, and yield finish(), which
+    returns [work(item) for item in items] in item order.
+
+    Each item's number is written to a pipe before the fork, and the helper
+    takes the next one while the block runs, until the pipe is empty.
+    finish() takes the numbers left in this process, so that the two end
+    together, then gathers the helper's answers, does again any item the
+    helper took and did not answer (it died), and reaps the helper. The
+    helper is forked where in_order's would be; otherwise, or when the fork
+    fails, finish() does every item. If the block raises before finish(),
+    the numbers left are dropped, so that the helper stops after its
+    current item, and the helper is reaped.
+    """
+    numbers, fill = os.pipe()
+    # A pipe holds at least PIPE_BUF bytes, so a write of that many returns
+    # at once: 1,024 numbers on Linux. The bundle writer's items are its
+    # per-minute files, 39 for 16 semesters, so even 100 semesters need less
+    # than 1 KB. Beyond that no helper is forked.
+    prefilled = len(items) * _NUMBER_BYTES <= select.PIPE_BUF
+    try:
+        if prefilled:
+            os.write(fill, b"".join(k.to_bytes(_NUMBER_BYTES, "little")
+                                    for k in range(len(items))))
+    finally:
+        os.close(fill)
+    helper = None
+
+    def finish() -> list:
+        nonlocal helper
+        done = {}
+        while (number := _take(numbers)) is not None:
+            done[number] = work(items[number])
+        if helper is not None:
+            while (answer := helper.answer()) is not None:
+                done.update([answer])
+            helper.close()
+            helper = None
+        return [done[k] if k in done else work(item) for k, item in enumerate(items)]
+
+    try:
+        if prefilled:
+            helper = _started(lambda: _Taker(items, work, numbers), fork)
+        yield finish
+    finally:
+        while os.read(numbers, select.PIPE_BUF):  # numbers left if the block raised
+            pass
+        os.close(numbers)
+        if helper is not None:
+            helper.close()

@@ -91,23 +91,40 @@ class SkippedRow:
     reason: str
 
 
+#: skipped rows that a LoadReport lists by file and line, the first in file
+#: order; the others are only counted, so that a feed with millions of
+#: extended-hours rows gives a report of bounded size
+MAX_LISTED_SKIPS = 1_000
+
+
 @dataclass
 class LoadReport:
-    """What the loader kept and what it dropped, per input file."""
+    """What the loader kept and what it dropped, per input file: the exact
+    count of skipped rows per reason, and the first MAX_LISTED_SKIPS of
+    them."""
 
     files: list[str] = field(default_factory=list)
     n_rows: int = 0
     n_loaded: int = 0
     skipped: list[SkippedRow] = field(default_factory=list)
+    by_reason: dict[str, int] = field(default_factory=dict)
+
+    def skip(self, source: str, line: int, reason: str) -> None:
+        """Count a skipped row, and list it while fewer than
+        MAX_LISTED_SKIPS are listed."""
+        self.by_reason[reason] = self.by_reason.get(reason, 0) + 1
+        if len(self.skipped) < MAX_LISTED_SKIPS:
+            self.skipped.append(SkippedRow(source, line, reason))
+
+    @property
+    def n_skipped(self) -> int:
+        return sum(self.by_reason.values())
 
     def n_skipped_by_reason(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for row in self.skipped:
-            out[row.reason] = out.get(row.reason, 0) + 1
-        return out
+        return dict(self.by_reason)
 
     def to_json(self) -> dict:
-        return {
+        doc = {
             "files": list(self.files),
             "rows_read": self.n_rows,
             "rows_loaded": self.n_loaded,
@@ -117,6 +134,9 @@ class LoadReport:
             ],
             "skipped_by_reason": self.n_skipped_by_reason(),
         }
+        if self.n_skipped > len(self.skipped):
+            doc["rows_skipped_not_listed"] = self.n_skipped - len(self.skipped)
+        return doc
 
 
 @dataclass(frozen=True)
@@ -739,7 +759,7 @@ class _ColumnLoader:
         for k in np.flatnonzero(~ok).tolist():
             if k not in blank:
                 reason = "out-of-session" if minute[k] == _OFF_SESSION else "malformed"
-                self.report.skipped.append(SkippedRow(source, start + k + 2, reason))
+                self.report.skip(source, start + k + 2, reason)
         self._keep(*block, np.flatnonzero(ok))
 
     def _keep(self, source: str, start: int, ticker: np.ndarray, day: np.ndarray,

@@ -1,11 +1,14 @@
 """End-to-end orchestration: panel in, plot-ready report bundle out.
 
-The bundle is an ordered list of file jobs, each formatting one file's
-bytes (a figure that copies a cross-section file is written by that
-file's job). `ReportBundle.files` does them one after another in memory
-and is the byte reference. `ReportBundle.write` shares them with a forked
-helper through the shared in-order queue (`helper.in_order`): each
-process formats, writes and hashes one file at a time into a sibling
+The bundle is a list of file jobs, each formatting one file's bytes (a
+figure that copies a cross-section file is written by that file's job).
+`ReportBundle.files` does them one after another in memory and is the
+byte reference. Most of the bundle is per-minute data that reads the
+semester aggregates alone (`_minute_jobs`), so `run_pipeline` starts
+writing it right after the aggregates: a forked helper takes those jobs
+from a pipe (`helper.in_any_order`) while this process runs the later
+stages, does the other jobs, and then takes the per-minute jobs left.
+Each process formats, writes and hashes one file at a time into a sibling
 temporary directory, which is renamed into place once run_log.json and
 manifest.json are written. So a failed run leaves the previous bundle (or
 nothing) and never a partial or mixed one; two runs with the same inputs
@@ -25,10 +28,11 @@ import math
 import os
 import re
 import shutil
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -89,7 +93,7 @@ from .panel import (
     semester_day_indices,
     validate_panel,
 )
-from .helper import in_order
+from .helper import in_any_order
 from .stats_tests import mww_test, welch_test
 
 
@@ -371,45 +375,26 @@ class ReportBundle:
         return {key: s0 for key, series in _NORMALIZED_SERIES.items()
                 if (s0 := _first_usable(series(self))) is not None}
 
-    def _jobs(self) -> list[tuple[tuple[str, ...], Callable[[], bytes]]]:
-        """Every bundle file except run_log.json and the manifest, as
-        (relpaths, format) jobs in bundle order: format() gives the bytes
-        of each of relpaths, or raises MissingUpstream for a skipped
-        figure. A figure that is byte for byte a cross-section file (see
-        _XSECTION_FIGURES) is written by that file's job, unless it is
-        skipped."""
+    def _other_jobs(self) -> list[Job]:
+        """The jobs of the bundle files that _minute_jobs leaves out, but
+        for run_log.json and the manifest."""
+        profile_index = [{"file": rel, "semester": s, "kind": kind}
+                         for rel, s, kind, _ in _profile_files(self)]
         jobs = [(("config.json",), lambda: dump_json(self.config.analysis_json())),
                 (("load_report.json",), lambda: dump_json(self.load_report)),
-                (("validation.json",), lambda: dump_json(self.validation))]
-        profile_index = []
-        for s in self.semesters:
-            for kind, profiles in (("ticker_mean", self.ticker_mean),
-                                   ("day_mean", self.day_mean)):
-                if s in profiles:
-                    rel = f"profiles/s{s:02d}_{kind}.csv"
-                    jobs.append(((rel,), lambda p=profiles[s]: profile_csv_bytes(p)))
-                    profile_index.append({"file": rel, "semester": s, "kind": kind})
-        jobs += [
-            (("profiles/index.json",), lambda: dump_json(
-                {"profiles": profile_index, "conventions": dict(CONVENTIONS)})),
-            (("fits.json",), lambda: dump_json(
-                {str(s): self.semester_fits[s] for s in self.semesters})),
-            (("fits.csv",), self._fits_csv),
-            (("metrics.csv",), lambda: metrics_csv(self.metrics_rows).encode()),
-            (("regressions.json",), lambda: dump_json(self.regressions)),
-        ]
-        copies = {name: (f"figures/{fig}.csv",) for fig, (name, series)
-                  in _XSECTION_FIGURES.items() if not _missing(getattr(self, series))}
-        for name, text in xsection_files(self.var_ratio, self.kurt_tail,
-                                         self.kurt_curve).items():
-            jobs.append(((f"xsection/{name}", *copies.get(name, ())),
-                         lambda text=text: text().encode()))
-        jobs.append((("tests.json",), lambda: dump_json(self.tests)))
-        copied = {rel for rels in copies.values() for rel in rels}
-        jobs += [((rel,), lambda emit=emit: emit(self).encode())
-                 for fig, emit in _FIGURES.items()
-                 if (rel := f"figures/{fig}.csv") not in copied]
-        return jobs
+                (("validation.json",), lambda: dump_json(self.validation)),
+                (("profiles/index.json",), lambda: dump_json(
+                    {"profiles": profile_index, "conventions": dict(CONVENTIONS)})),
+                (("fits.json",), lambda: dump_json(
+                    {str(s): self.semester_fits[s] for s in self.semesters})),
+                (("fits.csv",), self._fits_csv),
+                (("metrics.csv",), lambda: metrics_csv(self.metrics_rows).encode()),
+                (("regressions.json",), lambda: dump_json(self.regressions)),
+                (("tests.json",), lambda: dump_json(self.tests))]
+        xsection = xsection_files(self.var_ratio, self.kurt_tail, self.kurt_curve)
+        del xsection["variance_ratio.csv"]
+        return jobs + _figure_jobs(self, [fig for fig in FIGURE_IDS
+                                          if fig not in _MINUTE_FIGURES], xsection)
 
     def _fits_csv(self) -> bytes:
         """fits.csv: one row per successful fit of each semester."""
@@ -420,15 +405,18 @@ class ReportBundle:
                           "primary_se", "r", "n_points"], flat_rows).encode()
 
     def _run_log(self, skipped: list[str]) -> bytes:
-        """run_log.json: the stage events, then the skipped-figure lines."""
-        return dump_json({"events": self.run_log + skipped})
+        """run_log.json: the stage events, then the skipped-figure lines in
+        FIGURE_IDS order."""
+        order = {fig: k for k, fig in enumerate(FIGURE_IDS)}
+        return dump_json({"events": self.run_log + sorted(
+            skipped, key=lambda line: order[line.split()[1]])})
 
     def files(self) -> dict[str, bytes]:
         """Every bundle file except the manifest, as relpath -> bytes: the
         jobs done one after another in this process. `write` writes the
         same bytes."""
         out, skipped = {}, []
-        for job in self._jobs():
+        for job in _minute_jobs(self) + self._other_jobs():
             data = _formatted(job)
             if isinstance(data, str):
                 skipped.append(data)
@@ -437,72 +425,154 @@ class ReportBundle:
         out["run_log.json"] = self._run_log(skipped)
         return out
 
-    def write(self, out_dir) -> Path:
+    def write(self, out_dir, started: Callable[[ReportBundle], Path] | None = None) -> Path:
         """Write the bundle as out_dir, replacing a bundle already there
-        whole. The files are written and hashed into a sibling directory
-        and that directory is renamed into place; the old bundle is moved
-        aside first and removed last. Where fork and a second CPU are
-        available, a helper does a share of the jobs (see helper.in_order);
-        each process formats, writes and hashes one job's file at a time.
-        The helper has exited and been waited for before the rename, or
-        before a failed write removes the sibling. run_log.json and
-        manifest.json are written last, by this process, so the bytes
-        are those of `files()` whichever process did a job. A symlinked
-        out_dir is followed, so its target is replaced. Only an empty
-        directory or one `_is_bundle` accepts is replaced; the working
-        directory, or one that holds it, never is. A run killed between
-        the two renames leaves the previous bundle in the hidden sibling
-        `.NAME.<pid>.old`, which a later write removes (see
-        _remove_stale_siblings)."""
-        out_dir = Path(out_dir).resolve()
-        if Path.cwd().resolve().is_relative_to(out_dir):
-            raise DataError(f"{out_dir} holds the working directory; not replacing it")
-        if out_dir.exists() and not (out_dir.is_dir() and (
-                not any(out_dir.iterdir()) or _is_bundle(out_dir))):
-            raise DataError(f"{out_dir} exists and is not a report bundle; "
-                            "not replacing it")
-        out_dir.parent.mkdir(parents=True, exist_ok=True)
-        _remove_stale_siblings(out_dir)
-        staging, aside = (out_dir.with_name(f".{out_dir.name}.{os.getpid()}.{end}")
-                          for end in ("new", "old"))
+        whole (see _writing): the per-minute jobs are started on a forked
+        helper, where fork and a second CPU are available, and this process
+        then does the other jobs and joins in. `started` is the finish of a
+        write to out_dir that run_pipeline started with this bundle's
+        aggregates before the fits; without it the write starts here."""
+        if started is not None:
+            return started(self)
+        with _writing(out_dir, self) as finish:
+            return finish(self)
+
+
+#: a bundle job: (relpaths, format), where format() gives the bytes of each
+#: of relpaths, or raises MissingUpstream for a skipped figure
+Job = tuple[tuple[str, ...], Callable[[], bytes]]
+
+
+@dataclass(frozen=True)
+class _Aggregates:
+    """The semester aggregates: all that the bundle's per-minute files read.
+    A ReportBundle has the same fields."""
+
+    semesters: list[int]
+    ticker_mean: dict[int, AggregatedProfile]
+    day_mean: dict[int, AggregatedProfile]
+    var_ratio: dict[int, np.ndarray]
+
+
+#: the figures whose emitters read only the fields of _Aggregates
+_MINUTE_FIGURES = ("fig1", "fig7", "fig8", "fig9", "fig10", "fig12", "fig13")
+
+
+def _profile_files(results) -> list[tuple[str, int, str, AggregatedProfile]]:
+    """(relpath, semester, kind, profile) of each profile file of results
+    (an _Aggregates or a ReportBundle), in bundle order."""
+    return [(f"profiles/s{s:02d}_{kind}.csv", s, kind, profiles[s])
+            for s in results.semesters
+            for kind, profiles in (("ticker_mean", results.ticker_mean),
+                                   ("day_mean", results.day_mean))
+            if s in profiles]
+
+
+def _figure_jobs(results, figures, xsection: dict[str, Callable[[], str]]) -> list[Job]:
+    """The jobs of the cross-section files in xsection (name -> format of
+    its text) and of figures, a sequence of figure ids, for results. A
+    figure that is byte for byte one of those files (see _XSECTION_FIGURES)
+    is written by the file's job, unless the figure is skipped."""
+    copies = {name: (f"figures/{fig}.csv",) for fig, (name, series)
+              in _XSECTION_FIGURES.items()
+              if name in xsection and not _missing(getattr(results, series))}
+    jobs = [((f"xsection/{name}", *copies.get(name, ())), lambda text=text: text().encode())
+            for name, text in xsection.items()]
+    copied = {rel for rels in copies.values() for rel in rels}
+    return jobs + [((rel,), lambda emit=_FIGURES[fig]: emit(results).encode())
+                   for fig in figures if (rel := f"figures/{fig}.csv") not in copied]
+
+
+def _minute_jobs(results) -> list[Job]:
+    """The per-minute jobs of results (an _Aggregates or a ReportBundle):
+    the cross-semester figures and the variance ratio, then the profiles,
+    so that the last jobs are small ones."""
+    jobs = _figure_jobs(results, _MINUTE_FIGURES,
+                        {"variance_ratio.csv": partial(variance_ratio_csv, results.var_ratio)})
+    return jobs + [((rel,), partial(profile_csv_bytes, profile))
+                   for rel, _, _, profile in _profile_files(results)]
+
+
+@contextmanager
+def _writing(out_dir, aggregates) -> Iterator[Callable[[ReportBundle], Path]]:
+    """Start writing a bundle as out_dir: check out_dir, make the staging
+    directory beside it and start the per-minute jobs of aggregates (see
+    _minute_jobs) on a forked helper (see helper.in_any_order). Yields
+    finish(bundle), for the bundle of those aggregates, which does the
+    other jobs in this process, then the per-minute jobs the helper has
+    not taken, and writes run_log.json and manifest.json last, so that the
+    bytes are those of `files()` whichever process did a job. Each process
+    formats, writes and hashes one job's files at a time. The staging
+    directory is then renamed into place; the old bundle is moved aside
+    first and removed last. A write that the block does not finish leaves
+    out_dir as it was, and the helper has exited, and been waited for,
+    before the rename or the removal of the staging directory.
+
+    A symlinked out_dir is followed, so its target is replaced. Only an
+    empty directory or one `_is_bundle` accepts is replaced; the working
+    directory, or one that holds it, never is. A run killed between the
+    two renames leaves the previous bundle in the hidden sibling
+    `.NAME.<pid>.old`, which a later write removes (see
+    _remove_stale_siblings)."""
+    out_dir = Path(out_dir).resolve()
+    if Path.cwd().resolve().is_relative_to(out_dir):
+        raise DataError(f"{out_dir} holds the working directory; not replacing it")
+    if out_dir.exists() and not (out_dir.is_dir() and (
+            not any(out_dir.iterdir()) or _is_bundle(out_dir))):
+        raise DataError(f"{out_dir} exists and is not a report bundle; "
+                        "not replacing it")
+    out_dir.parent.mkdir(parents=True, exist_ok=True)
+    _remove_stale_siblings(out_dir)
+    staging, aside = (out_dir.with_name(f".{out_dir.name}.{os.getpid()}.{end}")
+                      for end in ("new", "old"))
+    jobs = _minute_jobs(aggregates)
+
+    def finish(minute_results: Callable[[], list], bundle: ReportBundle) -> Path:
+        other = bundle._other_jobs()
+        folders = _make_folders(staging, jobs + other)
+        digests, skipped = {}, []
+        for result in [_write_job(staging, job) for job in other] + minute_results():
+            if isinstance(result, str):
+                skipped.append(result)
+            else:
+                digests.update(result)
+        for folder in folders:
+            if not any(folder.iterdir()):  # figures/, when every figure is skipped
+                folder.rmdir()
+        run_log = bundle._run_log(skipped)
+        (staging / "run_log.json").write_bytes(run_log)
+        digests["run_log.json"] = sha256(run_log).hexdigest()
+        (staging / "manifest.json").write_bytes(dump_json({
+            "config_hash": bundle.config.config_hash(),
+            "normalizers": bundle.normalizers,
+            "files": digests,
+        }))
+        if out_dir.exists():
+            out_dir.rename(aside)
         try:
-            staging.mkdir()
-            jobs = self._jobs()
-            # made before the fork, so that neither process makes them
-            folders = {(staging / rel).parent for rels, _ in jobs for rel in rels} - {staging}
-            for folder in folders:
-                folder.mkdir()
-            work = partial(_write_job, staging)
-            digests, skipped = {}, []
-            with in_order(jobs, work, lambda: True) as results:
-                for _, done in results:
-                    if isinstance(done, str):
-                        skipped.append(done)
-                    else:
-                        digests.update(done)
-            for folder in folders:
-                if not any(folder.iterdir()):  # figures/, when every figure is skipped
-                    folder.rmdir()
-            run_log = self._run_log(skipped)
-            (staging / "run_log.json").write_bytes(run_log)
-            digests["run_log.json"] = sha256(run_log).hexdigest()
-            (staging / "manifest.json").write_bytes(dump_json({
-                "config_hash": self.config.config_hash(),
-                "normalizers": self.normalizers,
-                "files": digests,
-            }))
-            if out_dir.exists():
-                out_dir.rename(aside)
-            try:
-                staging.rename(out_dir)
-            except OSError:
-                if aside.exists():
-                    aside.rename(out_dir)
-                raise
-        finally:
-            shutil.rmtree(staging, ignore_errors=True)
+            staging.rename(out_dir)
+        except OSError:
+            if aside.exists():
+                aside.rename(out_dir)
+            raise
         shutil.rmtree(aside, ignore_errors=True)
         return out_dir
+
+    try:
+        staging.mkdir()
+        _make_folders(staging, jobs)  # before the fork, so that neither process makes them
+        with in_any_order(jobs, partial(_write_job, staging), lambda: True) as minute_results:
+            yield partial(finish, minute_results)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+
+
+def _make_folders(staging: Path, jobs: list[Job]) -> set[Path]:
+    """The folders of the jobs' files in staging, made where missing."""
+    folders = {(staging / rel).parent for rels, _ in jobs for rel in rels} - {staging}
+    for folder in folders:
+        folder.mkdir(exist_ok=True)
+    return folders
 
 
 def _formatted(job) -> bytes | str:
@@ -646,24 +716,26 @@ def run_pipeline(config: PipelineConfig, write: bool = True) -> ReportBundle:
     if not profiles:
         raise DataError("every (ticker, semester) computation failed")
     ticker_mean, day_mean, var_ratio = stages.aggregates(semesters, profiles)
-    metrics_rows = stages.metrics_rows(profiles)
-    del profiles  # not part of the bundle: freed before the bundle is encoded
-    semester_fits = stages.semester_fits(semesters, ticker_mean, day_mean)
-    kurt_tail, kurt_curve = stages.kurtosis_tail(day_mean)
-    regressions = stages.regressions(metrics_rows)
-    tests = stages.regime_tests(_semester_fit_series(semester_fits, "opening", "alpha"))
+    # the per-minute files read these alone: their write starts now, on a
+    # forked helper, while this process runs the later stages
+    aggregates = _Aggregates(semesters, ticker_mean, day_mean, var_ratio)
+    with _writing(config.out_dir, aggregates) if write else nullcontext() as finish:
+        metrics_rows = stages.metrics_rows(profiles)
+        del profiles  # not part of the bundle: freed before the bundle is encoded
+        semester_fits = stages.semester_fits(semesters, ticker_mean, day_mean)
+        kurt_tail, kurt_curve = stages.kurtosis_tail(day_mean)
+        regressions = stages.regressions(metrics_rows)
+        tests = stages.regime_tests(_semester_fit_series(semester_fits, "opening", "alpha"))
 
-    bundle = ReportBundle(
-        config=config, semesters=semesters, ticker_mean=ticker_mean,
-        day_mean=day_mean, semester_fits=semester_fits, metrics_rows=metrics_rows,
-        regressions=regressions, var_ratio=var_ratio, kurt_tail=kurt_tail,
-        kurt_curve=kurt_curve, tests=tests, load_report=prep.load_report.to_json(),
-        validation=prep.validation.to_json(), run_log=stages.run_log)
-    # the panel is not part of the bundle: freed, so that the writer's
-    # forked helper does not map it
-    del prep, stages
-    if write:
-        bundle.write(config.out_dir)
+        bundle = ReportBundle(
+            config=config, semesters=semesters, ticker_mean=ticker_mean,
+            day_mean=day_mean, semester_fits=semester_fits, metrics_rows=metrics_rows,
+            regressions=regressions, var_ratio=var_ratio, kurt_tail=kurt_tail,
+            kurt_curve=kurt_curve, tests=tests, load_report=prep.load_report.to_json(),
+            validation=prep.validation.to_json(), run_log=stages.run_log)
+        del prep, stages  # the panel is not part of the bundle
+        if write:
+            bundle.write(config.out_dir, started=finish)
     return bundle
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 import datetime as dt
 import os
 import signal
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -29,20 +30,40 @@ needs_helper = pytest.mark.skipif(not HELPER_RUNS,
                                   reason="the helper needs fork and a second CPU")
 
 
+@contextmanager
 def counting_answers(answered: list, kill_after: int | None = None):
-    """A _Helper.answer that appends to `answered` whether each call got
-    the helper's answer; with kill_after, the helper is killed with
-    SIGKILL when that many calls have been made."""
-    real_answer = helper_mod._Helper.answer
+    """Patch the answer methods of both helpers, in_order's _Helper and
+    in_any_order's _Taker, to append to `answered` whether each call got
+    the helper's answer; with kill_after, the helper is killed with SIGKILL
+    when that many calls have been made."""
 
-    def answer(helper, request):
-        if len(answered) == kill_after:
-            os.kill(helper.pid, signal.SIGKILL)
-        got = real_answer(helper, request)
-        answered.append(got is not helper_mod._PENDING)
-        return got
+    def counting(real_answer, none):
+        def answer(helper, *request):
+            if len(answered) == kill_after:
+                os.kill(helper.pid, signal.SIGKILL)
+            got = real_answer(helper, *request)
+            answered.append(got is not none)
+            return got
 
-    return mock.patch.object(helper_mod._Helper, "answer", answer)
+        return answer
+
+    with mock.patch.object(helper_mod._Helper, "answer",
+                           counting(helper_mod._Helper.answer, helper_mod._PENDING)), \
+            mock.patch.object(helper_mod._Taker, "answer",
+                              counting(helper_mod._Taker.answer, None)):
+        yield
+
+
+def started_takers(pids: list):
+    """Patch in_any_order's _Taker to append the pid of each helper it
+    forks to `pids`."""
+    real_init = helper_mod._Taker.__init__
+
+    def init(taker, *args):
+        real_init(taker, *args)
+        pids.append(taker.pid)
+
+    return mock.patch.object(helper_mod._Taker, "__init__", init)
 
 
 def one_cpu():

@@ -1,4 +1,5 @@
-"""The in-order queue with its forked helper (intradayvol.helper).
+"""The in-order queue and the any-order start with their forked helpers
+(intradayvol.helper).
 
 The autouse no_child_process_left fixture checks after each test that
 every helper was reaped.
@@ -8,16 +9,18 @@ from __future__ import annotations
 import errno
 import os
 import signal
+import select
+import time
 from contextlib import nullcontext
 from unittest import mock
 
 import pytest
 
-from conftest import counting_answers, needs_helper, one_cpu
+from conftest import counting_answers, needs_helper, one_cpu, started_takers
 from intradayvol import helper as helper_mod
 from intradayvol import panel as panel_mod
 from intradayvol.errors import DataError
-from intradayvol.helper import in_order
+from intradayvol.helper import in_any_order, in_order
 from intradayvol.panel import write_panel_csv
 from intradayvol.synth import GeneratorSpec, IntensitySpec, generate_panel
 
@@ -39,6 +42,16 @@ def _two_cpus():
 
 def _no_fork():
     return mock.patch.object(helper_mod._Helper, "__init__",
+                             side_effect=AssertionError("forked"))
+
+
+def _finished(items, fork=lambda: True) -> list:
+    with in_any_order(list(items), str, fork) as finish:
+        return finish()
+
+
+def _no_taker():
+    return mock.patch.object(helper_mod._Taker, "__init__",
                              side_effect=AssertionError("forked"))
 
 
@@ -160,3 +173,113 @@ def test_helper_gone_before_the_next_request(tmp_path):
     assert _panel_csv_bytes(tmp_path, mock.patch.object(helper_mod._Helper, "ask", ask)) \
         == want
     assert alive == [True, True, False]
+
+
+class _Logged:
+    """A work function that appends "pid item" to a file for each item,
+    from whichever process works on it, after `delay` seconds."""
+
+    def __init__(self, path, delay: float = 0.0):
+        self.path, self.delay = path, delay
+
+    def __call__(self, item):
+        time.sleep(self.delay)
+        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        try:
+            os.write(fd, f"{os.getpid()} {item}\n".encode())
+        finally:
+            os.close(fd)
+        return str(item)
+
+    def done(self) -> list[tuple[int, int]]:
+        """(pid, item) of each item worked on, in the order they were."""
+        if not self.path.exists():
+            return []
+        return [tuple(map(int, line.split())) for line in self.path.read_text().splitlines()]
+
+
+class TestInAnyOrder:
+    @helper_or_not
+    def test_every_item_once_and_the_results_in_order(self, tmp_path, helper):
+        work = _Logged(tmp_path / "log", delay=0.001)
+        answered, pids = [], []
+        with (nullcontext() if helper else one_cpu()), counting_answers(answered), \
+                started_takers(pids):
+            with in_any_order(list(range(200)), work, lambda: True) as finish:
+                time.sleep(0.05)  # the helper works meanwhile
+                got = finish()
+        assert got == [str(k) for k in range(200)]
+        done = work.done()
+        assert sorted(item for _, item in done) == list(range(200))
+        assert {pid for pid, _ in done} == {os.getpid(), *pids}
+        assert len(pids) == helper and any(answered) == helper
+
+    @needs_helper
+    def test_items_the_helper_took_and_did_not_answer_are_done_again(self, tmp_path):
+        parent = os.getpid()
+
+        def work(item):
+            if os.getpid() != parent and item == 5:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return logged(item)
+
+        logged = _Logged(tmp_path / "log")
+        answered, pids = [], []
+        with counting_answers(answered), started_takers(pids):
+            with in_any_order(list(range(50)), work, lambda: True) as finish:
+                time.sleep(0.05)  # the helper takes items 0-5 meanwhile
+                got = finish()
+        assert got == [str(k) for k in range(50)]
+        assert answered == [True] * 5 + [False]
+        done = logged.done()
+        assert done[:5] == [(pids[0], k) for k in range(5)]
+        assert sorted(item for _, item in done) == list(range(50))
+        assert (parent, 5) in done
+
+    def test_one_cpu_forks_no_helper(self):
+        with one_cpu(), _no_taker():
+            assert _finished(range(20)) == [str(k) for k in range(20)]
+
+    def test_small_job_forks_no_helper(self):
+        with _two_cpus(), _no_taker():
+            assert _finished(range(20), fork=lambda: False) == [str(k) for k in range(20)]
+
+    def test_items_past_the_pipe_forks_no_helper(self):
+        # their numbers would not all fit in the pipe before the fork
+        items = range(select.PIPE_BUF // helper_mod._NUMBER_BYTES + 1)
+        with _two_cpus(), _no_taker():
+            assert _finished(items) == list(map(str, items))
+
+    @needs_fork
+    def test_failed_fork_closes_its_pipes(self):
+        made, closed = [], []
+        real_pipe, real_close = os.pipe, os.close
+
+        def pipe():
+            fds = real_pipe()
+            made.extend(fds)
+            return fds
+
+        def close(fd):
+            closed.append(fd)
+            real_close(fd)
+
+        with _two_cpus(), mock.patch.object(os, "pipe", pipe), \
+                mock.patch.object(os, "close", close), \
+                mock.patch.object(os, "fork", side_effect=OSError(errno.EAGAIN, "no process")):
+            assert _finished(range(20)) == [str(k) for k in range(20)]
+        assert len(made) == 4 and sorted(closed) == sorted(made)
+
+    @helper_or_not
+    def test_error_before_finish_stops_the_helper(self, tmp_path, helper):
+        work = _Logged(tmp_path / "log", delay=0.02)
+        pids = []
+        with (nullcontext() if helper else one_cpu()), started_takers(pids), \
+                pytest.raises(OSError, match="disk full"):
+            with in_any_order(list(range(100)), work, lambda: True):
+                time.sleep(0.05)
+                raise OSError(errno.ENOSPC, "disk full")
+        done = work.done()
+        # the helper finished the item it held and took no more
+        assert {pid for pid, _ in done} <= set(pids) and len(pids) == helper
+        assert len(done) < 10 and [item for _, item in done] == list(range(len(done)))

@@ -5,6 +5,7 @@ import csv
 import datetime as dt
 import errno
 import io
+import json
 import subprocess
 import sys
 import tracemalloc
@@ -24,6 +25,7 @@ from intradayvol.errors import (
 )
 from intradayvol import helper as helper_mod
 from intradayvol import panel as panel_mod
+from intradayvol.cli import main
 from intradayvol.panel import (
     CANONICAL_COLUMNS,
     SESSION_MINUTES,
@@ -128,6 +130,30 @@ class TestLoader:
         panel, report = load_minute_bars(_write(tmp_path / "a.csv", text))
         assert report.n_skipped_by_reason() == {"out-of-session": 2}
         assert panel.volume[0, 0, 30] == 5
+
+    def test_skipped_rows_listed_up_to_the_cap(self, tmp_path, capsys):
+        # counts stay exact, and the report stops growing at the cap
+        cap = panel_mod.MAX_LISTED_SKIPS
+        path = tmp_path / "a.csv"
+        sizes = []
+        for n_off in (cap - 1, 2 * cap + 1, 6 * cap):
+            _write(path, HEADER + "A,2004-01-05,junk,1,10,10,10,10\n"
+                   + "A,2004-01-05,08:00,1,10,10,10,10\n" * n_off
+                   + "A,2004-01-05,10:00,5,10,10,10,10\n")
+            out = tmp_path / "out"
+            assert main(["ingest", str(path), "--out", str(out)]) == 0
+            assert f"loaded 1 rows ({n_off + 1} skipped)" in capsys.readouterr().out
+            panel, report = load_minute_bars(path)
+            assert panel.volume[0, 0, 30] == 5
+            assert report.n_skipped_by_reason() == {"malformed": 1, "out-of-session": n_off}
+            listed = min(n_off + 1, cap)
+            assert [(s.line, s.reason) for s in report.skipped] == \
+                [(2, "malformed")] + [(k, "out-of-session") for k in range(3, listed + 2)]
+            doc = json.loads((out / "load_report.json").read_bytes())
+            assert doc == report.to_json()
+            assert doc.get("rows_skipped_not_listed", 0) == n_off + 1 - listed
+            sizes.append(len((out / "load_report.json").read_bytes()))
+        assert sizes[2] - sizes[1] < 10  # the counts' digits
 
     def test_malformed_rows_skipped(self, tmp_path):
         # the last two rows give 2004-01-05 in the ISO basic and week

@@ -10,9 +10,11 @@ import json
 import math
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import threading
+import time
 import weakref
 from contextlib import nullcontext
 from pathlib import Path
@@ -21,7 +23,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from conftest import HELPER_RUNS, counting_answers, needs_helper, one_cpu
+from conftest import HELPER_RUNS, counting_answers, needs_helper, one_cpu, started_takers
 from intradayvol import metrics as metrics_mod
 from intradayvol import pipeline as pipeline_mod
 from intradayvol.cli import main
@@ -377,7 +379,8 @@ class TestRunPipeline:
         assert panel.daily_ohlc.tobytes() == full.daily_ohlc.tobytes()
 
     def test_panel_is_freed_before_the_write(self, tmp_path, base_config, monkeypatch):
-        # else the write's forked helper would map the whole volume array
+        # the write's helper forked while the panel was held, but this
+        # process frees it before it formats the rest of the bundle
         real_prepare, real_write = pipeline_mod.prepare_panel, pipeline_mod.ReportBundle.write
         panels, alive = [], []
 
@@ -386,9 +389,9 @@ class TestRunPipeline:
             panels.append(weakref.ref(prep.panel))
             return prep
 
-        def write(bundle, out_dir):
+        def write(bundle, out_dir, **started):
             alive.append(panels[0]() is not None)
-            return real_write(bundle, out_dir)
+            return real_write(bundle, out_dir, **started)
 
         monkeypatch.setattr(pipeline_mod, "prepare_panel", prepare_panel)
         monkeypatch.setattr(pipeline_mod.ReportBundle, "write", write)
@@ -801,14 +804,27 @@ class TestBundleHelper:
             assert sorted(p.name for p in out.iterdir() if p.is_dir()) == [
                 "profiles", "xsection"]
 
-    def test_bundle_is_whole_when_the_helper_dies(self, tmp_path, report):
+    def test_bundle_is_whole_when_the_helper_dies(self, tmp_path, report, monkeypatch):
+        # the helper dies after its third answer, holding its fourth job;
+        # this process, slowed so that the helper takes them, does that job
+        # again
         bundle, _ = report
+        parent, real_job, taken = os.getpid(), pipeline_mod._write_job, []
+
+        def write_job(staging, job):
+            if os.getpid() == parent:
+                time.sleep(0.01)
+            elif len(taken) == 3:
+                os.kill(os.getpid(), signal.SIGKILL)
+            taken.append(job)  # the helper's own copy of the list
+            return real_job(staging, job)
+
+        monkeypatch.setattr(pipeline_mod, "_write_job", write_job)
         answered = []
-        with counting_answers(answered, kill_after=3):
+        with counting_answers(answered):
             out = bundle.write(tmp_path / "report")
         if HELPER_RUNS:
-            assert answered[:3] == [True] * 3
-            assert not any(answered[5:])  # at most the answers in the pipe when it died
+            assert answered == [True] * 3 + [False]
         on_disk = self._written(out)
         on_disk.pop("manifest.json")
         assert on_disk == bundle.files()
@@ -825,13 +841,41 @@ class TestBundleHelper:
                 raise OSError(errno.ENOSPC, "No space left on device")
             return real_write(path, data)
 
-        answered = []
-        with mock.patch.object(Path, "write_bytes", write_bytes), \
-                counting_answers(answered), pytest.raises(OSError, match="No space left"):
+        # fig3 is a job of this process, which fails before it gathers the
+        # helper's answers
+        helpers = []
+        with mock.patch.object(Path, "write_bytes", write_bytes), started_takers(helpers), \
+                pytest.raises(OSError, match="No space left"):
             bundle.write(out)
-        assert any(answered) == HELPER_RUNS
+        assert len(helpers) == HELPER_RUNS
         assert _tree(out) == before
         assert [p.name for p in tmp_path.iterdir()] == ["report"]
+
+    def test_stage_error_after_the_helper_started(self, tmp_path, report, monkeypatch):
+        # a bug in a later stage surfaces; the started write leaves the
+        # previous bundle and no staging directory
+        bundle, _ = report
+        out = bundle.write(tmp_path / "report")
+        before = _tree(out)
+
+        def semester_fits(*args):
+            raise RuntimeError("stage bug")
+
+        monkeypatch.setattr(pipeline_mod.Stages, "semester_fits", semester_fits)
+        config = PipelineConfig.from_json(bundle.config.to_json())
+        config.out_dir = str(out)
+        helpers = []
+        with started_takers(helpers), pytest.raises(RuntimeError, match="stage bug"):
+            run_pipeline(config)
+        assert len(helpers) == HELPER_RUNS
+        assert _tree(out) == before
+        assert [p.name for p in tmp_path.iterdir()] == ["report"]
+
+    def test_unwritten_bundle_writes_the_report_tree(self, tmp_path, report, base_config):
+        # a write started and finished with nothing between gives the tree
+        # of one that overlapped the later stages
+        out = run_pipeline(base_config, write=False).write(tmp_path / "report")
+        assert self._written(out) == self._written(report[1])
 
     def test_no_file_or_pipe_left_open_in_either_process(self, tmp_path, report,
                                                           base_config):
