@@ -13,23 +13,19 @@ from contextlib import contextmanager
 from importlib import import_module
 from pathlib import Path
 
+from . import csvtext
 from .config import PipelineConfig, dump_json, json_fields, read_json
+from .csvtext import TIME_FORMATS, parse_date
 from .errors import DataError, NumericalError
-# `ingest` loads through load_minute_bars here and `report` through
-# pipeline's; validate_panel is not called here. perfbench/spans.py wraps
-# these names in this module to time the CLI's layers.
-from .panel import (  # noqa: F401
-    TIME_FORMATS,
-    load_minute_bars,
-    parse_date,
-    validate_panel,
-    write_panel_csv,
-)
 
-#: the analysis names the commands call -> their module. A command's
-#: modules are imported, and their names bound here, only when it runs
-#: (`_bind`); an attribute lookup from outside binds one on first use.
+#: the names the commands call from modules that import numpy -> their
+#: module. A command's modules are imported, and their names bound here,
+#: only when it runs (`_bind`); an attribute lookup from outside binds one
+#: on first use. `ingest` loads through load_minute_bars here and `report`
+#: through pipeline's; validate_panel is not called here. perfbench/spans.py
+#: wraps the panel names in this module to time the CLI's layers.
 _LAZY = {
+    **dict.fromkeys(("load_minute_bars", "validate_panel", "write_panel_csv"), "panel"),
     **dict.fromkeys(("cumulants_over_companies", "cumulants_over_days",
                      "profile_csv_bytes", "profile_metadata"), "cumulants"),
     "shape_functionals": "fits",
@@ -55,6 +51,18 @@ def _bind(modules) -> None:
     for name, module in _LAZY.items():
         if module in modules and name not in globals():
             __getattr__(name)
+
+
+def _start_parse(args) -> None:
+    """Start parsing the input of a command that reads one (see
+    csvtext.start) before the command's modules are imported. A config or
+    path error starts nothing: the command raises it in its turn."""
+    if "input" not in args:
+        return
+    try:
+        csvtext.start(**_config_from_args(args).load_options())
+    except DataError:
+        pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -347,7 +355,7 @@ def _build_parser() -> _Parser:
             p.add_argument("input", nargs="*", help="CSV files or directories")
         return p
 
-    add("ingest", _cmd_ingest, "load CSVs and write the canonical panel", ())
+    add("ingest", _cmd_ingest, "load CSVs and write the canonical panel", ("panel",))
 
     p = add("validate", _cmd_validate, "coverage report per (ticker, semester)",
             ("pipeline",))
@@ -384,7 +392,8 @@ def _build_parser() -> _Parser:
     add("xsection", _cmd_xsection, "cross-sectional profiles, variance ratio, kurtosis tail",
         ("cumulants", "pipeline"))
 
-    p = add("synth", _cmd_synth, "generate a synthetic panel", ("synth",), inputs=False)
+    p = add("synth", _cmd_synth, "generate a synthetic panel", ("panel", "synth"),
+            inputs=False)
     p.add_argument("--spec", help="generator spec JSON")
     p.add_argument("--companies", type=int, default=30)
     p.add_argument("--days", type=int, default=126)
@@ -418,12 +427,17 @@ def main(argv=None) -> int:
     gc.freeze() moves it to the permanent generation: the collections run
     at interpreter exit and in the forked helpers then skip it. It is
     called again once the command's modules are imported, so their heap is
-    frozen too. A caller that passes argv keeps its heap collectable."""
+    frozen too. A caller that passes argv keeps its heap collectable.
+
+    A command that reads input starts its parse before its modules, numpy
+    among them, are imported (_start_parse); the load takes the parse
+    over, and one that no load took is stopped here on every exit."""
     if argv is None:
         gc.freeze()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        _start_parse(args)
         _bind(args.modules)
         if argv is None:
             gc.freeze()
@@ -436,6 +450,8 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    finally:
+        csvtext.stop()
 
 
 if __name__ == "__main__":

@@ -1,20 +1,20 @@
 """The pipeline's configuration and the JSON encoding of its files.
 
 `PipelineConfig` checks itself when it is built, so a bad config file or
-flag fails before any input is read. This module imports only `panel` and
-`errors`: the commands that analyse nothing, such as `ingest`, validate
-their config without loading the analysis modules.
+flag fails before any input is read. This module imports only `csvtext`
+and `errors`, and no numpy: the CLI builds the config of a command that
+reads input, and starts parsing it, before numpy and the analysis modules
+are imported.
 """
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 
-import numpy as np
-
+from .csvtext import check_load_options, parse_date
 from .errors import DataError
-from .panel import check_load_options, parse_date
 
 # The interpreter's built-in SHA-256, as random.py takes _sha512: hashlib
 # loads OpenSSL's libcrypto, about 3.5 MB resident, for these few digests.
@@ -36,17 +36,19 @@ WINDOW_FIELDS = ("opening_window", "closing_window", "kurtosis_morning_window",
 
 def _jsonify(obj):
     """Recursively make an object JSON-clean: non-finite floats -> None,
-    and an object with a to_json method -> its to_json()."""
+    and an object with a to_json method -> its to_json(). Numpy values are
+    tested for only once numpy is imported: before that there are none."""
     if isinstance(obj, dict):
         return {str(k): _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
+    np = sys.modules.get("numpy")
+    if isinstance(obj, float) or np is not None and isinstance(obj, np.floating):
         x = float(obj)
         return x if math.isfinite(x) else None
-    if isinstance(obj, (np.integer,)):
+    if np is not None and isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, np.ndarray):
+    if np is not None and isinstance(obj, np.ndarray):
         return [_jsonify(v) for v in obj.tolist()]
     if hasattr(obj, "to_json"):
         return _jsonify(obj.to_json())

@@ -3,9 +3,21 @@ writer share, with the results and errors of one process.
 
 `in_order`, which the loader and the canonical writer call, hands out
 (item, work(item)) for each item in order, while a forked copy of the
-process works on a share of them. `in_any_order`, which the bundle writer
-calls, starts a forked copy on the items at once and lets the caller run
-other work before it joins in; the results come back in item order.
+process works on a share of them. `start` forks such a helper ahead of
+its `in_order`, already asked for the first _HEAD items, so that it works
+while its parent does something else: a command that reads input starts
+the load's helper before it imports numpy. `in_any_order`, which the
+bundle writer calls, starts a forked copy on the items at once and lets
+the caller run other work before it joins in; the results come back in
+item order.
+
+Where /proc tells a thread's CPU and CPU mask, the fork pins the forking
+thread to the CPU it runs on and the helper to the other CPUs of the mask:
+left to the scheduler, a child that computes without talking to its
+parent often runs on the parent's CPU, and the two take turns. Reaping the
+helper gives every thread of the process the mask from before again, since
+threads started meanwhile inherit the pinned one. (numpy imported
+meanwhile starts none: OpenBLAS sizes its pool from the pinned mask.)
 """
 from __future__ import annotations
 
@@ -31,6 +43,13 @@ _PIPE_BYTES = 1 << 20
 #: answer for the oldest is not back, this process works on later items
 #: itself.
 _AHEAD = 6
+
+#: items a helper that `start` forks is asked for at once. For the load
+#: that is 32 blocks of about 100 KB, which a fresh helper parsed at
+#: 2-3.5 ms each on a 2-vCPU VM, so it is done about when its parent has
+#: imported numpy and the analysis modules (100-150 ms); the answers that
+#: do not fit in the pipe wait in the helper's memory, about 55 KB each.
+_HEAD = 32
 
 #: bytes of an item number in in_any_order's pipe
 _NUMBER_BYTES = 4
@@ -77,11 +96,56 @@ def _answer_pipe() -> tuple[int, int]:
     return read, write
 
 
-def _fork(child: Callable[[], None], own: tuple[int, ...], theirs: tuple[int, ...]) -> int:
-    """The pid of a forked process that closes `own`, this process's ends
-    of their pipes, runs child() and exits, with status 0 if it returned;
-    this process closes `theirs`, the child's ends. Where the fork raises
-    OSError, both are closed."""
+def _cpu_list(text: str) -> set[int]:
+    """The CPUs of a list such as 0-3,8."""
+    cpus = set()
+    for part in text.split(","):
+        first, _, last = part.partition("-")
+        cpus.update(range(int(first), int(last or first) + 1))
+    return cpus
+
+
+def _placement() -> tuple[int, set[int]] | None:
+    """The CPU this thread runs on and its CPU mask, as /proc gives them;
+    None where /proc cannot be read or the mask holds no other CPU."""
+    try:
+        with open("/proc/thread-self/stat") as fh:
+            cpu = int(fh.read().rpartition(")")[2].split()[36])  # field 39, processor
+        with open("/proc/thread-self/status") as fh:
+            mask = next(_cpu_list(line.split(":", 1)[1].strip()) for line in fh
+                        if line.startswith("Cpus_allowed_list:"))
+    except (OSError, ValueError, IndexError, StopIteration):
+        return None
+    return (cpu, mask) if cpu in mask and len(mask) >= 2 else None
+
+
+def _unpin(mask: set[int] | None) -> None:
+    """Give every thread of the process the CPU mask from before a fork
+    pinned the forking thread (see _fork); nothing for None."""
+    if mask is None:
+        return
+    try:
+        threads = [int(tid) for tid in os.listdir("/proc/self/task")]
+    except OSError:
+        threads = [0]  # this thread at least
+    for tid in threads:
+        try:
+            os.sched_setaffinity(tid, mask)
+        except OSError:
+            pass  # the thread has exited
+
+
+def _fork(child: Callable[[], None], own: tuple[int, ...],
+          theirs: tuple[int, ...]) -> tuple[int, set[int] | None]:
+    """(pid, mask) of a forked process that closes `own`, this process's
+    ends of their pipes, runs child() and exits, with status 0 if it
+    returned; this process closes `theirs`, the child's ends. Where the
+    fork raises OSError, both are closed.
+
+    Where _placement tells them, the child runs on the other CPUs of this
+    thread's mask and this thread on its current CPU; mask is the mask
+    from before, for _unpin once the child is reaped, or None."""
+    placement = _placement()
     try:
         pid = os.fork()
     except OSError:
@@ -93,13 +157,34 @@ def _fork(child: Callable[[], None], own: tuple[int, ...], theirs: tuple[int, ..
         try:
             for fd in own:
                 os.close(fd)
+            if placement is not None:
+                cpu, mask = placement
+                try:
+                    os.sched_setaffinity(0, mask - {cpu})
+                except OSError:
+                    pass  # the CPU set has changed: the scheduler's choice
             child()
             code = 0
         finally:
             os._exit(code)
     for fd in theirs:
         os.close(fd)
-    return pid
+    if placement is None:
+        return pid, None
+    cpu, mask = placement
+    try:
+        os.sched_setaffinity(0, {cpu})
+    except OSError:
+        return pid, None
+    return pid, mask
+
+
+def _reap(pid: int, mask: set[int] | None) -> None:
+    """Wait for a helper that _fork started, and unpin its parent."""
+    try:
+        os.waitpid(pid, 0)
+    finally:
+        _unpin(mask)
 
 
 def _started(start: Callable[[], _T], fork: Callable[[], bool]) -> _T | None:
@@ -133,6 +218,36 @@ def _answers(items: Iterable, work: Callable, fd: int) -> Iterator:
         yield work(item)
 
 
+def _deliver(answers: Iterator, fd: int, requests: int) -> None:
+    """Write each of answers to the pipe fd as _send does, without waiting
+    for room in the pipe while a request waits in the pipe `requests`: the
+    answers that do not fit wait in this process, which works on."""
+    os.set_blocking(fd, False)
+    room = select.poll()
+    room.register(fd, select.POLLOUT)
+    waiting = select.poll()
+    waiting.register(requests, select.POLLIN)
+    backlog = bytearray()
+    for answer in answers:
+        data = pickle.dumps(answer, pickle.HIGHEST_PROTOCOL)
+        backlog += len(data).to_bytes(8, "little") + data
+        _write(fd, backlog, room, lambda: waiting.poll(0))
+    _write(fd, backlog, room, lambda: False)
+
+
+def _write(fd: int, backlog: bytearray, room, stop: Callable[[], bool]) -> None:
+    """Write backlog to the non-blocking pipe fd, deleting what is written,
+    until it is empty, or until the pipe is full and stop() is true; room
+    polls the pipe for room."""
+    while backlog:
+        try:
+            del backlog[:os.write(fd, backlog)]
+        except BlockingIOError:
+            if stop():
+                return
+            room.poll()
+
+
 class _Helper:
     """A forked process that works on a share of its parent's items: asked
     for the item at a position, it sends back work(item).
@@ -141,23 +256,29 @@ class _Helper:
     shares its parent's memory as it was at the fork, so a request is just
     a position and only the answers are large. The child takes the items
     from its own copy of `items`, which the parent must not have started
-    before the fork. The helper exits when its request pipe closes, when
-    the items end, or when it writes an answer that no one will read.
+    before the fork. It is asked for the first `head` positions at once,
+    and while it has a request to work on, the answers that do not fit in
+    the pipe wait in its memory. The helper exits when its request pipe
+    closes, when the items end, or when it writes an answer that no one
+    will read.
     """
 
-    def __init__(self, items: Iterable, work: Callable):
+    def __init__(self, items: Iterable, work: Callable, head: int = 0):
         requests, self.requests = os.pipe()
         self.answers, answers = _answer_pipe()
 
         def serve() -> None:
-            for answer in _answers(items, work, requests):
-                _send(answers, answer)
+            _deliver(_answers(items, work, requests), answers, requests)
 
-        self.pid = _fork(serve, (self.requests, self.answers), (requests, answers))
+        self.pid, self.mask = _fork(serve, (self.requests, self.answers),
+                                    (requests, answers))
         self.asked: deque = deque()  # requests not yet answered, oldest first
         self.alive = True
+        self.head = head
         self.poll = select.poll()
         self.poll.register(self.answers, select.POLLIN)
+        for position in range(head):
+            self.ask(position)
 
     def ask(self, request) -> None:
         try:
@@ -191,12 +312,20 @@ class _Helper:
         its next answer fail."""
         self.stop()
         os.close(self.answers)
-        os.waitpid(self.pid, 0)
+        _reap(self.pid, self.mask)
+
+
+def start(items: Iterable, work: Callable, fork: Callable[[], bool]) -> _Helper | None:
+    """A helper forked on items where in_order would fork one, already
+    asked for the items at the first _HEAD positions, for an in_order on
+    the same items and work to take over, or for its close(); None where
+    none is forked."""
+    return _started(lambda: _Helper(items, work, _HEAD), fork)
 
 
 @contextmanager
-def in_order(items: Iterable, work: Callable,
-             fork: Callable[[], bool]) -> Iterator[Iterator[tuple]]:
+def in_order(items: Iterable, work: Callable, fork: Callable[[], bool],
+             helper: _Helper | None = None) -> Iterator[Iterator[tuple]]:
     """An iterator of (item, work(item)) for each of items, in order.
 
     A helper is forked where os.fork exists, the process may run on two or
@@ -208,8 +337,13 @@ def in_order(items: Iterable, work: Callable,
     exited; it is stopped and reaped on exit. An error reading the items
     (a file that cannot be opened, decoded or has no usable header) is
     raised once the items before it are handed out.
+
+    A helper that start forked on the same items and work may be passed
+    instead: this process never works on the positions it was asked for
+    at its start, and from there on shares the items as above.
     """
-    helper = _started(lambda: _Helper(items, work), fork)
+    if helper is None:
+        helper = _started(lambda: _Helper(items, work), fork)
     try:
         yield _queue(helper, items, work)
     finally:
@@ -237,13 +371,15 @@ def _queue(helper: _Helper | None, items: Iterable, work: Callable) -> Iterator[
     while True:
         while (helper is not None and helper.alive and len(helper.asked) < _HELPER_DEPTH
                and (taken := take())):
-            helper.ask(taken[0])
+            if taken[0] >= helper.head:  # not asked at its start
+                helper.ask(taken[0])
             queue.append((*taken, _PENDING))
         # the oldest answer, or the helper's exit, not yet readable
         if not queue or (queue[0][2] is _PENDING and len(queue) < _AHEAD
                          and not helper.poll.poll(0)):
             if taken := take():
-                queue.append((*taken, work(taken[1])))
+                asked = helper is not None and helper.alive and taken[0] < helper.head
+                queue.append((*taken, _PENDING if asked else work(taken[1])))
                 continue
             if not queue:
                 if failed is not None:
@@ -278,7 +414,7 @@ class _Taker:
             while (number := _take(numbers)) is not None:
                 _send(answers, (number, work(items[number])))
 
-        self.pid = _fork(serve, (self.answers,), (answers,))
+        self.pid, self.mask = _fork(serve, (self.answers,), (answers,))
 
     def answer(self) -> tuple | None:
         """The helper's next (number, work(item)); None once it has exited."""
@@ -291,7 +427,7 @@ class _Taker:
         """Reap the helper: it has taken its last number, or its next
         answer fails."""
         os.close(self.answers)
-        os.waitpid(self.pid, 0)
+        _reap(self.pid, self.mask)
 
 
 @contextmanager

@@ -15,46 +15,45 @@ import datetime as dt
 import io
 import locale
 import math
-import re
+from array import array
 from bisect import bisect_left, bisect_right
 from contextlib import closing
 from dataclasses import dataclass, field
 from itertools import chain, groupby, islice
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from . import csvtext
+# the input's text side; its public names (DEFAULT_SCHEMA, SESSION_OPEN,
+# TIME_FORMATS, check_load_options, parse_date) stay importable from here
+from .csvtext import (  # noqa: F401
+    DEFAULT_SCHEMA,
+    SESSION_OPEN,
+    TIME_FORMATS,
+    _VALUE_FIELDS,
+    _Block,
+    _Input,
+    _parse,
+    _parse_columns,
+    _parse_minute,
+    _Parsed,
+    check_load_options,
+    parse_date,
+)
 from .errors import (
     DataError,
     DuplicateCell,
     ExcludedPair,
-    MissingColumn,
     OverlappingRanges,
     UncoveredDate,
 )
 from .helper import in_order
 
 SESSION_MINUTES = 391
-SESSION_OPEN = 9 * 60 + 30  # 09:30 as minutes past midnight
-
-#: canonical field -> default column name
-DEFAULT_SCHEMA = {
-    "ticker": "ticker",
-    "date": "date",
-    "time": "minute",
-    "volume": "volume",
-    "open": "open",
-    "high": "high",
-    "low": "low",
-    "close": "close",
-}
 
 CANONICAL_COLUMNS = ["ticker", "date", "minute", "volume", "open", "high", "low", "close"]
-
-#: the time column formats: HH:MM clock times, minute indices, or either
-#: told apart by a colon
-TIME_FORMATS = ("auto", "clock", "index")
 
 
 @dataclass(frozen=True)
@@ -109,12 +108,23 @@ class LoadReport:
     skipped: list[SkippedRow] = field(default_factory=list)
     by_reason: dict[str, int] = field(default_factory=dict)
 
-    def skip(self, source: str, line: int, reason: str) -> None:
-        """Count a skipped row, and list it while fewer than
-        MAX_LISTED_SKIPS are listed."""
-        self.by_reason[reason] = self.by_reason.get(reason, 0) + 1
-        if len(self.skipped) < MAX_LISTED_SKIPS:
-            self.skipped.append(SkippedRow(source, line, reason))
+    def skip(self, source: str, lines: np.ndarray, off_session: np.ndarray) -> None:
+        """Count the skipped rows at lines of source, in increasing order:
+        out-of-session where off_session is set, malformed elsewhere. List
+        them while fewer than MAX_LISTED_SKIPS are listed."""
+        if not len(lines):
+            return
+        n_off = int(np.count_nonzero(off_session))
+        counts = {"out-of-session": n_off, "malformed": len(lines) - n_off}
+        # by_reason holds the reasons in the order they first occur
+        order = reversed(counts) if not off_session[0] else counts
+        for reason in order:
+            if counts[reason]:
+                self.by_reason[reason] = self.by_reason.get(reason, 0) + counts[reason]
+        room = MAX_LISTED_SKIPS - len(self.skipped)
+        self.skipped += [SkippedRow(source, line, "out-of-session" if off else "malformed")
+                         for line, off in zip(lines[:room].tolist(),
+                                              off_session[:room].tolist())]
 
     @property
     def n_skipped(self) -> int:
@@ -217,7 +227,6 @@ class MinutePanel:
         return np.isfinite(self.volume)
 
 
-_VALUE_FIELDS = ("volume", "open", "high", "low", "close")
 _PRICE_FIELDS = _VALUE_FIELDS[1:]
 
 
@@ -367,60 +376,8 @@ class _Slabs:
         return MinutePanel(companies, panel_days, *arrays, daily_ohlc=ohlc)
 
 
-def _parse_minute(value: str, time_format: str) -> int:
-    value = value.strip()
-    fmt = time_format
-    if fmt == "auto":
-        fmt = "clock" if ":" in value else "index"
-    if fmt == "clock":
-        parts = value.split(":")
-        if len(parts) == 3 and parts[2] == "00":
-            parts = parts[:2]
-        if len(parts) != 2:
-            raise ValueError(f"bad clock time {value!r}")
-        hh, mm = int(parts[0]), int(parts[1])
-        if not (0 <= hh < 24 and 0 <= mm < 60):
-            raise ValueError(f"bad clock time {value!r}")
-        return hh * 60 + mm - SESSION_OPEN
-    return int(value)
-
-
-_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
-
-
-def parse_date(text: str) -> dt.date:
-    """The date of a YYYY-MM-DD string; ValueError for any other text.
-    date.fromisoformat alone also takes the ISO basic (20040105) and week
-    (2004-W02-1) forms, from Python 3.11 on."""
-    if not _ISO_DATE.fullmatch(text):
-        raise ValueError(f"{text!r} is not a YYYY-MM-DD date")
-    return dt.date.fromisoformat(text)
-
-
-def _csv_paths(path) -> list[Path]:
-    p = Path(path)
-    if p.is_dir():
-        found = sorted(q for q in p.iterdir() if q.suffix.lower() == ".csv")
-        if not found:
-            raise DataError(f"no .csv files under {p}")
-        return found
-    if not p.exists():
-        raise DataError(f"input path {p} does not exist")
-    return [p]
-
-
-#: characters read per text block (then cut after the block's last line
-#: feed). The loader holds the text and arrays of a few blocks at a time
-#: (see helper.in_order), so this bounds its transient memory.
-_BLOCK_CHARS = 100_000
-
 #: csv records parsed per block on the csv-module path.
 _BLOCK_ROWS = 1024
-
-#: inputs of at least this many bytes, all files together, are parsed on
-#: two processes where fork and a second CPU are available (see
-#: helper.in_order); on smaller ones the fork costs more than it saves.
-_HELPER_MIN_BYTES = 1_000_000
 
 # Minute codes of rows that do not give a session minute.
 _BAD_TIME = -2       # the time field is missing or does not parse
@@ -439,211 +396,12 @@ class _Memo(dict):
         return code
 
 
-def _floats(column: Sequence[str]) -> np.ndarray:
-    """float() of each string, NaN where float() raises. NaN fails every
-    MinuteBar value rule, so a bad float makes its row malformed."""
-    try:
-        return np.fromiter(map(float, column), float, len(column))
-    except ValueError:
-        out = np.full(len(column), np.nan)
-        for k, s in enumerate(column):
-            try:
-                out[k] = float(s)
-            except ValueError:
-                pass
-        return out
-
-
-def _memo_floats(columns: Sequence[Sequence[str]]) -> list[np.ndarray]:
-    """_floats of each column, parsing each distinct string of all the
-    columns once: on bar data most prices repeat a neighbouring one."""
-    strings = list(chain.from_iterable(columns))
-    distinct = list(dict.fromkeys(strings))
-    memo = dict(zip(distinct, _floats(distinct).tolist()))
-    parsed = np.fromiter(map(memo.__getitem__, strings), float, len(strings))
-    return list(parsed.reshape(len(columns), -1))
-
-
-def _distinct(column: Sequence[str]) -> tuple[list[str], np.ndarray]:
-    """The distinct strings of a column in first-seen order, and the
-    position of each entry's string among them."""
-    position = {s: k for k, s in enumerate(dict.fromkeys(column))}
-    return list(position), np.fromiter(map(position.__getitem__, column), np.int32,
-                                       len(column))
-
-
-def _split_block(text: str, width: int) -> list[list[str]] | None:
-    """The columns of a block of whole lines, each line a record of
-    `width` comma-separated fields, or None unless every record is one
-    where csv.reader gives exactly str.split(","): no quote, no NUL, no
-    lone CR, no blank or ragged line and no field over the csv field
-    size limit."""
-    if '"' in text or "\0" in text:
-        return None
-    n = text.count("\n")
-    crlf = False
-    if "\r" in text:
-        cr = text.count("\r")
-        crlf = cr == n  # as many CRs as line ends: the canonical writer's CR LF
-        if not crlf:
-            if cr != text.count("\r\n"):
-                return None
-            text = text.replace("\r\n", "\n")
-    # a record separator token after every record: it falls every
-    # width + 1 tokens exactly when each record has `width` fields
-    tokens = text.replace("\n", ",\n,").split(",")
-    ended = text.endswith("\n")
-    if ended:
-        del tokens[-2:]  # the last line end and the empty token after it
-    else:
-        n += 1
-    stride = width + 1
-    if len(tokens) != n * stride - 1 or tokens[width::stride].count("\n") != n - 1:
-        return None
-    limit = csv.field_size_limit()
-    if len(text) > limit and max(map(len, tokens)) > limit:
-        return None
-    columns = [tokens[k::stride] for k in range(width)]
-    if crlf:
-        # each CR must end the last field of a record that has a line end
-        last = columns[-1] if ended else columns[-1][:-1]
-        kept = [s[:-1] for s in last if s.endswith("\r")]
-        if len(kept) != len(last):
-            return None
-        columns[-1] = kept if ended else kept + columns[-1][-1:]
-    return columns
-
-
 def _valid_values(vol, o, h, lo, c) -> np.ndarray:
     """MinuteBar.__post_init__'s value rules, row-wise."""
     ok = np.isfinite(vol) & (vol >= 0) & (np.floor(vol) == vol)
     for p in (o, h, lo, c):
         ok &= np.isfinite(p) & (p > 0)
     return ok & (lo <= np.minimum(o, c)) & (h >= np.maximum(o, c)) & (lo <= h)
-
-
-@dataclass(frozen=True)
-class _Layout:
-    """Column positions of one file."""
-
-    time: int
-    date: int
-    ticker: int | None
-    values: tuple[int, ...]   # volume, open, high, low, close
-    file_ticker: str
-
-    @property
-    def width(self) -> int:
-        """Fields a row needs for every column to be present."""
-        return 1 + max(self.time, self.date, *self.values,
-                       -1 if self.ticker is None else self.ticker)
-
-    @property
-    def keys(self) -> tuple[int, ...]:
-        """The time, date and (if the file has one) ticker columns."""
-        return (self.time, self.date) + (() if self.ticker is None else (self.ticker,))
-
-    @staticmethod
-    def from_header(p: Path, header: list[str], schema: Mapping[str, str]) -> "_Layout":
-        if header and header[0].startswith("\ufeff"):
-            header = [header[0][1:], *header[1:]]  # a UTF-8 byte-order mark
-        header = [h.strip() for h in header]
-        col = {}
-        for fld in ("date", "time", *_VALUE_FIELDS):
-            name = schema[fld]
-            if name not in header:
-                # the default time column has a common alternate spelling
-                if fld == "time" and "time" in header:
-                    col[fld] = header.index("time")
-                    continue
-                raise MissingColumn(f"{p}: column {name!r} (for {fld}) not in header")
-            col[fld] = header.index(name)
-        ticker_col = header.index(schema["ticker"]) if schema["ticker"] in header else None
-        return _Layout(col["time"], col["date"], ticker_col,
-                       tuple(col[f] for f in _VALUE_FIELDS), p.stem)
-
-
-class _Parsed(NamedTuple):
-    """A block's records as arrays, ready to be checked and kept."""
-
-    keys: list[tuple[list[str], np.ndarray]]  # _distinct of each _Layout.keys column
-    values: list[np.ndarray]                  # volume, open, high, low, close
-    blank: list[int]                          # records of empty or all-space fields
-
-
-def _parse_columns(columns: Sequence[Sequence[str]], layout: _Layout,
-                   record: Callable[[int], Sequence[str]]) -> _Parsed:
-    """The block whose record k has the fields record(k), and whose
-    columns hold at least layout.width fields of each record."""
-    keys = [_distinct(columns[k]) for k in layout.keys]
-    volume, *prices = layout.values
-    values = [_floats(columns[volume]), *_memo_floats([columns[k] for k in prices])]
-    # a blank record has a blank time field
-    times, position = keys[0]
-    spaces = [k for k, s in enumerate(times) if not s.strip()]
-    blank = []
-    if spaces:
-        blank = [k for k in np.flatnonzero(np.isin(position, spaces)).tolist()
-                 if not any(f.strip() for f in record(k))]
-    return _Parsed(keys, values, blank)
-
-
-class _Input:
-    """One input file, its columns read from its header row. Once
-    _split_block declines a block of the file, declined is set: csv.reader
-    reads that block and the rest of the file."""
-
-    def __init__(self, path: Path, header: list[str], schema: Mapping[str, str]):
-        self.source = str(path)
-        self.layout = _Layout.from_header(path, header, schema)
-        self.fields = len(header)
-        self.declined = False
-
-
-class _Block(NamedTuple):
-    """Whole lines of a file's text, the last of it if last is set."""
-
-    input: _Input
-    text: str
-    last: bool
-
-
-def _file_blocks(paths: Sequence[Path], schema: Mapping[str, str]) -> Iterator[_Block]:
-    """The text of each file past its header row, in file order, as
-    blocks of whole lines: _BLOCK_CHARS characters are read at a time and
-    cut after the last line feed, or at the end of the file, where the
-    block is the file's last (and may be empty); any other block that
-    holds no line feed is empty. A file is opened when its first block is
-    read. The loader and its helper each read the files through this,
-    because a forked child shares the file offsets of its parent's open
-    files."""
-    for path in paths:
-        with open(path, newline="") as fh:
-            try:
-                header = next(csv.reader(fh))
-            except StopIteration:
-                raise DataError(f"{path}: empty file (header row required)") from None
-            inp = _Input(path, header, schema)
-            tail = ""
-            while True:
-                text = tail + fh.read(_BLOCK_CHARS)
-                if len(text) - len(tail) < _BLOCK_CHARS:  # read() falls short only at the end
-                    yield _Block(inp, text, True)
-                    break
-                cut = text.rfind("\n") + 1
-                text, tail = text[:cut], text[cut:]
-                yield _Block(inp, text, False)
-
-
-def _parse(block: _Block) -> _Parsed | None:
-    """The block's records, or None if csv.reader must read it: it is the
-    first block of its file that _split_block declines, or a later one."""
-    inp = block.input
-    columns = None if inp.declined else _split_block(block.text, inp.fields)
-    if columns is None:
-        inp.declined = True
-        return None
-    return _parse_columns(columns, inp.layout, lambda k: [c[k] for c in columns])
 
 
 def _tail(block: _Block, later: Iterator[tuple[_Block, object]]) -> Iterator[io.StringIO]:
@@ -663,10 +421,12 @@ def _tail(block: _Block, later: Iterator[tuple[_Block, object]]) -> Iterator[io.
 class _ColumnLoader:
     """A load's kept rows, scattered block by block into a panel's slabs.
 
-    Each file is read in text blocks of whole lines (see _file_blocks). A
-    block of plain records (see _split_block) is split into columns with
-    str.split; the first block that is not, and the rest of its file, go
-    through csv.reader instead. Tickers and days are interned to integer
+    Each file is read in text blocks of whole lines (see
+    csvtext._file_blocks). A block of plain records (see
+    csvtext._split_block) is split into columns with str.split; the first
+    block that is not, and the rest of its file, go through csv.reader
+    instead. The parse gives array.array buffers, which are wrapped here
+    with np.frombuffer. Tickers and days are interned to integer
     codes in first-seen order, each distinct time, date and ticker string
     is parsed once, and each distinct price string once per block. Every
     row that fails a rule is skipped and counted, by line number (record
@@ -702,9 +462,11 @@ class _ColumnLoader:
 
     def load(self, paths: Sequence[Path], schema: Mapping[str, str]) -> None:
         self.report.files = [str(p) for p in paths]
-        blocks = _file_blocks(paths, schema)
-        with closing(blocks), in_order(blocks, _parse, lambda: sum(
-                p.stat().st_size for p in paths) >= _HELPER_MIN_BYTES) as parsed:
+        # the parse that the command started on these files, if any
+        blocks, helper = (csvtext.take(paths, schema)
+                          or (csvtext._file_blocks(paths, schema), None))
+        with closing(blocks), in_order(blocks, _parse, lambda: csvtext._big_enough(paths),
+                                       helper) as parsed:
             for inp, group in groupby(parsed, key=lambda pair: pair[0].input):
                 start = 0
                 for block, parsed in group:
@@ -736,7 +498,8 @@ class _ColumnLoader:
                     short: np.ndarray | None = None) -> None:
         """Check the records of a block, keep those that pass and count
         the others; the rows flagged in short lack a field."""
-        source, layout, values = inp.source, inp.layout, parsed.values
+        source, layout = inp.source, inp.layout
+        values = [np.frombuffer(v) for v in parsed.values]
         n = len(values[0])
         times, days, *tickers = parsed.keys
         minute = _codes(self.minute_codes, times, np.int16)
@@ -754,12 +517,11 @@ class _ColumnLoader:
             self.report.n_rows += n
             self._keep(*block, None)
             return
-        blank = set(parsed.blank)
-        self.report.n_rows += n - len(blank)
-        for k in np.flatnonzero(~ok).tolist():
-            if k not in blank:
-                reason = "out-of-session" if minute[k] == _OFF_SESSION else "malformed"
-                self.report.skip(source, start + k + 2, reason)
+        skipped = ~ok
+        skipped[parsed.blank] = False  # a blank record is not a row
+        skipped = np.flatnonzero(skipped)
+        self.report.n_rows += n - len(parsed.blank)
+        self.report.skip(source, skipped + (start + 2), minute[skipped] == _OFF_SESSION)
         self._keep(*block, np.flatnonzero(ok))
 
     def _keep(self, source: str, start: int, ticker: np.ndarray, day: np.ndarray,
@@ -785,21 +547,11 @@ class _ColumnLoader:
         return self.slabs.panel(list(self.tickers), list(self.days))
 
 
-def _codes(memo: _Memo, keys: tuple[list[str], np.ndarray], dtype) -> np.ndarray:
-    """The memo's code of each entry of a _distinct column."""
+def _codes(memo: _Memo, keys: tuple[list[str], array], dtype) -> np.ndarray:
+    """The memo's code of each entry of a csvtext._distinct column."""
     distinct, position = keys
-    return np.fromiter(map(memo.__getitem__, distinct), dtype, len(distinct))[position]
-
-
-def check_load_options(schema: Mapping[str, str], time_format: str) -> None:
-    """DataError unless time_format is one of TIME_FORMATS and every key
-    of schema is a DEFAULT_SCHEMA field."""
-    if time_format not in TIME_FORMATS:
-        raise DataError(f"time_format {time_format!r} is not one of {', '.join(TIME_FORMATS)}")
-    unknown = set(schema) - set(DEFAULT_SCHEMA)
-    if unknown:
-        raise DataError(f"unknown schema fields {sorted(unknown)}; "
-                        f"known: {', '.join(DEFAULT_SCHEMA)}")
+    codes = np.fromiter(map(memo.__getitem__, distinct), dtype, len(distinct))
+    return codes[np.frombuffer(position, np.intc)]
 
 
 def load_minute_bars(
@@ -817,18 +569,14 @@ def load_minute_bars(
     skipped and counted in the report, with its file and line, as is a
     row outside the 09:30-16:00 session.
     A repeated (ticker, date, minute) cell rejects the whole load.
-    From _HELPER_MIN_BYTES of input a forked helper parses a share of the
-    blocks (see helper.in_order), with the same result. Without minute_prices the panel keeps only the minute
+    From csvtext._HELPER_MIN_BYTES of input a forked helper parses a share
+    of the blocks (see helper.in_order), with the same result; the load
+    takes over the helper that csvtext.start began on the same files with
+    the same schema. Without minute_prices the panel keeps only the minute
     volume and the daily OHLC (see MinutePanel), folded in as rows are
     read, which is all the analysis needs; it cannot be written to CSV.
     """
-    schema = schema or {}
-    check_load_options(schema, time_format)
-    schema = dict(DEFAULT_SCHEMA, **schema)
-    if isinstance(path, (list, tuple)):
-        paths = [q for p in path for q in _csv_paths(p)]
-    else:
-        paths = _csv_paths(path)
+    paths, schema = csvtext._resolved(path, schema, time_format)
     loader = _ColumnLoader(time_format, minute_prices)
     loader.load(paths, schema)
     return loader.panel(), loader.report

@@ -29,6 +29,12 @@ HELPER_RUNS = (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
 needs_helper = pytest.mark.skipif(not HELPER_RUNS,
                                   reason="the helper needs fork and a second CPU")
 
+# the CPU mask of this process before any test, read with the real call:
+# some tests patch os.sched_getaffinity
+_sched_getaffinity = getattr(os, "sched_getaffinity", None)
+START_MASK = (frozenset(_sched_getaffinity(0))
+              if _sched_getaffinity and os.path.isdir("/proc/self/task") else None)
+
 
 @contextmanager
 def counting_answers(answered: list, kill_after: int | None = None):
@@ -140,3 +146,23 @@ def no_child_process_left():
     except ChildProcessError:
         return
     pytest.fail(f"a child process ({pid or 'still running'}) was left unreaped")
+
+
+def thread_masks() -> set[frozenset]:
+    """The CPU masks of this process's threads."""
+    masks = set()
+    for tid in os.listdir("/proc/self/task"):
+        try:
+            masks.add(frozenset(_sched_getaffinity(int(tid))))
+        except OSError:
+            pass  # the thread has exited
+    return masks
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_pinned():
+    """Fail a test after which a thread of this process is still pinned by
+    a helper's fork (see helper._fork)."""
+    yield
+    if START_MASK is not None:
+        assert thread_masks() == {START_MASK}, "a thread was left pinned"

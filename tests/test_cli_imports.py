@@ -15,9 +15,14 @@ import sys
 from importlib import import_module
 from pathlib import Path
 
+from unittest import mock
+
 import pytest
 
 import intradayvol
+from conftest import needs_helper
+from intradayvol import csvtext
+from intradayvol import helper as helper_mod
 from intradayvol.cli import main
 
 REPO = Path(__file__).resolve().parents[1]
@@ -50,16 +55,21 @@ def inputs(tmp_path_factory):
     return root / "synth" / "panel.csv", config
 
 
-def _imported(argv: list[str]) -> set[str]:
-    """The intradayvol modules loaded when `python -m intradayvol.cli argv`
-    exits. runpy runs the CLI as __main__, as -m does, so intradayvol.cli
-    itself is not among them."""
+def _modules(argv: list[str]) -> set[str]:
+    """The modules loaded when `python -m intradayvol.cli argv` exits.
+    runpy runs the CLI as __main__, as -m does, so intradayvol.cli itself
+    is not among them."""
     code = ("import atexit, runpy, sys\n"
             "atexit.register(lambda: print(*sorted(sys.modules)))\n"
             "sys.argv = ['intradayvol', *sys.argv[1:]]\n"
             "runpy.run_module('intradayvol.cli', run_name='__main__')\n")
     done = _python("-c", code, *argv)
-    return {m for m in done.stdout.splitlines()[-1].split() if m.startswith("intradayvol")}
+    return set(done.stdout.splitlines()[-1].split())
+
+
+def _imported(argv: list[str]) -> set[str]:
+    """The intradayvol modules among _modules(argv)."""
+    return {m for m in _modules(argv) if m.startswith("intradayvol")}
 
 
 class TestImportGraph:
@@ -67,12 +77,15 @@ class TestImportGraph:
         panel, _ = inputs
         imported = _imported(["ingest", str(panel.parent), "--out", str(tmp_path)])
         assert (tmp_path / "panel.csv").read_bytes() == panel.read_bytes()
-        assert imported == {"intradayvol", "intradayvol.config",
+        assert imported == {"intradayvol", "intradayvol.config", "intradayvol.csvtext",
                             "intradayvol.errors", "intradayvol.helper",
                             "intradayvol.panel"}
 
     def test_help_imports_no_analysis_module(self):
         assert not _imported(["--help"]) & ANALYSIS
+
+    def test_help_imports_no_numpy(self):
+        assert "numpy" not in _modules(["--help"])
 
     def test_report_does_not_import_synth(self, tmp_path, inputs):
         panel, config = inputs
@@ -93,6 +106,55 @@ class TestImportGraph:
                 "runpy.run_module('intradayvol.cli', run_name='__main__')\n")
         done = _python("-c", code, "tests", "--sample-1", "1,2,3", "--sample-2", "4,5,7")
         assert done.stdout.splitlines()[-1] == "collected False"
+
+
+class TestEarlyStart:
+    """A command that reads input forks the load's helper before it
+    imports numpy, and its outputs are those of a load on one process."""
+
+    def _forks(self, argv: list[str]) -> list[str]:
+        """For each fork of `python -m intradayvol.cli argv`, whether numpy
+        was imported by then."""
+        code = ("import atexit, os, runpy, sys\n"
+                "seen = []\n"
+                "os.register_at_fork(before=lambda: seen.append('numpy' in sys.modules))\n"
+                "atexit.register(lambda: print('numpy at fork:', *seen))\n"
+                "sys.argv = ['intradayvol', *sys.argv[1:]]\n"
+                "runpy.run_module('intradayvol.cli', run_name='__main__')\n")
+        line = _python("-c", code, *argv).stdout.splitlines()[-1]
+        return line.split(":", 1)[1].split()
+
+    @staticmethod
+    def _one_process(argv: list[str]) -> None:
+        with mock.patch.object(os, "sched_getaffinity", return_value={0}, create=True), \
+                mock.patch.object(helper_mod, "_fork", side_effect=AssertionError("forked")):
+            assert main(argv) == 0
+
+    @needs_helper
+    def test_ingest(self, tmp_path, inputs):
+        panel, _ = inputs
+        assert panel.stat().st_size >= csvtext._HELPER_MIN_BYTES
+        forks = self._forks(["ingest", str(panel), "--out", str(tmp_path / "two")])
+        assert forks[0] == "False"  # the load's helper; the writer's follows
+        self._one_process(["ingest", str(panel), "--out", str(tmp_path / "one")])
+        for name in ("panel.csv", "load_report.json"):
+            assert (tmp_path / "two" / name).read_bytes() == \
+                (tmp_path / "one" / name).read_bytes(), name
+        assert (tmp_path / "two" / "panel.csv").read_bytes() == panel.read_bytes()
+
+    @needs_helper
+    def test_report(self, tmp_path, inputs):
+        panel, config = inputs
+        argv = ["report", str(panel), "--config", str(config)]
+        forks = self._forks([*argv, "--out", str(tmp_path / "two")])
+        assert forks[0] == "False"  # the load's helper; the bundle writer's follows
+        self._one_process([*argv, "--out", str(tmp_path / "one")])
+        one, two = ({str(p.relative_to(root)) for p in root.rglob("*") if p.is_file()}
+                    for root in (tmp_path / "one", tmp_path / "two"))
+        assert one == two
+        for name in one:
+            assert (tmp_path / "two" / name).read_bytes() == \
+                (tmp_path / "one" / name).read_bytes(), name
 
 
 class TestLazyExports:

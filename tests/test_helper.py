@@ -83,6 +83,30 @@ class TestInOrder:
         with one_cpu(), _no_fork():
             assert _handed_out(range(20)) == [(k, str(k)) for k in range(20)]
 
+    @needs_helper
+    def test_started_helper_taken_over(self):
+        # once its head start is answered, the helper is asked for later
+        # positions only: a position it was asked for at its start and
+        # asked for again would end it with an error
+        items = range(3 * helper_mod._HEAD)
+        statuses = []
+        real_waitpid = os.waitpid
+
+        def waitpid(pid, options):
+            reaped = real_waitpid(pid, options)
+            statuses.append(reaped[1])
+            return reaped
+
+        answered = []
+        with mock.patch.object(os, "waitpid", waitpid), counting_answers(answered):
+            helper = helper_mod.start(items, str, lambda: True)
+            time.sleep(0.2)  # every head answer ready: the parent never waits
+            with in_order(items, str, lambda: False, helper) as results:
+                got = list(results)
+        assert got == [(k, str(k)) for k in items]
+        assert answered[:helper_mod._HEAD] == [True] * helper_mod._HEAD
+        assert statuses == [0]  # it served every request and exited cleanly
+
     def test_small_job_forks_no_helper(self):
         with _two_cpus(), _no_fork():
             assert _handed_out(range(20), fork=lambda: False) == \

@@ -6,6 +6,7 @@ import datetime as dt
 import errno
 import io
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -23,6 +24,7 @@ from intradayvol.errors import (
     OverlappingRanges,
     UncoveredDate,
 )
+from intradayvol import csvtext as csvtext_mod
 from intradayvol import helper as helper_mod
 from intradayvol import panel as panel_mod
 from intradayvol.cli import main
@@ -47,10 +49,12 @@ from intradayvol.synth import GeneratorSpec, IntensitySpec, generate_panel
 
 from conftest import (
     HELPER_RUNS,
+    START_MASK,
     build_panel,
     contiguous_semesters,
     counting_answers,
     needs_helper,
+    thread_masks,
     weekdays,
 )
 
@@ -768,7 +772,7 @@ class TestColumnarLoaderEquivalence:
         write_panel_csv(panel, path)
         panel_bytes = 5 * panel.volume.nbytes
         block_chars = 20_000
-        with mock.patch.object(panel_mod, "_BLOCK_CHARS", block_chars):
+        with mock.patch.object(csvtext_mod, "_BLOCK_CHARS", block_chars):
             tracemalloc.start()
             try:
                 loaded, _ = load_minute_bars(path)
@@ -790,8 +794,8 @@ class TestColumnarLoaderEquivalence:
         block_chars = 20_000
         # on one process, so that one block is parsed at a time (the
         # helper's answers can be up to _AHEAD blocks ahead)
-        with mock.patch.object(panel_mod, "_BLOCK_CHARS", block_chars), \
-                mock.patch.object(panel_mod, "_HELPER_MIN_BYTES", 2 ** 62):
+        with mock.patch.object(csvtext_mod, "_BLOCK_CHARS", block_chars), \
+                mock.patch.object(csvtext_mod, "_HELPER_MIN_BYTES", 2 ** 62):
             tracemalloc.start()
             try:
                 loaded, _ = load_minute_bars(path, minute_prices=False)
@@ -824,8 +828,8 @@ class TestColumnarLoaderEquivalence:
                       + rows + "A,2004-01-05,299,1,10,10,10,10\n")
         malformed = _write(tmp_path / "b.csv", HEADER + "B,2004-01-05,junk,1,10,10,10,10\n")
         headless = _write(tmp_path / "c.csv", "ticker,date,minute\n")
-        with mock.patch.object(panel_mod, "_HELPER_MIN_BYTES", 0 if helper else 2 ** 62), \
-                mock.patch.object(panel_mod, "_BLOCK_CHARS", 500):
+        with mock.patch.object(csvtext_mod, "_HELPER_MIN_BYTES", 0 if helper else 2 ** 62), \
+                mock.patch.object(csvtext_mod, "_BLOCK_CHARS", 500):
             for earlier, line in ((first, "a.csv:3"), (tail, "t.csv:303")):
                 for later in (malformed, headless):
                     with pytest.raises(DuplicateCell, match=f"{line}: duplicate cell"):
@@ -837,8 +841,8 @@ def _assert_matches_reference(paths, block_rows, block_chars, helper=False):
     reference's panel, report or error, with the helper (where it can
     run) or without."""
     with mock.patch.object(panel_mod, "_BLOCK_ROWS", block_rows), \
-            mock.patch.object(panel_mod, "_BLOCK_CHARS", block_chars), \
-            mock.patch.object(panel_mod, "_HELPER_MIN_BYTES", 0 if helper else 2 ** 62):
+            mock.patch.object(csvtext_mod, "_BLOCK_CHARS", block_chars), \
+            mock.patch.object(csvtext_mod, "_HELPER_MIN_BYTES", 0 if helper else 2 ** 62):
         got = _outcome(load_minute_bars, [str(p) for p in paths])
         daily = _outcome(load_minute_bars, [str(p) for p in paths], minute_prices=False)
         want = _outcome(_reference_load, paths)
@@ -893,10 +897,10 @@ def _serial_and_helped(paths, **kwargs):
     """The outcome of loading paths on one process, the outcome through
     the helper whatever the input size, and the number of blocks the
     helper's answers gave."""
-    with mock.patch.object(panel_mod, "_HELPER_MIN_BYTES", 2 ** 62):
+    with mock.patch.object(csvtext_mod, "_HELPER_MIN_BYTES", 2 ** 62):
         serial = _outcome(load_minute_bars, paths, **kwargs)
     answered = []
-    with mock.patch.object(panel_mod, "_HELPER_MIN_BYTES", 0), counting_answers(answered):
+    with mock.patch.object(csvtext_mod, "_HELPER_MIN_BYTES", 0), counting_answers(answered):
         helped = _outcome(load_minute_bars, paths, **kwargs)
     return serial, helped, sum(answered)
 
@@ -928,7 +932,7 @@ class TestHelper:
         for stem, text in files:
             paths.append(root / f"{stem}.csv")
             paths[-1].write_bytes(text.encode())
-        with mock.patch.object(panel_mod, "_BLOCK_CHARS", block_chars):
+        with mock.patch.object(csvtext_mod, "_BLOCK_CHARS", block_chars):
             serial, helped, _ = _serial_and_helped(paths)
         _assert_bit_equal(serial, helped)
 
@@ -949,7 +953,7 @@ class TestHelper:
         for name, text in files.items():
             paths.append(tmp_path / name)
             paths[-1].write_bytes(text.encode())
-        with mock.patch.object(panel_mod, "_BLOCK_CHARS", 2_000):
+        with mock.patch.object(csvtext_mod, "_BLOCK_CHARS", 2_000):
             serial, helped, answered = _serial_and_helped(paths)
             assert serial[0] == "ok"
             _assert_bit_equal(serial, helped)
@@ -967,7 +971,7 @@ class TestHelper:
                              + "".join(rows[41:]))
         duplicate = tmp_path / "duplicate.csv"
         duplicate.write_text(HEADER + "".join(rows[:40]) + rows[5] + "".join(rows[40:]))
-        with mock.patch.object(panel_mod, "_BLOCK_CHARS", 500):
+        with mock.patch.object(csvtext_mod, "_BLOCK_CHARS", 500):
             serial, helped, answered = _serial_and_helped([duplicate, malformed])
         assert serial[0] is DuplicateCell
         _assert_bit_equal(serial, helped)
@@ -979,7 +983,7 @@ class TestHelper:
         # the helper is asked for blocks 0 and 1 first; one that cut
         # 100,000-character blocks would answer block 0 with the whole
         # file, and have no block 1
-        with mock.patch.object(panel_mod, "_BLOCK_CHARS", 1_500):
+        with mock.patch.object(csvtext_mod, "_BLOCK_CHARS", 1_500):
             serial, helped, answered = _serial_and_helped([path])
         _assert_bit_equal(serial, helped)
         assert answered >= 2
@@ -987,8 +991,8 @@ class TestHelper:
     def test_no_file_left_open_in_either_process(self, tmp_path):
         path = tmp_path / "a.csv"
         path.write_text(HEADER + _rows("A", "2004-01-05", range(391), "\n"))
-        code = ("import sys\nfrom intradayvol import panel\n"
-                "panel._HELPER_MIN_BYTES, panel._BLOCK_CHARS = 0, 1_000\n"
+        code = ("import sys\nfrom intradayvol import csvtext, panel\n"
+                "csvtext._HELPER_MIN_BYTES, csvtext._BLOCK_CHARS = 0, 1_000\n"
                 "panel.load_minute_bars(sys.argv[1])\n")
         done = subprocess.run([sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
                                "-c", code, str(path)], capture_output=True, text=True,
@@ -1000,10 +1004,10 @@ class TestHelper:
         path = tmp_path / "panel.csv"
         write_panel_csv(_gbm_panel(2, 6), path)
         answered = []
-        with mock.patch.object(panel_mod, "_BLOCK_CHARS", 2_000):
-            with mock.patch.object(panel_mod, "_HELPER_MIN_BYTES", 2 ** 62):
+        with mock.patch.object(csvtext_mod, "_BLOCK_CHARS", 2_000):
+            with mock.patch.object(csvtext_mod, "_HELPER_MIN_BYTES", 2 ** 62):
                 serial = _outcome(load_minute_bars, [path])
-            with mock.patch.object(panel_mod, "_HELPER_MIN_BYTES", 0), \
+            with mock.patch.object(csvtext_mod, "_HELPER_MIN_BYTES", 0), \
                     counting_answers(answered, kill_after=3):
                 helped = _outcome(load_minute_bars, [path])
         assert serial[0] == "ok"
@@ -1037,8 +1041,8 @@ def test_byte_order_mark_before_the_header(tmp_path, n_companies, helper):
     write_panel_csv(panel, path)
     path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
     answered = []
-    with mock.patch.object(panel_mod, "_HELPER_MIN_BYTES", 0 if helper else 2 ** 62), \
-            mock.patch.object(panel_mod, "_BLOCK_CHARS", 2_000), counting_answers(answered):
+    with mock.patch.object(csvtext_mod, "_HELPER_MIN_BYTES", 0 if helper else 2 ** 62), \
+            mock.patch.object(csvtext_mod, "_BLOCK_CHARS", 2_000), counting_answers(answered):
         loaded, _ = load_minute_bars(path)
     assert any(answered) == helper
     assert loaded.companies == panel.companies
@@ -1127,7 +1131,7 @@ def test_no_writer_helper_below_the_size_threshold(tmp_path):
     "A,1,2\r\nB,3,4",
 ])
 def test_split_block_line_ends(text):
-    assert panel_mod._split_block(text, 3) == [["A", "B"], ["1", "3"], ["2", "4"]]
+    assert csvtext_mod._split_block(text, 3) == [["A", "B"], ["1", "3"], ["2", "4"]]
 
 
 @pytest.mark.parametrize("text", [
@@ -1137,4 +1141,127 @@ def test_split_block_line_ends(text):
     "A,1,2\r\nB,3,4,5\r\n",  # a long one
 ])
 def test_split_block_declines(text):
-    assert panel_mod._split_block(text, 3) is None
+    assert csvtext_mod._split_block(text, 3) is None
+
+
+_FIELDS = st.sampled_from(["A", "1", "2.5", "", " ", '"q"', 'a"b', "a\rb", "x y"])
+
+
+@given(st.lists(st.tuples(st.lists(_FIELDS, max_size=4),
+                          st.sampled_from(["\n", "\r\n", "\r"])), max_size=8),
+       st.booleans(), st.integers(2, 4))
+@settings(max_examples=300, deadline=None)
+def test_split_block_is_csv_reader_or_declines(lines, ended, width):
+    # LF, CR LF and lone CR line ends, quotes, blank and ragged lines, and
+    # a last line with or without its line end
+    text = "".join(",".join(fields) + end for fields, end in lines)
+    if not ended and lines:
+        text = text[:-len(lines[-1][1])]
+    got = csvtext_mod._split_block(text, width)
+    if got is not None:
+        records = list(csv.reader(io.StringIO(text, newline="")))
+        assert all(len(r) == width for r in records)
+        assert got == [list(c) for c in zip(*records)]
+
+
+def test_skipped_rows_past_the_room_in_one_block(tmp_path):
+    # one block holds more skipped rows than the list has room for, after
+    # an earlier block used part of it: the counts stay exact, and the
+    # list holds the first rows of both blocks
+    day = "A,2004-01-05,"
+    first = "".join(f"{day}08:{m:02d},1,10,10,10,10\n" for m in range(3))
+    second = "".join(f"{day}{'junk' if k % 3 else '07:00'},1,10,10,10,10\n"
+                     for k in range(12)) + f"{day}09:30,1,10,10,10,10\n"
+    path = _write(tmp_path / "a.csv", HEADER + first + second)
+    cut = len(HEADER + first)
+    with mock.patch.object(panel_mod, "MAX_LISTED_SKIPS", 7), \
+            mock.patch.object(csvtext_mod, "_HELPER_MIN_BYTES", 2 ** 62), \
+            mock.patch.object(csvtext_mod, "_BLOCK_CHARS", len(first)):
+        panel, report = load_minute_bars(path)
+        assert cut == len(HEADER) + csvtext_mod._BLOCK_CHARS  # two blocks
+    assert panel.volume[0, 0, 0] == 1
+    assert report.n_skipped_by_reason() == {"out-of-session": 7, "malformed": 8}
+    assert list(report.by_reason) == ["out-of-session", "malformed"]
+    assert [(s.line, s.reason) for s in report.skipped] == [
+        (2, "out-of-session"), (3, "out-of-session"), (4, "out-of-session"),
+        (5, "out-of-session"), (6, "malformed"), (7, "malformed"), (8, "out-of-session")]
+    assert report.to_json()["rows_skipped_not_listed"] == 8
+
+
+@needs_helper
+@pytest.mark.skipif(not os.path.exists("/proc/thread-self/stat"),
+                    reason="the pinning reads /proc")
+class TestEarlyStart:
+    """The parse that main starts before its imports: the load takes it
+    over, or it is stopped. The autouse fixtures no_child_process_left and
+    no_thread_left_pinned check that every helper was reaped and that every
+    thread has its CPU mask from before again."""
+
+    @pytest.fixture(autouse=True)
+    def setup(self, tmp_path):
+        self.path = tmp_path / "panel.csv"
+        write_panel_csv(_gbm_panel(2, 6), self.path)
+        self.pinned = []  # this thread's mask at each block the loader applies
+        real = panel_mod._ColumnLoader._load_block
+
+        def load_block(loader, *args):
+            self.pinned.append(os.sched_getaffinity(0))
+            return real(loader, *args)
+
+        with mock.patch.object(csvtext_mod, "_HELPER_MIN_BYTES", 0), \
+                mock.patch.object(csvtext_mod, "_BLOCK_CHARS", 2_000), \
+                mock.patch.object(panel_mod._ColumnLoader, "_load_block", load_block):
+            yield
+
+    def _ingest(self, out, path=None) -> int:
+        return main(["ingest", str(path or self.path), "--out", str(out)])
+
+    def test_load_takes_the_started_parse(self, tmp_path):
+        answered = []
+        with mock.patch.object(helper_mod, "_fork", wraps=helper_mod._fork) as fork, \
+                counting_answers(answered):
+            assert self._ingest(tmp_path / "out") == 0
+        assert fork.call_count == 1  # the started one; the writer's gate stays shut
+        assert answered[:helper_mod._AHEAD] == [True] * helper_mod._AHEAD
+        assert all(len(mask) == 1 for mask in self.pinned)
+        assert (tmp_path / "out" / "panel.csv").read_bytes() == self.path.read_bytes()
+
+    def test_error_inside_the_load(self, tmp_path):
+        lines = self.path.read_text().splitlines(keepends=True)
+        lines.insert(200, lines[100])
+        duplicate = tmp_path / "duplicate.csv"
+        duplicate.write_text("".join(lines))
+        assert self._ingest(tmp_path / "out", duplicate) == 2
+        assert self.pinned  # the helper was running when the load raised
+
+    def test_command_that_fails_before_its_load(self, tmp_path):
+        with mock.patch.object(helper_mod, "_fork", wraps=helper_mod._fork) as fork:
+            assert main(["profile", str(self.path), "--day", "bogus"]) == 2
+        assert fork.call_count == 1
+        assert not self.pinned
+
+    def test_load_of_other_paths(self, tmp_path):
+        other = tmp_path / "other.csv"
+        write_panel_csv(_gbm_panel(1, 4, seed=9), other)
+        with mock.patch.object(csvtext_mod, "_HELPER_MIN_BYTES", 2 ** 62):
+            want = _outcome(load_minute_bars, other)
+        csvtext_mod.start(self.path)
+        started = csvtext_mod._started_parse.helper
+        _assert_bit_equal(want, _outcome(load_minute_bars, other))
+        assert csvtext_mod._started_parse is None
+        with pytest.raises(ChildProcessError):
+            os.waitpid(started.pid, os.WNOHANG)  # reaped
+
+    def test_two_calls_in_one_process(self, tmp_path):
+        for out in ("first", "second"):
+            assert self._ingest(tmp_path / out) == 0
+            assert thread_masks() == {START_MASK}
+            assert (tmp_path / out / "panel.csv").read_bytes() == self.path.read_bytes()
+
+    def test_one_cpu_forks_and_pins_nothing(self, tmp_path):
+        with mock.patch.object(os, "sched_getaffinity", return_value={0}, create=True), \
+                mock.patch.object(helper_mod, "_fork", side_effect=AssertionError("forked")), \
+                mock.patch.object(os, "sched_setaffinity",
+                                  side_effect=AssertionError("pinned")):
+            assert self._ingest(tmp_path / "out") == 0
+        assert (tmp_path / "out" / "panel.csv").read_bytes() == self.path.read_bytes()

@@ -782,8 +782,19 @@ class TestBundleHelper:
 
     @pytest.mark.parametrize("variant", ["report", "empty_xsection", "no_figures"])
     @pytest.mark.parametrize("helper", [False, pytest.param(True, marks=needs_helper)])
-    def test_tree_is_files_plus_the_manifest(self, tmp_path, report, variant, helper):
+    def test_tree_is_files_plus_the_manifest(self, tmp_path, report, variant, helper,
+                                             monkeypatch):
         bundle = _bundle_variant(report[0], variant)
+        parent, real_job = os.getpid(), pipeline_mod._write_job
+
+        def write_job(staging, job):
+            # slowed in this process, so that the helper takes a job even
+            # when its CPU is busy and the bundle has few jobs
+            if os.getpid() == parent:
+                time.sleep(0.01)
+            return real_job(staging, job)
+
+        monkeypatch.setattr(pipeline_mod, "_write_job", write_job)
         answered = []
         with (nullcontext() if helper else one_cpu()), counting_answers(answered):
             out = bundle.write(tmp_path / "report")
