@@ -6,7 +6,7 @@ A parsed block holds `array.array` buffers, which the loader in `panel`
 wraps with `np.frombuffer` and applies. Because nothing here needs numpy,
 a command that reads input can start the parse before numpy and the
 analysis modules are imported: `start` forks the loader's helper (see
-`helper.start`), already asked for the first blocks, and
+`helper.start`) with the numbers of the first blocks in its pipe, and
 `load_minute_bars` takes that running helper over (`take`) when it loads
 the same files with the same schema. `stop` stops and reaps a helper that
 no load took.
@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import DataError, MissingColumn
-from .helper import _Helper, start as start_helper
+from .helper import start as start_helper
 
 SESSION_OPEN = 9 * 60 + 30  # 09:30 as minutes past midnight
 
@@ -331,12 +331,13 @@ def _parse(block: _Block) -> _Parsed | None:
 
 class _StartedParse(NamedTuple):
     """A parse that start began: its files and schema, the blocks it reads
-    (not yet started in this process) and the helper forked on them."""
+    (not yet started in this process) and the helper that helper.start
+    forked on them."""
 
     paths: list[Path]
     schema: dict[str, str]
     blocks: Iterator[_Block]
-    helper: _Helper
+    helper: object
 
 
 _started_parse: _StartedParse | None = None  # at most one per process
@@ -345,8 +346,8 @@ _started_parse: _StartedParse | None = None  # at most one per process
 def start(path, schema: Mapping[str, str] | None = None, *,
           time_format: str = "auto") -> None:
     """Begin the parse that load_minute_bars(path, schema, time_format=...)
-    runs, on a forked helper that is asked for the first blocks at once,
-    where the load would fork one (see helper.start). A parse started
+    runs, on a forked helper with the numbers of the first blocks in its
+    pipe, where the load would fork one (see helper.start). A parse started
     before is stopped first. DataError for a bad option or path, which
     starts nothing."""
     global _started_parse
@@ -359,7 +360,7 @@ def start(path, schema: Mapping[str, str] | None = None, *,
 
 
 def take(paths: Sequence[Path], schema: Mapping[str, str]) \
-        -> tuple[Iterator[_Block], _Helper] | None:
+        -> tuple[Iterator[_Block], object] | None:
     """The blocks and the running helper of the parse that start began on
     these files with this schema, for the caller to read and reap; None,
     after stopping any other started parse, when there is none."""

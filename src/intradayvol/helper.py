@@ -1,15 +1,17 @@
-"""The forked helpers that the loader, the canonical writer and the bundle
+"""The forked helper that the loader, the canonical writer and the bundle
 writer share, with the results and errors of one process.
 
-`in_order`, which the loader and the canonical writer call, hands out
-(item, work(item)) for each item in order, while a forked copy of the
-process works on a share of them. `start` forks such a helper ahead of
-its `in_order`, already asked for the first _HEAD items, so that it works
-while its parent does something else: a command that reads input starts
-the load's helper before it imports numpy. `in_any_order`, which the
-bundle writer calls, starts a forked copy on the items at once and lets
-the caller run other work before it joins in; the results come back in
-item order.
+`in_order` hands out (item, work(item)) for each item in order, while a
+forked copy of the process works on a share of them. This process keeps a
+pipe stocked with item numbers. The helper takes numbers from it in
+increasing order and sends back (number, work(item)) for each; while the
+answer for the oldest item not yet handed out is not back, this process
+takes numbers from the same pipe and works on those items itself. `start`
+forks such a helper ahead of its `in_order`, with the first numbers
+already in the pipe, so that it works while its parent does something
+else: a command that reads input starts the load's helper before it
+imports numpy, and `report` starts the helper that writes the bundle's
+per-minute files before the fits.
 
 Where /proc tells a thread's CPU and CPU mask, the fork pins the forking
 thread to the CPU it runs on and the helper to the other CPUs of the mask:
@@ -27,34 +29,35 @@ import pickle
 import select
 from collections import deque
 from contextlib import contextmanager
+from functools import partial
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .errors import DataError
-
-#: items a _Helper is asked for ahead of its answers: one to work on and
-#: one queued, so that it does not wait between them.
-_HELPER_DEPTH = 2
 
 #: bytes of a helper's answer pipe, where the system lets it be set
 _PIPE_BYTES = 1 << 20
 
-#: items worked on and not yet handed out, at most: while the helper's
-#: answer for the oldest is not back, this process works on later items
-#: itself.
+#: items held and not yet handed out, at most: while the helper's answer
+#: for the oldest is not back, this process takes numbers and works on
+#: later items itself while it holds fewer than this many. The pipe is
+#: stocked with the numbers up to this many past the oldest.
 _AHEAD = 6
 
-#: items a helper that `start` forks is asked for at once. For the load
-#: that is 32 blocks of about 100 KB, which a fresh helper parsed at
-#: 2-3.5 ms each on a 2-vCPU VM, so it is done about when its parent has
-#: imported numpy and the analysis modules (100-150 ms); the answers that
-#: do not fit in the pipe wait in the helper's memory, about 55 KB each.
+#: numbers in the pipe of a helper that `start` forks, unless it is told
+#: otherwise. For the load that is 32 blocks of about 100 KB, which a fresh
+#: helper parsed at 2-3.5 ms each on a 2-vCPU VM, so it is done about when
+#: its parent has imported numpy and the analysis modules (100-150 ms); the
+#: answers that do not fit in the answer pipe wait in the helper's memory,
+#: about 55 KB each.
 _HEAD = 32
 
-#: bytes of an item number in in_any_order's pipe
+#: bytes of an item number in the pipe
 _NUMBER_BYTES = 4
 
-_PENDING = object()  # the answer to an item the helper was asked for
+#: numbers in one write to the pipe: a write of at most PIPE_BUF bytes is
+#: whole or nothing, so no read takes part of a number
+_NUMBERS_PER_WRITE = select.PIPE_BUF // _NUMBER_BYTES
 
 _T = TypeVar("_T")
 
@@ -69,16 +72,9 @@ def _read_exact(fd: int, n: int) -> bytearray:
     return data
 
 
-def _send(fd: int, obj) -> None:
-    """Write obj to a pipe, pickled after its length."""
-    data = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
-    view = memoryview(len(data).to_bytes(8, "little") + data)
-    while view:
-        view = view[os.write(fd, view):]
-
-
 def _receive(fd: int):
-    """The next object _send wrote to the pipe; EOFError once it is closed."""
+    """The next object in the pipe, pickled after its length (see _serve);
+    EOFError once the pipe is closed."""
     return pickle.loads(_read_exact(fd, int.from_bytes(_read_exact(fd, 8), "little")))
 
 
@@ -200,39 +196,40 @@ def _started(start: Callable[[], _T], fork: Callable[[], bool]) -> _T | None:
         return None  # no process to spare
 
 
-def _answers(items: Iterable, work: Callable, fd: int) -> Iterator:
-    """work(item) of the item at each position _send writes to the pipe,
-    the positions increasing; it ends where the pipe or the items do."""
+def _serve(items: Iterable, work: Callable, numbers: int, answers: int) -> None:
+    """The helper's loop: take item numbers from the pipe `numbers`, in
+    increasing order, and write (number, work(item)) for each to the pipe
+    `answers`, pickled after its length. It ends once `numbers` is closed
+    and empty, or at a number past the items. The answers that do not fit
+    in the pipe wait in this process only while a number waits: every
+    answer is written before it waits for a number, or its parent, waiting
+    for that answer, would wait on it."""
+    os.set_blocking(answers, False)
+    room, stocked = select.poll(), select.poll()
+    room.register(answers, select.POLLOUT)
+    stocked.register(numbers, select.POLLIN)
     items = iter(items)
     taken = 0
+    backlog = bytearray()
     while True:
         try:
-            position = _receive(fd)
-        except EOFError:
-            return
-        for item in islice(items, position - taken, None):
+            data = os.read(numbers, _NUMBER_BYTES)
+        except BlockingIOError:  # no number yet
+            _write(answers, backlog, room, lambda: False)
+            stocked.poll()
+            continue
+        if not data:
+            break
+        number = int.from_bytes(data, "little")
+        for item in islice(items, number - taken, None):
             break
         else:
-            return  # the items end before it: the parent works on it itself
-        taken = position + 1
-        yield work(item)
-
-
-def _deliver(answers: Iterator, fd: int, requests: int) -> None:
-    """Write each of answers to the pipe fd as _send does, without waiting
-    for room in the pipe while a request waits in the pipe `requests`: the
-    answers that do not fit wait in this process, which works on."""
-    os.set_blocking(fd, False)
-    room = select.poll()
-    room.register(fd, select.POLLOUT)
-    waiting = select.poll()
-    waiting.register(requests, select.POLLIN)
-    backlog = bytearray()
-    for answer in answers:
-        data = pickle.dumps(answer, pickle.HIGHEST_PROTOCOL)
-        backlog += len(data).to_bytes(8, "little") + data
-        _write(fd, backlog, room, lambda: waiting.poll(0))
-    _write(fd, backlog, room, lambda: False)
+            break  # the items end before it
+        taken = number + 1
+        answer = pickle.dumps((number, work(item)), pickle.HIGHEST_PROTOCOL)
+        backlog += len(answer).to_bytes(8, "little") + answer
+        _write(answers, backlog, room, lambda: stocked.poll(0))
+    _write(answers, backlog, room, lambda: False)
 
 
 def _write(fd: int, backlog: bytearray, room, stop: Callable[[], bool]) -> None:
@@ -249,78 +246,88 @@ def _write(fd: int, backlog: bytearray, room, stop: Callable[[], bool]) -> None:
 
 
 class _Helper:
-    """A forked process that works on a share of its parent's items: asked
-    for the item at a position, it sends back work(item).
+    """A forked process that works on a share of its parent's items (see
+    _serve), and its parent's ends of the two pipes.
 
-    Requests and answers are pickled through two pipes. A forked child
-    shares its parent's memory as it was at the fork, so a request is just
-    a position and only the answers are large. The child takes the items
-    from its own copy of `items`, which the parent must not have started
-    before the fork. It is asked for the first `head` positions at once,
-    and while it has a request to work on, the answers that do not fit in
-    the pipe wait in its memory. The helper exits when its request pipe
-    closes, when the items end, or when it writes an answer that no one
-    will read.
+    A forked child shares its parent's memory as it was at the fork, so an
+    item travels as its number and only the answers are large. The child
+    takes the items from its own copy of `items`, which the parent must
+    not have started before the fork. The numbers of the first `head`
+    items are in the pipe at the fork. Both processes read that pipe, and
+    O_NONBLOCK belongs to the open pipe, which the fork shares, so it is
+    set before the fork and each side polls to wait.
     """
 
-    def __init__(self, items: Iterable, work: Callable, head: int = 0):
-        requests, self.requests = os.pipe()
+    def __init__(self, items: Iterable, work: Callable, head: int):
+        self.numbers, self.fill = os.pipe()
+        os.set_blocking(self.numbers, False)
+        os.set_blocking(self.fill, False)
+        self.head, self.stocked = head, 0
+        self.stock(head)
         self.answers, answers = _answer_pipe()
-
-        def serve() -> None:
-            _deliver(_answers(items, work, requests), answers, requests)
-
-        self.pid, self.mask = _fork(serve, (self.requests, self.answers),
-                                    (requests, answers))
-        self.asked: deque = deque()  # requests not yet answered, oldest first
-        self.alive = True
-        self.head = head
-        self.poll = select.poll()
-        self.poll.register(self.answers, select.POLLIN)
-        for position in range(head):
-            self.ask(position)
-
-    def ask(self, request) -> None:
         try:
-            _send(self.requests, request)
-            self.asked.append(request)
-        except BrokenPipeError:  # the helper has exited
-            self.alive = False
+            self.pid, self.mask = _fork(partial(_serve, items, work, self.numbers, answers),
+                                        (self.fill, self.answers), (answers,))
+        except OSError:
+            os.close(self.numbers)
+            raise
+        self.ready = select.poll()  # an answer, or the helper's exit, to read
+        self.ready.register(self.answers, select.POLLIN)
 
-    def answer(self, request):
-        """The answer to request, dropping the answers to those asked for
-        before it; _PENDING if the helper has exited."""
-        while self.asked:
-            asked = self.asked.popleft()
+    def stock(self, end: int) -> None:
+        """Put the numbers below end that were not yet put in the pipe, as
+        far as it has room; the rest waits for the next call."""
+        while self.stocked < end:
+            last = min(end, self.stocked + _NUMBERS_PER_WRITE)
             try:
-                answer = _receive(self.answers)
-            except EOFError:
-                self.alive = False
-                break
-            if asked == request:
-                return answer
-        return _PENDING
+                os.write(self.fill, b"".join(k.to_bytes(_NUMBER_BYTES, "little")
+                                             for k in range(self.stocked, last)))
+            except BlockingIOError:
+                return
+            self.stocked = last
 
-    def stop(self) -> None:
-        """Ask for nothing more: the helper exits after its last answer."""
-        if self.requests is not None:
-            os.close(self.requests)
-            self.requests = None
+    def take(self) -> int | None:
+        """The next number in the pipe, for this process to work on; None
+        if it is empty."""
+        try:
+            return int.from_bytes(os.read(self.numbers, _NUMBER_BYTES), "little")
+        except BlockingIOError:
+            return None
+
+    def answer(self) -> tuple | None:
+        """The helper's next (number, work(item)), waiting for it; None
+        once the helper has exited."""
+        try:
+            return _receive(self.answers)
+        except EOFError:
+            return None
 
     def close(self) -> None:
-        """Stop and reap the helper: it sees its request pipe close, or
-        its next answer fail."""
-        self.stop()
+        """Stop stocking and take the numbers left, so that the helper
+        stops after its current item, then reap it; nothing once closed.
+        The helper sees the pipe closed and empty, or its next answer
+        fail."""
+        if self.fill is None:
+            return
+        os.close(self.fill)
+        self.fill = None
+        try:
+            while os.read(self.numbers, select.PIPE_BUF):
+                pass
+        except BlockingIOError:
+            pass  # the helper has not yet closed its copy of fill
+        os.close(self.numbers)
         os.close(self.answers)
         _reap(self.pid, self.mask)
 
 
-def start(items: Iterable, work: Callable, fork: Callable[[], bool]) -> _Helper | None:
-    """A helper forked on items where in_order would fork one, already
-    asked for the items at the first _HEAD positions, for an in_order on
-    the same items and work to take over, or for its close(); None where
-    none is forked."""
-    return _started(lambda: _Helper(items, work, _HEAD), fork)
+def start(items: Iterable, work: Callable, fork: Callable[[], bool],
+          head: int = _HEAD) -> _Helper | None:
+    """A helper forked on items where in_order would fork one, with the
+    numbers of the first `head` items in its pipe, for an in_order on the
+    same items and work to take over, or for its close(); None where none
+    is forked."""
+    return _started(lambda: _Helper(items, work, head), fork)
 
 
 @contextmanager
@@ -330,20 +337,19 @@ def in_order(items: Iterable, work: Callable, fork: Callable[[], bool],
 
     A helper is forked where os.fork exists, the process may run on two or
     more CPUs and fork() says the job is big enough; where fork() or the
-    fork raises OSError, this process works alone. The helper is kept
-    asked for the items at the next _HELPER_DEPTH positions, and while its
-    answer for the oldest is not back this process works on later items
-    itself, up to _AHEAD items in all, and on those of a helper that has
-    exited; it is stopped and reaped on exit. An error reading the items
-    (a file that cannot be opened, decoded or has no usable header) is
-    raised once the items before it are handed out.
-
-    A helper that start forked on the same items and work may be passed
-    instead: this process never works on the positions it was asked for
-    at its start, and from there on shares the items as above.
+    fork raises OSError, this process works alone. A helper that start
+    forked on the same items and work may be passed instead. The pipe is
+    kept stocked up to _AHEAD numbers past the oldest item not handed out,
+    or to the helper's head if that is further. While the helper's answer
+    for the oldest is not back, this process takes numbers from the pipe
+    and works on those items itself, holding at most _AHEAD items (and the
+    one the helper works on); once the helper has exited, it works on the
+    items left. The helper is stopped and reaped on exit. An error reading
+    the items (a file that cannot be opened, decoded or has no usable
+    header) is raised once the items before it are handed out.
     """
     if helper is None:
-        helper = _started(lambda: _Helper(items, work), fork)
+        helper = start(items, work, fork, 0)
     try:
         yield _queue(helper, items, work)
     finally:
@@ -354,131 +360,43 @@ def in_order(items: Iterable, work: Callable, fork: Callable[[], bool],
 def _queue(helper: _Helper | None, items: Iterable, work: Callable) -> Iterator[tuple]:
     """in_order's iterator, with its helper, if any."""
     numbered = enumerate(items)
-    queue: deque[tuple] = deque()  # (position, item, work(item) or _PENDING), oldest first
+    held: deque = deque()  # the items not yet handed out, oldest first
+    done = {}  # work(item) of held items, by number
+    oldest = 0  # the number of held[0]
     failed = None
 
-    def take() -> tuple | None:
-        """The next (position, item); None after the last, or an error."""
-        nonlocal failed
-        try:
-            taken = next(numbered, None)
-        except (DataError, OSError, ValueError, csv.Error) as exc:  # raised in its turn
-            failed, taken = exc, None
-        if taken is None and helper is not None:
-            helper.stop()  # so that it exits while the last items are handed out
-        return taken
+    def hold(number: int) -> bool:
+        """Hold the items up to number; False if they end before it."""
+        nonlocal numbered, failed
+        while oldest + len(held) <= number:
+            if numbered is None:
+                return False
+            try:
+                taken = next(numbered, None)
+            except (DataError, OSError, ValueError, csv.Error) as exc:  # raised in its turn
+                failed, taken = exc, None
+            if taken is None:
+                numbered = None
+                return False
+            held.append(taken[1])
+        return True
 
-    while True:
-        while (helper is not None and helper.alive and len(helper.asked) < _HELPER_DEPTH
-               and (taken := take())):
-            if taken[0] >= helper.head:  # not asked at its start
-                helper.ask(taken[0])
-            queue.append((*taken, _PENDING))
-        # the oldest answer, or the helper's exit, not yet readable
-        if not queue or (queue[0][2] is _PENDING and len(queue) < _AHEAD
-                         and not helper.poll.poll(0)):
-            if taken := take():
-                asked = helper is not None and helper.alive and taken[0] < helper.head
-                queue.append((*taken, _PENDING if asked else work(taken[1])))
-                continue
-            if not queue:
-                if failed is not None:
-                    raise failed
-                return
-        position, item, result = queue.popleft()
-        if result is _PENDING:
-            result = helper.answer(position)
-        if result is _PENDING:  # the helper has exited
-            result = work(item)
-        yield item, result
-
-
-def _take(fd: int) -> int | None:
-    """The next item number in in_any_order's pipe; None once it is empty.
-    Every number is in the pipe before anyone reads it, and each read takes
-    one whole number, so a read never returns part of one."""
-    data = os.read(fd, _NUMBER_BYTES)
-    return int.from_bytes(data, "little") if data else None
-
-
-class _Taker:
-    """A forked process that takes item numbers from in_any_order's pipe
-    until it is empty, and sends back (number, work(item)) for each. It
-    exits when the pipe is empty, or when it writes an answer that no one
-    will read."""
-
-    def __init__(self, items: Sequence, work: Callable, numbers: int):
-        self.answers, answers = _answer_pipe()
-
-        def serve() -> None:
-            while (number := _take(numbers)) is not None:
-                _send(answers, (number, work(items[number])))
-
-        self.pid, self.mask = _fork(serve, (self.answers,), (answers,))
-
-    def answer(self) -> tuple | None:
-        """The helper's next (number, work(item)); None once it has exited."""
-        try:
-            return _receive(self.answers)
-        except EOFError:
-            return None
-
-    def close(self) -> None:
-        """Reap the helper: it has taken its last number, or its next
-        answer fails."""
-        os.close(self.answers)
-        _reap(self.pid, self.mask)
-
-
-@contextmanager
-def in_any_order(items: Sequence, work: Callable,
-                 fork: Callable[[], bool]) -> Iterator[Callable[[], list]]:
-    """Start work on items in a forked helper, and yield finish(), which
-    returns [work(item) for item in items] in item order.
-
-    Each item's number is written to a pipe before the fork, and the helper
-    takes the next one while the block runs, until the pipe is empty.
-    finish() takes the numbers left in this process, so that the two end
-    together, then gathers the helper's answers, does again any item the
-    helper took and did not answer (it died), and reaps the helper. The
-    helper is forked where in_order's would be; otherwise, or when the fork
-    fails, finish() does every item. If the block raises before finish(),
-    the numbers left are dropped, so that the helper stops after its
-    current item, and the helper is reaped.
-    """
-    numbers, fill = os.pipe()
-    # A pipe holds at least PIPE_BUF bytes, so a write of that many returns
-    # at once: 1,024 numbers on Linux. The bundle writer's items are its
-    # per-minute files, 39 for 16 semesters, so even 100 semesters need less
-    # than 1 KB. Beyond that no helper is forked.
-    prefilled = len(items) * _NUMBER_BYTES <= select.PIPE_BUF
-    try:
-        if prefilled:
-            os.write(fill, b"".join(k.to_bytes(_NUMBER_BYTES, "little")
-                                    for k in range(len(items))))
-    finally:
-        os.close(fill)
-    helper = None
-
-    def finish() -> list:
-        nonlocal helper
-        done = {}
-        while (number := _take(numbers)) is not None:
-            done[number] = work(items[number])
+    while hold(oldest):
         if helper is not None:
-            while (answer := helper.answer()) is not None:
+            helper.stock(max(helper.head, oldest + _AHEAD))
+        while oldest not in done and helper is not None:
+            if (len(held) < _AHEAD and not helper.ready.poll(0)
+                    and (number := helper.take()) is not None):
+                if hold(number):
+                    done[number] = work(held[number - oldest])
+            elif (answer := helper.answer()) is not None:
                 done.update([answer])
-            helper.close()
-            helper = None
-        return [done[k] if k in done else work(item) for k, item in enumerate(items)]
-
-    try:
-        if prefilled:
-            helper = _started(lambda: _Taker(items, work, numbers), fork)
-        yield finish
-    finally:
-        while os.read(numbers, select.PIPE_BUF):  # numbers left if the block raised
-            pass
-        os.close(numbers)
-        if helper is not None:
-            helper.close()
+            else:  # the helper has exited: this process works on the rest
+                helper.close()
+                helper = None
+        item = held.popleft()
+        result = done.pop(oldest) if oldest in done else work(item)
+        oldest += 1
+        yield item, result
+    if failed is not None:
+        raise failed

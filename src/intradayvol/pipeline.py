@@ -5,9 +5,10 @@ figure that copies a cross-section file is written by that file's job).
 `ReportBundle.files` does them one after another in memory and is the
 byte reference. Most of the bundle is per-minute data that reads the
 semester aggregates alone (`_minute_jobs`), so `run_pipeline` starts
-writing it right after the aggregates: a forked helper takes those jobs
-from a pipe (`helper.in_any_order`) while this process runs the later
-stages, does the other jobs, and then takes the per-minute jobs left.
+writing it right after the aggregates: a helper forked with the numbers
+of all those jobs in its pipe (`helper.start`) takes them while this
+process runs the later stages and does the other jobs; `helper.in_order`
+then gathers its answers, and this process takes the per-minute jobs left.
 Each process formats, writes and hashes one file at a time into a sibling
 temporary directory, which is renamed into place once run_log.json and
 manifest.json are written. So a failed run leaves the previous bundle (or
@@ -93,7 +94,7 @@ from .panel import (
     semester_day_indices,
     validate_panel,
 )
-from .helper import in_any_order
+from .helper import in_order, start as start_helper
 from .stats_tests import mww_test, welch_test
 
 
@@ -497,16 +498,18 @@ def _minute_jobs(results) -> list[Job]:
 def _writing(out_dir, aggregates) -> Iterator[Callable[[ReportBundle], Path]]:
     """Start writing a bundle as out_dir: check out_dir, make the staging
     directory beside it and start the per-minute jobs of aggregates (see
-    _minute_jobs) on a forked helper (see helper.in_any_order). Yields
-    finish(bundle), for the bundle of those aggregates, which does the
-    other jobs in this process, then the per-minute jobs the helper has
-    not taken, and writes run_log.json and manifest.json last, so that the
-    bytes are those of `files()` whichever process did a job. Each process
-    formats, writes and hashes one job's files at a time. The staging
-    directory is then renamed into place; the old bundle is moved aside
-    first and removed last. A write that the block does not finish leaves
-    out_dir as it was, and the helper has exited, and been waited for,
-    before the rename or the removal of the staging directory.
+    _minute_jobs) on a forked helper with the numbers of all of them in its
+    pipe (see helper.start). Yields finish(bundle), for the bundle of those
+    aggregates, which does the other jobs in this process, then gathers
+    the helper's answers in order (see helper.in_order), doing the
+    per-minute jobs the helper has not taken, and writes run_log.json and
+    manifest.json last, so that the bytes are those of `files()` whichever
+    process did a job. Each process formats, writes and hashes one job's
+    files at a time. The staging directory is then renamed into place; the
+    old bundle is moved aside first and removed last. A write that the
+    block does not finish leaves out_dir as it was, and the helper has
+    exited, and been waited for, before the rename or the removal of the
+    staging directory.
 
     A symlinked out_dir is followed, so its target is replaced. Only an
     empty directory or one `_is_bundle` accepts is replaced; the working
@@ -526,12 +529,18 @@ def _writing(out_dir, aggregates) -> Iterator[Callable[[ReportBundle], Path]]:
     staging, aside = (out_dir.with_name(f".{out_dir.name}.{os.getpid()}.{end}")
                       for end in ("new", "old"))
     jobs = _minute_jobs(aggregates)
+    work = partial(_write_job, staging)
+    helper = None
 
-    def finish(minute_results: Callable[[], list], bundle: ReportBundle) -> Path:
+    def finish(bundle: ReportBundle) -> Path:
         other = bundle._other_jobs()
         folders = _make_folders(staging, jobs + other)
+        results = [work(job) for job in other]
+        # only the helper started below shares these jobs: none forks this late
+        with in_order(jobs, work, lambda: False, helper) as minute_results:
+            results += [result for _, result in minute_results]
         digests, skipped = {}, []
-        for result in [_write_job(staging, job) for job in other] + minute_results():
+        for result in results:
             if isinstance(result, str):
                 skipped.append(result)
             else:
@@ -561,9 +570,11 @@ def _writing(out_dir, aggregates) -> Iterator[Callable[[ReportBundle], Path]]:
     try:
         staging.mkdir()
         _make_folders(staging, jobs)  # before the fork, so that neither process makes them
-        with in_any_order(jobs, partial(_write_job, staging), lambda: True) as minute_results:
-            yield partial(finish, minute_results)
+        helper = start_helper(jobs, work, lambda: True, len(jobs))
+        yield finish
     finally:
+        if helper is not None:
+            helper.close()
         shutil.rmtree(staging, ignore_errors=True)
 
 

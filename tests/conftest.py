@@ -38,38 +38,38 @@ START_MASK = (frozenset(_sched_getaffinity(0))
 
 @contextmanager
 def counting_answers(answered: list, kill_after: int | None = None):
-    """Patch the answer methods of both helpers, in_order's _Helper and
-    in_any_order's _Taker, to append to `answered` whether each call got
-    the helper's answer; with kill_after, the helper is killed with SIGKILL
-    when that many calls have been made."""
+    """Patch the helper's answer method to append to `answered` whether
+    each call got an answer; with kill_after, the helper is killed with
+    SIGKILL when that many calls have been made."""
+    real_answer = helper_mod._Helper.answer
 
-    def counting(real_answer, none):
-        def answer(helper, *request):
-            if len(answered) == kill_after:
-                os.kill(helper.pid, signal.SIGKILL)
-            got = real_answer(helper, *request)
-            answered.append(got is not none)
-            return got
+    def answer(helper):
+        if len(answered) == kill_after:
+            os.kill(helper.pid, signal.SIGKILL)
+        got = real_answer(helper)
+        answered.append(got is not None)
+        return got
 
-        return answer
-
-    with mock.patch.object(helper_mod._Helper, "answer",
-                           counting(helper_mod._Helper.answer, helper_mod._PENDING)), \
-            mock.patch.object(helper_mod._Taker, "answer",
-                              counting(helper_mod._Taker.answer, None)):
+    with mock.patch.object(helper_mod._Helper, "answer", answer):
         yield
 
 
-def started_takers(pids: list):
-    """Patch in_any_order's _Taker to append the pid of each helper it
-    forks to `pids`."""
-    real_init = helper_mod._Taker.__init__
+def started_helpers(pids: list):
+    """Patch the helper class to append the pid of each helper it forks to
+    `pids`."""
+    real_init = helper_mod._Helper.__init__
 
-    def init(taker, *args):
-        real_init(taker, *args)
-        pids.append(taker.pid)
+    def init(helper, *args):
+        real_init(helper, *args)
+        pids.append(helper.pid)
 
-    return mock.patch.object(helper_mod._Taker, "__init__", init)
+    return mock.patch.object(helper_mod._Helper, "__init__", init)
+
+
+def helper_takes_all():
+    """Patch the helper's parent to take no number from the pipe, so that
+    the helper works on every item, unless it exits."""
+    return mock.patch.object(helper_mod._Helper, "take", return_value=None)
 
 
 def one_cpu():

@@ -1,4 +1,4 @@
-"""The in-order queue and the any-order start with their forked helpers
+"""The in-order queue and the started helper that it takes over
 (intradayvol.helper).
 
 The autouse no_child_process_left fixture checks after each test that
@@ -9,18 +9,17 @@ from __future__ import annotations
 import errno
 import os
 import signal
-import select
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from unittest import mock
 
 import pytest
 
-from conftest import counting_answers, needs_helper, one_cpu, started_takers
+from conftest import counting_answers, needs_helper, one_cpu, started_helpers
 from intradayvol import helper as helper_mod
 from intradayvol import panel as panel_mod
 from intradayvol.errors import DataError
-from intradayvol.helper import in_any_order, in_order
+from intradayvol.helper import in_order, start
 from intradayvol.panel import write_panel_csv
 from intradayvol.synth import GeneratorSpec, IntensitySpec, generate_panel
 
@@ -29,8 +28,8 @@ helper_or_not = pytest.mark.parametrize(
     "helper", [False, pytest.param(True, marks=needs_helper)])
 
 
-def _handed_out(items, fork=lambda: True) -> list[tuple]:
-    with in_order(items, str, fork) as results:
+def _handed_out(items, work=str, fork=lambda: True) -> list[tuple]:
+    with in_order(items, work, fork) as results:
         return list(results)
 
 
@@ -45,14 +44,14 @@ def _no_fork():
                              side_effect=AssertionError("forked"))
 
 
-def _finished(items, fork=lambda: True) -> list:
-    with in_any_order(list(items), str, fork) as finish:
-        return finish()
-
-
-def _no_taker():
-    return mock.patch.object(helper_mod._Taker, "__init__",
-                             side_effect=AssertionError("forked"))
+def _finished(items, work=str, fork=lambda: True, pause: float = 0.0) -> list:
+    """work(item) of each item, from a helper started with every number
+    in its pipe, as the bundle writer starts it, and taken over by
+    in_order after `pause` seconds."""
+    helper = start(items, work, fork, len(items))
+    time.sleep(pause)  # the helper works meanwhile
+    with in_order(items, work, lambda: False, helper) as results:
+        return [result for _, result in results]
 
 
 def _panel_csv_bytes(tmp_path, patches) -> bytes:
@@ -70,14 +69,16 @@ def _panel_csv_bytes(tmp_path, patches) -> bytes:
 
 class TestInOrder:
     @helper_or_not
-    def test_every_item_in_order(self, helper):
-        answered = []
-        with (nullcontext() if helper else one_cpu()), counting_answers(answered):
-            got = _handed_out(range(200))
+    def test_every_item_in_order(self, helper, tmp_path):
+        # the parent, slowed, leaves the helper a share even on a busy machine
+        work = _Logged(tmp_path / "log", parent_delay=0.001)
+        answered, pids = [], []
+        with (nullcontext() if helper else one_cpu()), counting_answers(answered), \
+                started_helpers(pids):
+            got = _handed_out(range(200), work)
         assert got == [(k, str(k)) for k in range(200)]
-        # the parent waits for the helper's first answer once _AHEAD
-        # items are queued, if not before
-        assert answered[:1] == [True] * helper
+        assert sorted(item for _, item in work.done()) == list(range(200))
+        assert len(pids) == helper and any(answered) == helper
 
     def test_one_cpu_forks_no_helper(self):
         with one_cpu(), _no_fork():
@@ -180,34 +181,44 @@ class TestFailedFork:
 
 @needs_helper
 @pytest.mark.skipif(not hasattr(os, "waitid"), reason="no os.waitid")
-def test_helper_gone_before_the_next_request(tmp_path):
-    # the helper is killed, and has exited, before the third request: that
-    # request's write breaks the pipe, and the writer does the rest itself
-    real_ask = helper_mod._Helper.ask
-    alive = []
+def test_helper_gone_while_the_pipe_is_stocked(tmp_path):
+    # the helper is killed, and has exited, before the pipe is stocked the
+    # third time: the numbers go into a pipe that only this process reads,
+    # and the writer does the rest itself once it reads the helper's exit
+    real_stock = helper_mod._Helper.stock
+    stocked = []
 
-    def ask(helper, request):
-        if len(alive) == 2:
+    def stock(helper, end):
+        if len(stocked) == 2:
             os.kill(helper.pid, signal.SIGKILL)
             os.waitid(os.P_PID, helper.pid, os.WEXITED | os.WNOWAIT)  # dead, not reaped
-        real_ask(helper, request)
-        alive.append(helper.alive)
+        real_stock(helper, end)
+        stocked.append(end)
 
+    @contextmanager
+    def patches():
+        with mock.patch.object(helper_mod._Helper, "stock", stock), \
+                counting_answers(answered):
+            yield
+
+    answered = []
     want = _panel_csv_bytes(tmp_path, one_cpu())
-    assert _panel_csv_bytes(tmp_path, mock.patch.object(helper_mod._Helper, "ask", ask)) \
-        == want
-    assert alive == [True, True, False]
+    assert _panel_csv_bytes(tmp_path, patches()) == want
+    assert len(stocked) >= 3 and answered[-1:] == [False]
 
 
 class _Logged:
     """A work function that appends "pid item" to a file for each item,
-    from whichever process works on it, after `delay` seconds."""
+    from whichever process works on it, after `delay` seconds, or
+    `parent_delay` seconds in the process that made it."""
 
-    def __init__(self, path, delay: float = 0.0):
-        self.path, self.delay = path, delay
+    def __init__(self, path, delay: float = 0.0, parent_delay: float | None = None):
+        self.path, self.parent = path, os.getpid()
+        self.delay = delay
+        self.parent_delay = delay if parent_delay is None else parent_delay
 
     def __call__(self, item):
-        time.sleep(self.delay)
+        time.sleep(self.parent_delay if os.getpid() == self.parent else self.delay)
         fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
         try:
             os.write(fd, f"{os.getpid()} {item}\n".encode())
@@ -223,15 +234,17 @@ class _Logged:
 
 
 class TestInAnyOrder:
+    """A helper started with every item's number in its pipe, as the
+    bundle writer starts it, works on items while its parent does other
+    work; in_order then gathers the results in order."""
+
     @helper_or_not
     def test_every_item_once_and_the_results_in_order(self, tmp_path, helper):
         work = _Logged(tmp_path / "log", delay=0.001)
         answered, pids = [], []
         with (nullcontext() if helper else one_cpu()), counting_answers(answered), \
-                started_takers(pids):
-            with in_any_order(list(range(200)), work, lambda: True) as finish:
-                time.sleep(0.05)  # the helper works meanwhile
-                got = finish()
+                started_helpers(pids):
+            got = _finished(range(200), work, pause=0.05)
         assert got == [str(k) for k in range(200)]
         done = work.done()
         assert sorted(item for _, item in done) == list(range(200))
@@ -249,10 +262,9 @@ class TestInAnyOrder:
 
         logged = _Logged(tmp_path / "log")
         answered, pids = [], []
-        with counting_answers(answered), started_takers(pids):
-            with in_any_order(list(range(50)), work, lambda: True) as finish:
-                time.sleep(0.05)  # the helper takes items 0-5 meanwhile
-                got = finish()
+        with counting_answers(answered), started_helpers(pids):
+            # the helper takes items 0-5 in the pause
+            got = _finished(range(50), work, pause=0.05)
         assert got == [str(k) for k in range(50)]
         assert answered == [True] * 5 + [False]
         done = logged.done()
@@ -261,18 +273,48 @@ class TestInAnyOrder:
         assert (parent, 5) in done
 
     def test_one_cpu_forks_no_helper(self):
-        with one_cpu(), _no_taker():
+        with one_cpu(), _no_fork():
             assert _finished(range(20)) == [str(k) for k in range(20)]
 
     def test_small_job_forks_no_helper(self):
-        with _two_cpus(), _no_taker():
+        with _two_cpus(), _no_fork():
             assert _finished(range(20), fork=lambda: False) == [str(k) for k in range(20)]
 
-    def test_items_past_the_pipe_forks_no_helper(self):
-        # their numbers would not all fit in the pipe before the fork
-        items = range(select.PIPE_BUF // helper_mod._NUMBER_BYTES + 1)
-        with _two_cpus(), _no_taker():
-            assert _finished(items) == list(map(str, items))
+    @needs_helper
+    def test_every_number_in_the_pipe_at_the_start(self, tmp_path):
+        # more numbers than one write to the pipe holds: the rest are
+        # stocked as the pipe empties
+        items = range(3000)
+        work = _Logged(tmp_path / "log")
+        pids = []
+        with started_helpers(pids):
+            got = _finished(items, work, pause=0.05)
+        assert got == list(map(str, items))
+        done = work.done()
+        assert len(pids) == 1 and {pid for pid, _ in done} == {os.getpid(), *pids}
+        assert sorted(item for _, item in done) == list(items)
+
+    @needs_helper
+    def test_answers_that_overflow_the_pipe(self):
+        # 40 answers of 100 KB, all worked on in the pause, overflow the
+        # answer pipe: those that do not fit wait in the helper until the
+        # parent reads them
+        items = range(40)
+        pids = []
+
+        def work(item):
+            return bytes([item]) * 100_000
+
+        signal.signal(signal.SIGALRM,
+                      lambda *_: pytest.fail("the two processes wait on each other"))
+        signal.alarm(60)
+        try:
+            with started_helpers(pids):
+                got = _finished(items, work, pause=0.2)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, signal.SIG_DFL)
+        assert len(pids) == 1 and got == [work(k) for k in items]
 
     @needs_fork
     def test_failed_fork_closes_its_pipes(self):
@@ -296,14 +338,32 @@ class TestInAnyOrder:
 
     @helper_or_not
     def test_error_before_finish_stops_the_helper(self, tmp_path, helper):
+        items = range(100)
         work = _Logged(tmp_path / "log", delay=0.02)
         pids = []
-        with (nullcontext() if helper else one_cpu()), started_takers(pids), \
+        with (nullcontext() if helper else one_cpu()), started_helpers(pids), \
                 pytest.raises(OSError, match="disk full"):
-            with in_any_order(list(range(100)), work, lambda: True):
+            started = start(items, work, lambda: True, len(items))
+            with in_order(items, work, lambda: False, started):
                 time.sleep(0.05)
                 raise OSError(errno.ENOSPC, "disk full")
+        if started is not None:
+            started.close()  # closed already: nothing to do
         done = work.done()
         # the helper finished the item it held and took no more
         assert {pid for pid, _ in done} <= set(pids) and len(pids) == helper
         assert len(done) < 10 and [item for _, item in done] == list(range(len(done)))
+
+
+@needs_helper
+def test_slow_helper_leaves_the_parent_most_items(tmp_path):
+    # a started helper that cannot keep up (here, 20 ms an item) holds up
+    # only the items it took, not the first _HEAD: the parent takes the
+    # numbers after them
+    items = range(64)
+    work = _Logged(tmp_path / "log", delay=0.02, parent_delay=0.0)
+    with in_order(items, work, lambda: False, start(items, work, lambda: True)) as results:
+        assert list(results) == [(k, str(k)) for k in items]
+    done = work.done()
+    assert sorted(item for _, item in done) == list(range(64))
+    assert sum(pid == os.getpid() for pid, _ in done) > 32

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from contextlib import nullcontext
 from unittest import mock
 
 import numpy as np
@@ -53,6 +54,7 @@ from conftest import (
     build_panel,
     contiguous_semesters,
     counting_answers,
+    helper_takes_all,
     needs_helper,
     thread_masks,
     weekdays,
@@ -512,7 +514,7 @@ class TestWriterBytes:
         answered = []
         tracemalloc.start()
         try:
-            with counting_answers(answered):
+            with counting_answers(answered), helper_takes_all():
                 write_panel_csv(panel, path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -522,7 +524,7 @@ class TestWriterBytes:
         # and the chunks formatted ahead of the file about 0.1 MB each
         assert n_rows > 100_000
         assert peak < 8 * n_rows, (peak, n_rows)
-        assert any(answered) == HELPER_RUNS  # the helper's share is held too
+        assert any(answered) == HELPER_RUNS  # the helper's answers are held too
 
     def test_ticker_needing_quotes(self, tmp_path):
         volume = np.full((2, 1, SESSION_MINUTES), np.nan)
@@ -893,15 +895,17 @@ def _assert_daily_loaded(panel, report, full, full_report, bars):
 # --- parsing and writing on two processes --------------------------------
 
 
-def _serial_and_helped(paths, **kwargs):
+def _serial_and_helped(paths, shared: bool = False):
     """The outcome of loading paths on one process, the outcome through
     the helper whatever the input size, and the number of blocks the
-    helper's answers gave."""
+    helper's answers gave. The helper parses every block, or with shared
+    the two processes share them as they come."""
     with mock.patch.object(csvtext_mod, "_HELPER_MIN_BYTES", 2 ** 62):
-        serial = _outcome(load_minute_bars, paths, **kwargs)
+        serial = _outcome(load_minute_bars, paths)
     answered = []
-    with mock.patch.object(csvtext_mod, "_HELPER_MIN_BYTES", 0), counting_answers(answered):
-        helped = _outcome(load_minute_bars, paths, **kwargs)
+    with mock.patch.object(csvtext_mod, "_HELPER_MIN_BYTES", 0), counting_answers(answered), \
+            (nullcontext() if shared else helper_takes_all()):
+        helped = _outcome(load_minute_bars, paths)
     return serial, helped, sum(answered)
 
 
@@ -933,7 +937,7 @@ class TestHelper:
             paths.append(root / f"{stem}.csv")
             paths[-1].write_bytes(text.encode())
         with mock.patch.object(csvtext_mod, "_BLOCK_CHARS", block_chars):
-            serial, helped, _ = _serial_and_helped(paths)
+            serial, helped, _ = _serial_and_helped(paths, shared=True)
         _assert_bit_equal(serial, helped)
 
     def test_files_with_a_csv_tail_and_skipped_rows(self, tmp_path):
@@ -957,7 +961,7 @@ class TestHelper:
             serial, helped, answered = _serial_and_helped(paths)
             assert serial[0] == "ok"
             _assert_bit_equal(serial, helped)
-            assert answered >= 2  # the first two blocks are always the helper's
+            assert answered >= 2
             report = helped[1][1]
             assert [(s.line, s.reason) for s in report.skipped] == [
                 (393, "out-of-session"), (22, "malformed"), (352, "malformed"),
@@ -980,9 +984,8 @@ class TestHelper:
     def test_helper_cuts_blocks_of_the_patched_size(self, tmp_path):
         path = tmp_path / "a.csv"
         path.write_text(HEADER + _rows("A", "2004-01-05", range(391), "\n"))
-        # the helper is asked for blocks 0 and 1 first; one that cut
-        # 100,000-character blocks would answer block 0 with the whole
-        # file, and have no block 1
+        # a helper that cut 100,000-character blocks would answer block 0
+        # with the whole file, and have no block 1
         with mock.patch.object(csvtext_mod, "_BLOCK_CHARS", 1_500):
             serial, helped, answered = _serial_and_helped([path])
         _assert_bit_equal(serial, helped)
@@ -1008,12 +1011,13 @@ class TestHelper:
             with mock.patch.object(csvtext_mod, "_HELPER_MIN_BYTES", 2 ** 62):
                 serial = _outcome(load_minute_bars, [path])
             with mock.patch.object(csvtext_mod, "_HELPER_MIN_BYTES", 0), \
-                    counting_answers(answered, kill_after=3):
+                    counting_answers(answered, kill_after=3), helper_takes_all():
                 helped = _outcome(load_minute_bars, [path])
         assert serial[0] == "ok"
         _assert_bit_equal(serial, helped)
-        assert answered[:3] == [True] * 3
-        assert not any(answered[5:])  # at most the answers in the pipe when it died
+        # at most the answers for the numbers in the pipe when it died, then its exit
+        assert answered[:3] == [True] * 3 and answered[-1] is False
+        assert len(answered) <= 4 + helper_mod._AHEAD
 
     def test_no_helper_below_the_size_threshold(self, tmp_path):
         path = _write(tmp_path / "a.csv", HEADER + _rows("A", "2004-01-05", range(10)))
@@ -1042,7 +1046,8 @@ def test_byte_order_mark_before_the_header(tmp_path, n_companies, helper):
     path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
     answered = []
     with mock.patch.object(csvtext_mod, "_HELPER_MIN_BYTES", 0 if helper else 2 ** 62), \
-            mock.patch.object(csvtext_mod, "_BLOCK_CHARS", 2_000), counting_answers(answered):
+            mock.patch.object(csvtext_mod, "_BLOCK_CHARS", 2_000), counting_answers(answered), \
+            helper_takes_all():
         loaded, _ = load_minute_bars(path)
     assert any(answered) == helper
     assert loaded.companies == panel.companies
@@ -1073,11 +1078,11 @@ class TestWriterHelper:
             answered = []
             with mock.patch.object(panel_mod, "_WRITER_MIN_ROWS", 0), \
                     mock.patch.object(panel_mod, "_WRITE_ROWS", rows), \
-                    counting_answers(answered):
+                    counting_answers(answered), helper_takes_all():
                 write_panel_csv(panel, path)
             assert path.read_bytes() == want, rows
-            # the first chunk is always asked of the helper
-            assert n_rows == 0 or answered[0], rows
+            # the helper formatted every chunk
+            assert all(answered) and bool(answered) == (n_rows > 0), rows
 
     def test_writer_finishes_alone_when_the_helper_dies(self, tmp_path):
         panel = _gbm_panel(2, 6)
@@ -1085,11 +1090,12 @@ class TestWriterHelper:
         answered = []
         with mock.patch.object(panel_mod, "_WRITE_ROWS", 100), \
                 mock.patch.object(panel_mod, "_WRITER_MIN_ROWS", 0), \
-                counting_answers(answered, kill_after=3):
+                counting_answers(answered, kill_after=3), helper_takes_all():
             write_panel_csv(panel, path)
         assert path.read_bytes() == _reference_csv_bytes(panel)
-        assert answered[:3] == [True] * 3
-        assert not any(answered[5:])  # at most the answers in the pipe when it died
+        # at most the answers for the numbers in the pipe when it died, then its exit
+        assert answered[:3] == [True] * 3 and answered[-1] is False
+        assert len(answered) <= 4 + helper_mod._AHEAD
 
     def test_failed_write_leaves_no_child(self, tmp_path):
         panel = _gbm_panel(2, 6)
@@ -1098,7 +1104,7 @@ class TestWriterHelper:
                 mock.patch.object(panel_mod, "_WRITER_MIN_ROWS", 0), \
                 mock.patch.object(panel_mod, "open", lambda path, mode: _FailingFile(),
                                   create=True), \
-                counting_answers(answered), \
+                counting_answers(answered), helper_takes_all(), \
                 pytest.raises(OSError, match="No space left"):
             write_panel_csv(panel, tmp_path / "panel.csv")
         assert answered and answered[0]

@@ -23,7 +23,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from conftest import HELPER_RUNS, counting_answers, needs_helper, one_cpu, started_takers
+from conftest import HELPER_RUNS, counting_answers, needs_helper, one_cpu, started_helpers
 from intradayvol import metrics as metrics_mod
 from intradayvol import pipeline as pipeline_mod
 from intradayvol.cli import main
@@ -855,7 +855,7 @@ class TestBundleHelper:
         # fig3 is a job of this process, which fails before it gathers the
         # helper's answers
         helpers = []
-        with mock.patch.object(Path, "write_bytes", write_bytes), started_takers(helpers), \
+        with mock.patch.object(Path, "write_bytes", write_bytes), started_helpers(helpers), \
                 pytest.raises(OSError, match="No space left"):
             bundle.write(out)
         assert len(helpers) == HELPER_RUNS
@@ -876,9 +876,9 @@ class TestBundleHelper:
         config = PipelineConfig.from_json(bundle.config.to_json())
         config.out_dir = str(out)
         helpers = []
-        with started_takers(helpers), pytest.raises(RuntimeError, match="stage bug"):
+        with started_helpers(helpers), pytest.raises(RuntimeError, match="stage bug"):
             run_pipeline(config)
-        assert len(helpers) == HELPER_RUNS
+        assert len(helpers) == 2 * HELPER_RUNS  # the load's and the bundle's
         assert _tree(out) == before
         assert [p.name for p in tmp_path.iterdir()] == ["report"]
 
